@@ -7,19 +7,11 @@
 // required) and cold vs warm columnar fleet cache, forest
 // inference: the scalar recursive walk vs the flattened SoA engine
 // (baseline / AVX2 / quantized arms, bit-identical required, >=5x
-// single-core gate on the baseline arm), and the sharded WEFR driver:
-// end-to-end run_wefr through 1/2/4/8 consistent-hash workers vs the
-// single-process oracle (bit-identical required at every worker count;
-// the >=1.7x 4-worker speedup gate arms only on hosts with fork() and
-// >=4 hardware threads — see WEFR_SHARD_MIN_SPEEDUP below).
+// single-core gate on the baseline arm).
 //
 // Also gates the wefr::obs zero-overhead contract: scoring with tracing
 // and metrics enabled must stay within 5% of the disabled run, or the
-// bench exits non-zero. The same contract covers the cross-process
-// path: an obs-enabled sharded scoring run (worker span/metric
-// capture, WEFROB01 sidecar exchange, parent-side merge) must stay
-// within 5% of the obs-disabled sharded run, and the merged fleet
-// trace must contain a "shard:k" container span for every worker.
+// bench exits non-zero.
 //
 // Prints a human-readable report and writes machine-readable
 // BENCH_hotpath.json into the working directory (schema documented in
@@ -46,12 +38,10 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "shard/driver.h"
 #include "stats/kendall.h"
 #include "stats/ranking.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
-#include "util/subprocess.h"
 #include "util/thread_pool.h"
 
 using namespace wefr;
@@ -96,46 +86,6 @@ bool fleets_bitwise_equal(const data::FleetData& a, const data::FleetData& b) {
         std::memcmp(ra.data(), rb.data(), ra.size() * sizeof(double)) != 0)
       return false;
   }
-  return true;
-}
-
-// memcmp, not ==: a NaN slot (a failed ranker's score) must sit in
-// exactly the same cell on both sides, and == would call it a mismatch.
-bool dvec_bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
-}
-
-bool groups_bits_equal(const core::GroupSelection& a, const core::GroupSelection& b) {
-  return a.label == b.label && a.selected == b.selected &&
-         a.selected_names == b.selected_names && a.fallback == b.fallback &&
-         a.degraded == b.degraded && a.num_samples == b.num_samples &&
-         a.num_positives == b.num_positives && a.ensemble.order == b.ensemble.order &&
-         dvec_bits_equal(a.ensemble.final_ranking, b.ensemble.final_ranking) &&
-         a.ensemble.discarded == b.ensemble.discarded &&
-         a.ensemble.failed == b.ensemble.failed &&
-         a.selection.count == b.selection.count &&
-         dvec_bits_equal(a.selection.complexity, b.selection.complexity);
-}
-
-bool wefr_results_bits_equal(const core::WefrResult& a, const core::WefrResult& b) {
-  if (!groups_bits_equal(a.all, b.all)) return false;
-  if (!dvec_bits_equal(a.survival.mwi, b.survival.mwi) ||
-      !dvec_bits_equal(a.survival.rate, b.survival.rate) ||
-      a.survival.total != b.survival.total)
-    return false;
-  if (a.change_point.has_value() != b.change_point.has_value()) return false;
-  if (a.change_point &&
-      (a.change_point->mwi_threshold != b.change_point->mwi_threshold ||
-       a.change_point->zscore != b.change_point->zscore ||
-       a.change_point->probability != b.change_point->probability))
-    return false;
-  if (a.low.has_value() != b.low.has_value() ||
-      a.high.has_value() != b.high.has_value())
-    return false;
-  if (a.low && !groups_bits_equal(*a.low, *b.low)) return false;
-  if (a.high && !groups_bits_equal(*a.high, *b.high)) return false;
   return true;
 }
 
@@ -451,33 +401,50 @@ int main() {
 
   // --- 7. obs overhead gate: scoring with a live Tracer + Registry
   // must cost at most 5% over the disabled (null Context) run. Reps are
-  // interleaved and the minimum kept on each side — the stable estimate
-  // of intrinsic cost under scheduler noise — with a small absolute
-  // escape hatch so a micro-scale run (sub-10ms totals) cannot fail the
-  // gate on timer granularity alone.
+  // interleaved, the side that runs first alternates per rep (running
+  // the disabled side first every time hands the enabled side a warmer
+  // cache and a consistent bias), and the minimum is kept on each side
+  // — the stable estimate of intrinsic cost under scheduler noise —
+  // with a small absolute escape hatch so a micro-scale run (sub-10ms
+  // totals) cannot fail the gate on timer granularity alone.
   cfg_score.num_threads = 1;
-  const int obs_reps = 3;
+  const int obs_reps = 5;
   double obs_off_s = 1e300, obs_on_s = 1e300;
   std::size_t obs_spans = 0;
+  bool obs_shapes_equal = true;
   for (int rep = 0; rep < obs_reps; ++rep) {
-    sw.reset();
-    const auto off = core::score_fleet(fleet, predictor, phase.test_start,
-                                       phase.test_end, cfg_score);
-    obs_off_s = std::min(obs_off_s, sw.seconds());
-
-    obs::Tracer tracer;
-    obs::Registry registry;
-    obs::Context ctx{&tracer, &registry};
-    sw.reset();
-    const auto on = core::score_fleet(fleet, predictor, phase.test_start,
-                                      phase.test_end, cfg_score, nullptr, &ctx);
-    obs_on_s = std::min(obs_on_s, sw.seconds());
-    obs_spans = tracer.size();
-    if (rep == 0 && !(off.size() == on.size())) break;  // shape mismatch: gate fails below
+    std::size_t off_drives = 0, on_drives = 0;
+    const auto run_off = [&] {
+      sw.reset();
+      off_drives = core::score_fleet(fleet, predictor, phase.test_start, phase.test_end,
+                                     cfg_score)
+                       .size();
+      obs_off_s = std::min(obs_off_s, sw.seconds());
+    };
+    const auto run_on = [&] {
+      obs::Tracer tracer;
+      obs::Registry registry;
+      obs::Context ctx{&tracer, &registry};
+      sw.reset();
+      on_drives = core::score_fleet(fleet, predictor, phase.test_start, phase.test_end,
+                                    cfg_score, nullptr, &ctx)
+                      .size();
+      obs_on_s = std::min(obs_on_s, sw.seconds());
+      obs_spans = tracer.size();
+    };
+    if (rep % 2 == 0) {
+      run_off();
+      run_on();
+    } else {
+      run_on();
+      run_off();
+    }
+    obs_shapes_equal = obs_shapes_equal && off_drives == on_drives;
   }
   const double obs_ratio = obs_off_s > 0.0 ? obs_on_s / obs_off_s : 1.0;
-  const bool obs_gate_pass = obs_ratio <= 1.05 || obs_on_s - obs_off_s < 0.005;
-  std::printf("obs overhead gate (score_fleet, min of %d reps):\n"
+  const bool obs_gate_pass =
+      obs_shapes_equal && (obs_ratio <= 1.05 || obs_on_s - obs_off_s < 0.005);
+  std::printf("obs overhead gate (score_fleet, min of %d alternating reps):\n"
               "  disabled: %8.3f s\n"
               "  enabled:  %8.3f s   (ratio %.3f, %zu spans; gate %s)\n\n",
               obs_reps, obs_off_s, obs_on_s, obs_ratio, obs_spans,
@@ -580,138 +547,6 @@ int main() {
     std::printf("  (* codec over uint8 budget: quantized arm fell back to double)\n");
   std::fflush(stdout);
 
-  // --- 9. Sharded WEFR scale-out: the full selection pipeline through
-  // the consistent-hash shard driver at 1/2/4/8 workers against the
-  // single-process oracle (run_wefr over per-drive-sampled selection
-  // rows — the exact population the driver's merge reconstructs).
-  // Equivalence is the hard gate: every worker count must reproduce
-  // the oracle's WefrResult bit for bit, with no in-process fallback
-  // masking a worker failure. The speedup gate (4 workers vs 1,
-  // default >=1.7x, override WEFR_SHARD_MIN_SPEEDUP, <=0 disables)
-  // arms only where it can physically pass: fork() available and at
-  // least 4 hardware threads. On smaller hosts the numbers are still
-  // recorded — a sub-1.0x figure next to hw_threads=1 in the JSON
-  // means process fan-out on one core, not a broken driver.
-  core::ExperimentConfig cfg_shard = cfg;
-  cfg_shard.forest.tree.split_method = ml::SplitMethod::kHistogram;
-  cfg_shard.per_drive_sampling = true;  // the partition-invariant sampler
-  core::WefrOptions shard_wopt = benchx::compare_config(scale).wefr;
-  const int shard_day_hi = phase.test_start - 1;
-
-  sw.reset();
-  const auto shard_oracle_ds =
-      core::build_selection_samples(fleet, 0, shard_day_hi, cfg_shard);
-  const auto shard_oracle =
-      core::run_wefr(fleet, shard_oracle_ds, shard_day_hi, shard_wopt);
-  const double shard_oracle_s = sw.seconds();
-  std::printf("sharded WEFR scale-out, %zu drives, %zu selection samples:\n"
-              "  single-process oracle: %8.3f s\n",
-              fleet.drives.size(), shard_oracle_ds.size(), shard_oracle_s);
-  std::fflush(stdout);
-
-  const std::size_t shard_workers[] = {1, 2, 4, 8};
-  double shard_seconds[std::size(shard_workers)] = {};
-  double shard_partial_s[std::size(shard_workers)] = {};
-  double shard_merge_s[std::size(shard_workers)] = {};
-  bool shard_forked[std::size(shard_workers)] = {};
-  bool shard_equal = true, shard_fell_back = false;
-  double shard_1w_s = 0.0, shard_4w_s = 0.0;
-  for (std::size_t i = 0; i < std::size(shard_workers); ++i) {
-    shard::ShardOptions sopt;
-    sopt.num_shards = shard_workers[i];
-    shard::ShardRunStats sstats;
-    core::PipelineDiagnostics sdiag;
-    sw.reset();
-    const auto sres = shard::run_wefr_sharded(fleet, 0, shard_day_hi, shard_day_hi,
-                                              shard_wopt, cfg_shard, sopt, &sdiag,
-                                              nullptr, &sstats);
-    shard_seconds[i] = sw.seconds();
-    shard_partial_s[i] = sstats.partial_seconds;
-    shard_merge_s[i] = sstats.merge_seconds;
-    shard_forked[i] = sstats.forked;
-    const bool eq = wefr_results_bits_equal(sres, shard_oracle);
-    const bool fb = sdiag.has("in_process_fallback");
-    shard_equal = shard_equal && eq;
-    shard_fell_back = shard_fell_back || fb;
-    if (shard_workers[i] == 1) shard_1w_s = shard_seconds[i];
-    if (shard_workers[i] == 4) shard_4w_s = shard_seconds[i];
-    std::printf("  %zu worker%s (%s):%s %8.3f s   (partials %.3f s, merge %.3f s,"
-                " result %s%s)\n",
-                shard_workers[i], shard_workers[i] == 1 ? " " : "s",
-                sstats.forked ? "forked" : "in-process",
-                sstats.forked ? "   " : "", shard_seconds[i], sstats.partial_seconds,
-                sstats.merge_seconds, eq ? "identical" : "DIFFERS",
-                fb ? ", FELL BACK" : "");
-    std::fflush(stdout);
-  }
-  const double shard_speedup = shard_4w_s > 0.0 ? shard_1w_s / shard_4w_s : 0.0;
-  const double shard_min_speedup = benchx::env_or("WEFR_SHARD_MIN_SPEEDUP", 1.7);
-  const bool shard_speedup_armed =
-      util::fork_supported() && hw_threads >= 4 && shard_min_speedup > 0.0;
-  const bool shard_ok = shard_equal && !shard_fell_back &&
-                        (!shard_speedup_armed || shard_speedup >= shard_min_speedup);
-  std::printf("  4-worker speedup %.2fx (gate >=%.2fx %s on this host); shard gate %s\n\n",
-              shard_speedup, shard_min_speedup,
-              shard_speedup_armed ? "armed" : "recorded only", shard_ok ? "PASS" : "FAIL");
-  std::fflush(stdout);
-
-  // --- 10. Sharded obs gate: cross-process observability (worker-local
-  // tracing + metrics, WEFROB01 sidecar serialization, parent-side
-  // trace/metric merge) must cost at most 5% over the obs-disabled
-  // sharded run. Same protocol as the in-process gate: interleaved
-  // reps, minimum kept per side, small absolute escape hatch for
-  // micro-scale runs. The merged trace is also sanity-checked — one
-  // "shard:k" container span per worker must survive the merge — and
-  // both checks fold into the exit gate.
-  const std::size_t sobs_shards = 2;
-  double sobs_off_s = 1e300, sobs_on_s = 1e300;
-  std::size_t sobs_spans = 0;
-  std::uint64_t sobs_partials = 0;
-  bool sobs_trace_ok = false;
-  for (int rep = 0; rep < obs_reps; ++rep) {
-    shard::ShardOptions sopt;
-    sopt.num_shards = sobs_shards;
-    core::PipelineDiagnostics d_off;
-    sw.reset();
-    const auto off = shard::score_fleet_sharded(fleet, predictor, phase.test_start,
-                                                phase.test_end, cfg_score, sopt, &d_off,
-                                                nullptr, nullptr, nullptr);
-    sobs_off_s = std::min(sobs_off_s, sw.seconds());
-
-    obs::Tracer tracer;
-    obs::Registry registry;
-    obs::Context ctx{&tracer, &registry};
-    core::PipelineDiagnostics d_on;
-    shard::ShardRunStats sstats;
-    sw.reset();
-    const auto on = shard::score_fleet_sharded(fleet, predictor, phase.test_start,
-                                               phase.test_end, cfg_score, sopt, &d_on,
-                                               &ctx, &sstats, nullptr);
-    sobs_on_s = std::min(sobs_on_s, sw.seconds());
-    sobs_spans = tracer.size();
-    sobs_partials = sstats.obs_partials_merged;
-    const auto spans = tracer.snapshot();
-    bool trace_ok = sstats.fallback_reason.empty() && off.size() == on.size();
-    for (std::size_t k = 0; k < sobs_shards; ++k) {
-      bool found = false;
-      for (const auto& s : spans) found = found || s.name == "shard:" + std::to_string(k);
-      trace_ok = trace_ok && found;
-    }
-    sobs_trace_ok = trace_ok;
-  }
-  const double sobs_ratio = sobs_off_s > 0.0 ? sobs_on_s / sobs_off_s : 1.0;
-  const bool sobs_gate_pass =
-      sobs_trace_ok && (sobs_ratio <= 1.05 || sobs_on_s - sobs_off_s < 0.005);
-  std::printf("sharded obs gate (score_fleet_sharded, %zu workers, min of %d reps):\n"
-              "  disabled: %8.3f s\n"
-              "  enabled:  %8.3f s   (ratio %.3f, %zu merged spans, %llu obs partials,"
-              " trace %s; gate %s)\n\n",
-              sobs_shards, obs_reps, sobs_off_s, sobs_on_s, sobs_ratio, sobs_spans,
-              static_cast<unsigned long long>(sobs_partials),
-              sobs_trace_ok ? "complete" : "INCOMPLETE",
-              sobs_gate_pass ? "PASS" : "FAIL");
-  std::fflush(stdout);
-
   // --- machine-readable summary.
   {
     std::ofstream js("BENCH_hotpath.json");
@@ -781,42 +616,11 @@ int main() {
     w.field("min_speedup", 5.0);
     w.field("outputs_identical", inf_identical);
     w.field("gate_pass", inf_gate_pass).end_object();
-    w.key("shard").begin_object();
-    w.field("drives", fleet.drives.size());
-    w.field("selection_samples", shard_oracle_ds.size());
-    w.field("hw_threads", hw_threads);
-    w.field("fork_supported", util::fork_supported());
-    w.field("oracle_seconds", shard_oracle_s);
-    w.key("runs").begin_array();
-    for (std::size_t i = 0; i < std::size(shard_workers); ++i) {
-      w.begin_object();
-      w.field("workers", shard_workers[i]);
-      w.field("forked", shard_forked[i]);
-      w.field("seconds", shard_seconds[i]);
-      w.field("partial_seconds", shard_partial_s[i]);
-      w.field("merge_seconds", shard_merge_s[i]);
-      w.end_object();
-    }
-    w.end_array();
-    w.field("outputs_identical", shard_equal);
-    w.field("fell_back", shard_fell_back);
-    w.field("speedup_4w", shard_speedup);
-    w.field("min_speedup", shard_min_speedup);
-    w.field("speedup_gate_armed", shard_speedup_armed);
-    w.field("gate_pass", shard_ok).end_object();
     w.key("obs").begin_object();
     w.field("reps", obs_reps).field("spans", obs_spans);
     w.field("disabled_seconds", obs_off_s).field("enabled_seconds", obs_on_s);
     w.field("overhead_ratio", obs_ratio).field("max_ratio", 1.05);
     w.field("gate_pass", obs_gate_pass).end_object();
-    w.key("obs_sharded").begin_object();
-    w.field("workers", sobs_shards).field("reps", obs_reps);
-    w.field("disabled_seconds", sobs_off_s).field("enabled_seconds", sobs_on_s);
-    w.field("overhead_ratio", sobs_ratio).field("max_ratio", 1.05);
-    w.field("merged_spans", sobs_spans);
-    w.field("obs_partials_merged", sobs_partials);
-    w.field("merged_trace_ok", sobs_trace_ok);
-    w.field("gate_pass", sobs_gate_pass).end_object();
     w.end_object();
     js << '\n';
   }
@@ -824,7 +628,5 @@ int main() {
   const bool all_equivalent = identical && fg_exact_bitwise && fg_max_rel < 1e-6 &&
                               kd_identical && ens_identical && ingest_identical &&
                               inf_identical;
-  return all_equivalent && obs_gate_pass && sobs_gate_pass && inf_gate_pass && shard_ok
-             ? 0
-             : 1;
+  return all_equivalent && obs_gate_pass && inf_gate_pass ? 0 : 1;
 }

@@ -10,7 +10,7 @@
 // line reports how long selection / training / scoring took (per-stage
 // Stopwatch laps) and how many trace spans the week produced.
 //
-//   ./examples/fleet_monitor [MODEL] [DRIVES] [CSV] [CACHE_DIR] [SHARDS]
+//   ./examples/fleet_monitor [MODEL] [DRIVES] [CSV] [CACHE_DIR]
 //   ./examples/fleet_monitor --churn [DRIVES] [MIX] [CHURN]
 //   ./examples/fleet_monitor --daemon [DRIVES]
 //
@@ -18,9 +18,7 @@
 // With a CSV path the fleet is loaded from that file (tolerant parse,
 // forward-filled) instead of simulated; a CACHE_DIR on top turns
 // repeat runs into a single mapped read of the binary columnar
-// snapshot. SHARDS > 0 scores each week through the multi-worker shard
-// driver and prints the live per-shard health ledger (drives,
-// drive-days, wall clock, straggler ratio) after every pass.
+// snapshot.
 //
 // The --churn mode runs the heterogeneous-fleet scenario instead: a
 // mixed-model pool (MIX, parse_mix_spec syntax, default
@@ -55,7 +53,6 @@
 #include "obs/context.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "shard/driver.h"
 #include "smartsim/generator.h"
 #include "smartsim/mixed_fleet.h"
 #include "util/stopwatch.h"
@@ -299,11 +296,6 @@ int main(int argc, char** argv) {
   }
   const std::string csv_path = argc > 3 ? argv[3] : "";
   const std::string cache_dir = argc > 4 ? argv[4] : "";
-  std::size_t shards = 0;
-  if (argc > 5 && !util::parse_int_as(argv[5], shards)) {
-    std::fprintf(stderr, "bad shard count: %s\n", argv[5]);
-    return 2;
-  }
 
   data::FleetData fleet;
   if (csv_path.empty()) {
@@ -380,37 +372,11 @@ int main(int argc, char** argv) {
     // -- retrain and score the coming week --
     const auto predictor = core::train_predictor(fleet, sel, 0, today - 1, cfg, obs);
     const double train_s = lap_clock.lap();
-    std::vector<core::DriveDayScores> scores;
-    shard::ShardRunStats sstats;
-    if (shards > 0) {
-      shard::ShardOptions sopt;
-      sopt.num_shards = shards;
-      scores = shard::score_fleet_sharded(fleet, predictor, today, today + week - 1,
-                                          cfg, sopt, nullptr, obs, &sstats, nullptr);
-    } else {
-      scores =
-          core::score_fleet(fleet, predictor, today, today + week - 1, cfg, nullptr, obs);
-    }
+    const auto scores =
+        core::score_fleet(fleet, predictor, today, today + week - 1, cfg, nullptr, obs);
     const double score_s = lap_clock.lap();
     std::printf("[day %3d] select %.2fs, train %.2fs, score %.2fs (%zu spans)\n",
                 today, select_s, train_s, score_s, tracer.size() - spans_before);
-    if (shards > 0) {
-      // Live shard health for this week's pass: what each worker owned,
-      // how long it ran, and how lopsided the partition was.
-      if (!sstats.fallback_reason.empty()) {
-        std::printf("[day %3d]   shards fell back in-process: %s\n", today,
-                    sstats.fallback_reason.c_str());
-      } else {
-        std::printf("[day %3d]  ", today);
-        for (std::size_t s = 0; s < sstats.health.size(); ++s) {
-          std::printf(" s%zu=%llu drives/%llu days/%.2fs", s,
-                      static_cast<unsigned long long>(sstats.health[s].drives),
-                      static_cast<unsigned long long>(sstats.health[s].rows),
-                      sstats.health[s].wall_seconds);
-        }
-        std::printf(" straggler x%.2f\n", sstats.imbalance_ratio);
-      }
-    }
 
     for (const auto& ds : scores) {
       if (decommissioned[ds.drive_index]) continue;  // already pulled

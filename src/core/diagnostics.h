@@ -57,17 +57,6 @@ struct PipelineDiagnostics {
   /// before attaching are not replayed.
   void attach(obs::Registry* registry) { registry_ = registry; }
 
-  /// Bridges events a shard worker recorded in its own ledger into this
-  /// one, with the worker's stage prefixed ("shard3:score"). The
-  /// registry mirror is deliberately NOT bumped: the merging driver
-  /// derives the parent's structured counters and summary notes from
-  /// the merged partials itself, so replaying worker events through
-  /// note() would double count them.
-  void bridge(std::string_view stage_prefix, const std::vector<DiagnosticEvent>& worker_events) {
-    for (const auto& e : worker_events)
-      events.push_back({std::string(stage_prefix) + e.stage, e.code, e.detail});
-  }
-
   /// Copies the events and structured counters into `report`
   /// (report.diagnostics / report.diagnostic_counters).
   void fill_run_report(obs::RunReport& report) const;

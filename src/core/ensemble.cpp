@@ -1,6 +1,7 @@
 #include "core/ensemble.h"
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "obs/context.h"
@@ -12,10 +13,23 @@
 
 namespace wefr::core {
 
-RankerRawScores ensemble_score_rankers(std::span<const std::unique_ptr<FeatureRanker>> rankers,
-                                       const data::Matrix& x, std::span<const int> y,
-                                       const EnsembleOptions& opt, const obs::Context* obs,
-                                       std::uint64_t parent_span) {
+namespace {
+
+/// Raw per-ranker score vectors, before sanitization and ranking.
+struct RankerRawScores {
+  std::vector<std::string> names;            ///< per ranker
+  std::vector<std::vector<double>> scores;   ///< per ranker: raw importances
+  std::vector<std::uint8_t> failed;          ///< 1 = ranker threw on this input
+  std::vector<std::string> failure_reasons;  ///< exception text when failed
+};
+
+/// Runs every ranker and collects raw scores: failures are captured
+/// (zero scores + reason) and left for finalize_scores to record.
+/// `parent_span` parents the per-ranker spans.
+RankerRawScores score_rankers(std::span<const std::unique_ptr<FeatureRanker>> rankers,
+                              const data::Matrix& x, std::span<const int> y,
+                              const EnsembleOptions& opt, const obs::Context* obs,
+                              std::uint64_t parent_span) {
   const std::size_t k = rankers.size();
   const std::size_t nf = x.cols();
 
@@ -57,16 +71,12 @@ RankerRawScores ensemble_score_rankers(std::span<const std::unique_ptr<FeatureRa
   return raw;
 }
 
-EnsembleResult ensemble_rank_from_scores(RankerRawScores raw, std::size_t num_features,
-                                         const EnsembleOptions& opt,
-                                         PipelineDiagnostics* diag,
-                                         const obs::Context* obs) {
+/// Deterministic finalization of raw ranker scores: sanitize non-finite
+/// importances, derive fractional rankings, prune Kendall-tau outliers,
+/// and average the survivors.
+EnsembleResult finalize_scores(RankerRawScores raw, std::size_t nf, const EnsembleOptions& opt,
+                               PipelineDiagnostics* diag, const obs::Context* obs) {
   const std::size_t k = raw.names.size();
-  if (k == 0) throw std::invalid_argument("ensemble_rank_from_scores: no rankers");
-  if (raw.scores.size() != k || raw.failed.size() != k || raw.failure_reasons.size() != k)
-    throw std::invalid_argument("ensemble_rank_from_scores: ragged raw scores");
-
-  const std::size_t nf = num_features;
   const double neutral_rank = (static_cast<double>(nf) + 1.0) / 2.0;
 
   EnsembleResult out;
@@ -87,8 +97,6 @@ EnsembleResult ensemble_rank_from_scores(RankerRawScores raw, std::size_t num_fe
       }
       continue;
     }
-    if (out.scores[i].size() != nf)
-      throw std::invalid_argument("ensemble_rank_from_scores: score length mismatch");
     // Degenerate inputs can yield NaN/inf importances (zero-variance
     // columns, vanishing denominators); zero them so the fractional
     // ranking stays well ordered.
@@ -199,6 +207,8 @@ EnsembleResult ensemble_rank_from_scores(RankerRawScores raw, std::size_t num_fe
   return out;
 }
 
+}  // namespace
+
 EnsembleResult ensemble_rank(std::span<const std::unique_ptr<FeatureRanker>> rankers,
                              const data::Matrix& x, std::span<const int> y,
                              const EnsembleOptions& opt, PipelineDiagnostics* diag,
@@ -207,9 +217,8 @@ EnsembleResult ensemble_rank(std::span<const std::unique_ptr<FeatureRanker>> ran
   if (rankers.empty()) throw std::invalid_argument("ensemble_rank: no rankers");
   if (x.rows() != y.size()) throw std::invalid_argument("ensemble_rank: shape mismatch");
 
-  RankerRawScores raw =
-      ensemble_score_rankers(rankers, x, y, opt, obs, ensemble_span.id());
-  return ensemble_rank_from_scores(std::move(raw), x.cols(), opt, diag, obs);
+  return finalize_scores(score_rankers(rankers, x, y, opt, obs, ensemble_span.id()), x.cols(),
+                         opt, diag, obs);
 }
 
 }  // namespace wefr::core

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -72,39 +71,5 @@ EnsembleResult ensemble_rank(std::span<const std::unique_ptr<FeatureRanker>> ran
                              const EnsembleOptions& opt = {},
                              PipelineDiagnostics* diag = nullptr,
                              const obs::Context* obs = nullptr);
-
-/// Raw per-ranker score vectors: the transportable half of the
-/// ensemble. A sharded run computes these in worker processes (one
-/// (population, ranker) job at a time), ships them back as WEFRSH01
-/// records, and finalizes through ensemble_rank_from_scores — the
-/// exact code path ensemble_rank itself uses, so a score vector
-/// produced anywhere finalizes to the same EnsembleResult bit for bit.
-struct RankerRawScores {
-  std::vector<std::string> names;            ///< per ranker
-  std::vector<std::vector<double>> scores;   ///< per ranker: raw importances
-  std::vector<std::uint8_t> failed;          ///< 1 = ranker threw on this input
-  std::vector<std::string> failure_reasons;  ///< exception text when failed
-};
-
-/// Runs every ranker and collects raw scores without finalizing:
-/// failures are captured (zero scores + reason), but sanitization,
-/// ranking, distance pruning, and averaging are deferred to
-/// ensemble_rank_from_scores. `parent_span` (when non-zero) parents
-/// the per-ranker spans, matching ensemble_rank's span tree.
-RankerRawScores ensemble_score_rankers(std::span<const std::unique_ptr<FeatureRanker>> rankers,
-                                       const data::Matrix& x, std::span<const int> y,
-                                       const EnsembleOptions& opt = {},
-                                       const obs::Context* obs = nullptr,
-                                       std::uint64_t parent_span = 0);
-
-/// Deterministic finalization of raw ranker scores: sanitize non-finite
-/// importances, derive fractional rankings, prune Kendall-tau outliers,
-/// and average the survivors. ensemble_rank is exactly
-/// ensemble_score_rankers + this, so feeding scores computed in another
-/// process reproduces the in-process EnsembleResult bitwise.
-EnsembleResult ensemble_rank_from_scores(RankerRawScores raw, std::size_t num_features,
-                                         const EnsembleOptions& opt = {},
-                                         PipelineDiagnostics* diag = nullptr,
-                                         const obs::Context* obs = nullptr);
 
 }  // namespace wefr::core

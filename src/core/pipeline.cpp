@@ -47,8 +47,6 @@ data::Dataset build_selection_samples(const data::FleetData& fleet, int day_lo, 
   opt.day_hi = day_hi;
   opt.negative_keep_prob = cfg.negative_keep_prob;
   opt.expand_windows = false;  // selection operates on the original features
-  opt.per_drive_rng = cfg.per_drive_sampling;
-  opt.per_drive_seed = cfg.seed ^ 0x5e1ec7104b15ULL;
   return data::build_samples(fleet, opt, &rng, obs);
 }
 

@@ -31,13 +31,6 @@ struct ExperimentConfig {
   /// `forest.num_threads` is left at 0, for forest fitting too.
   /// 0 or 1 = sequential; results are identical either way.
   std::size_t num_threads = 0;
-  /// Draw the selection-sample negative-downsampling coin per drive
-  /// (keyed on the drive id) instead of from one sequential stream, so
-  /// the kept sample set is invariant to how drives are partitioned
-  /// across shards. Off by default: the historical single-stream draw
-  /// is the seed behavior. Sharded runs and their single-process
-  /// equivalence oracle both turn this on.
-  bool per_drive_sampling = false;
 
   ExperimentConfig() {
     forest.num_trees = 100;
@@ -117,11 +110,9 @@ std::vector<DriveDayScores> score_fleet(const data::FleetData& fleet,
 
 /// Scores only the drives in `drives` (fleet drive indices; order is
 /// preserved, in-window eligibility is still filtered here). The
-/// whole-fleet entry above delegates here with every index, so a
-/// sharded run that partitions the fleet's index space and concatenates
-/// the per-shard outputs in ascending drive-index order reproduces the
-/// unsharded output bit-for-bit — per-drive scoring never looks at any
-/// other drive.
+/// whole-fleet entry above delegates here with every index; per-drive
+/// scoring never looks at any other drive, so a subset's blocks are
+/// bit-identical to the same drives' blocks in a whole-fleet run.
 std::vector<DriveDayScores> score_fleet(const data::FleetData& fleet,
                                         const WefrPredictor& predictor,
                                         std::span<const std::size_t> drives, int t0, int t1,

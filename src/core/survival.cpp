@@ -7,53 +7,6 @@
 
 namespace wefr::core {
 
-SurvivalTally::SurvivalTally(int bucket_width) : bucket_width_(bucket_width) {
-  if (bucket_width < 1) throw std::invalid_argument("SurvivalTally: bucket_width < 1");
-}
-
-void SurvivalTally::add_drive(const data::DriveSeries& drive, std::size_t mwi_col,
-                              int as_of_day) {
-  if (drive.first_day > as_of_day || drive.num_days() == 0) return;
-  const int last = std::min(as_of_day, drive.last_day());
-  const std::size_t local = static_cast<std::size_t>(last - drive.first_day);
-  const double mwi_value = drive.values(local, mwi_col);
-  if (std::isnan(mwi_value)) {
-    // Unrepaired missing wear indicator: the drive cannot be placed
-    // on the curve (lround(NaN) is undefined behavior anyway).
-    ++drives_skipped_nan_;
-    return;
-  }
-  const int raw = static_cast<int>(std::lround(mwi_value));
-  const int v = raw / bucket_width_ * bucket_width_;
-  auto& [total, failed] = buckets_[v];
-  ++total;
-  if (drive.failed() && drive.fail_day <= as_of_day) ++failed;
-}
-
-void SurvivalTally::merge(const SurvivalTally& other) {
-  if (other.bucket_width_ != bucket_width_)
-    throw std::invalid_argument("SurvivalTally::merge: bucket_width mismatch");
-  for (const auto& [v, counts] : other.buckets_) {
-    auto& [total, failed] = buckets_[v];
-    total += counts.first;
-    failed += counts.second;
-  }
-  drives_skipped_nan_ += other.drives_skipped_nan_;
-}
-
-SurvivalCurve SurvivalTally::finalize(std::size_t min_count) const {
-  SurvivalCurve curve;
-  curve.drives_skipped_nan = static_cast<std::size_t>(drives_skipped_nan_);
-  for (const auto& [v, counts] : buckets_) {
-    const auto [total, failed] = counts;
-    if (total < min_count) continue;
-    curve.mwi.push_back(static_cast<double>(v));
-    curve.rate.push_back(static_cast<double>(total - failed) / static_cast<double>(total));
-    curve.total.push_back(static_cast<std::size_t>(total));
-  }
-  return curve;
-}
-
 SurvivalCurve survival_vs_mwi(const data::FleetData& fleet, int as_of_day,
                               std::size_t min_count, int bucket_width) {
   const int mwi_col = fleet.feature_index("MWI_N");
@@ -61,10 +14,32 @@ SurvivalCurve survival_vs_mwi(const data::FleetData& fleet, int as_of_day,
   if (as_of_day < 0) throw std::invalid_argument("survival_vs_mwi: negative as_of_day");
   if (bucket_width < 1) throw std::invalid_argument("survival_vs_mwi: bucket_width < 1");
 
-  SurvivalTally tally(bucket_width);
-  for (const auto& drive : fleet.drives)
-    tally.add_drive(drive, static_cast<std::size_t>(mwi_col), as_of_day);
-  return tally.finalize(min_count);
+  SurvivalCurve curve;
+  std::map<int, std::pair<std::size_t, std::size_t>> buckets;  // lower edge -> (total, failed)
+  for (const auto& drive : fleet.drives) {
+    if (drive.first_day > as_of_day || drive.num_days() == 0) continue;
+    const int last = std::min(as_of_day, drive.last_day());
+    const std::size_t local = static_cast<std::size_t>(last - drive.first_day);
+    const double mwi_value = drive.values(local, static_cast<std::size_t>(mwi_col));
+    if (std::isnan(mwi_value)) {
+      // Unrepaired missing wear indicator: the drive cannot be placed
+      // on the curve (lround(NaN) is undefined behavior anyway).
+      ++curve.drives_skipped_nan;
+      continue;
+    }
+    const int raw = static_cast<int>(std::lround(mwi_value));
+    auto& [total, failed] = buckets[raw / bucket_width * bucket_width];
+    ++total;
+    if (drive.failed() && drive.fail_day <= as_of_day) ++failed;
+  }
+  for (const auto& [v, counts] : buckets) {
+    const auto [total, failed] = counts;
+    if (total < min_count) continue;
+    curve.mwi.push_back(static_cast<double>(v));
+    curve.rate.push_back(static_cast<double>(total - failed) / static_cast<double>(total));
+    curve.total.push_back(total);
+  }
+  return curve;
 }
 
 std::optional<WearChangePoint> detect_wear_change_point(const SurvivalCurve& curve,

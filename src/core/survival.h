@@ -1,7 +1,5 @@
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -38,51 +36,6 @@ struct SurvivalCurve {
 /// Throws std::invalid_argument when the fleet lacks an MWI_N feature.
 SurvivalCurve survival_vs_mwi(const data::FleetData& fleet, int as_of_day,
                               std::size_t min_count = 5, int bucket_width = 1);
-
-/// Mergeable shard-partial form of the survival curve: per-bucket
-/// (total, failed) drive tallies keyed by the bucket's lower MWI_N
-/// edge. The tallies are integers, so merge() is exactly associative
-/// and commutative, and finalize() over merged tallies is bit-identical
-/// to survival_vs_mwi over the whole fleet no matter how drives were
-/// partitioned — the invariant the sharded driver gates on. (The fixed
-/// bucket width is part of the contract: shards must agree on it, and
-/// merge() rejects mismatches.)
-///
-/// survival_vs_mwi itself is implemented on this type, so single-shard
-/// and sharded runs share one add/finalize code path by construction.
-class SurvivalTally {
- public:
-  explicit SurvivalTally(int bucket_width = 1);
-
-  /// Folds one drive's terminal state as of `as_of_day` into the
-  /// tallies; `mwi_col` is the fleet's MWI_N column. Drives that start
-  /// after the cut-off or have no rows are ignored; a NaN last-observed
-  /// MWI_N bumps drives_skipped_nan instead of landing in a bucket.
-  void add_drive(const data::DriveSeries& drive, std::size_t mwi_col, int as_of_day);
-
-  /// Bucket-wise integer add. Throws std::invalid_argument when the
-  /// bucket widths disagree.
-  void merge(const SurvivalTally& other);
-
-  /// Drops buckets under `min_count` and converts to rates.
-  SurvivalCurve finalize(std::size_t min_count) const;
-
-  int bucket_width() const { return bucket_width_; }
-  std::uint64_t drives_skipped_nan() const { return drives_skipped_nan_; }
-
-  /// bucket lower edge -> (total, failed); exposed for serialization.
-  using BucketMap = std::map<int, std::pair<std::uint64_t, std::uint64_t>>;
-  const BucketMap& buckets() const { return buckets_; }
-  void set_bucket(int lower_edge, std::uint64_t total, std::uint64_t failed) {
-    buckets_[lower_edge] = {total, failed};
-  }
-  void set_drives_skipped_nan(std::uint64_t n) { drives_skipped_nan_ = n; }
-
- private:
-  int bucket_width_ = 1;
-  BucketMap buckets_;
-  std::uint64_t drives_skipped_nan_ = 0;
-};
 
 /// A survival-rate regime shift located on the MWI_N axis.
 struct WearChangePoint {

@@ -40,8 +40,7 @@ std::size_t count_constant_columns(const data::Dataset& samples) {
 
 GroupSelection select_features_for(const data::Dataset& samples, const WefrOptions& opt,
                                    const std::string& label, PipelineDiagnostics* diag,
-                                   const obs::Context* obs,
-                                   const RankerRawScores* precomputed_scores) {
+                                   const obs::Context* obs) {
   obs::Span span(obs, ("select:" + label).c_str());
   if (samples.size() == 0 && diag == nullptr)
     throw std::invalid_argument("select_features_for: empty sample set");
@@ -86,17 +85,8 @@ GroupSelection select_features_for(const data::Dataset& samples, const WefrOptio
   if (ens_opt.num_threads == 0) ens_opt.num_threads = opt.num_threads;
   AutoSelectOptions sel_opt = opt.auto_select;
   if (sel_opt.num_threads == 0) sel_opt.num_threads = opt.num_threads;
-  if (precomputed_scores != nullptr) {
-    // Sharded path: ranker scores arrived from worker processes;
-    // finalize them through the same code ensemble_rank uses.
-    obs::Span ensemble_span(obs, "ensemble");
-    RankerRawScores raw = *precomputed_scores;
-    out.ensemble = ensemble_rank_from_scores(std::move(raw), samples.num_features(),
-                                             ens_opt, diag, obs);
-  } else {
-    const auto rankers = make_standard_rankers(opt.ranker_seed, opt.num_threads);
-    out.ensemble = ensemble_rank(rankers, samples.x, samples.y, ens_opt, diag, obs);
-  }
+  const auto rankers = make_standard_rankers(opt.ranker_seed, opt.num_threads);
+  out.ensemble = ensemble_rank(rankers, samples.x, samples.y, ens_opt, diag, obs);
   out.selection = auto_select(samples.x, samples.y, out.ensemble.order, sel_opt, obs);
   out.selected = out.selection.selected;
   out.selected_names.reserve(out.selected.size());
@@ -106,23 +96,15 @@ GroupSelection select_features_for(const data::Dataset& samples, const WefrOptio
 
 WefrResult run_wefr(const data::FleetData& fleet, const data::Dataset& train,
                     int train_day_end, const WefrOptions& opt,
-                    PipelineDiagnostics* diag, const obs::Context* obs,
-                    const WefrRunHooks* hooks) {
+                    PipelineDiagnostics* diag, const obs::Context* obs) {
   obs::Span run_span(obs, "run_wefr");
   if (train.feature_names != fleet.feature_names)
     throw std::invalid_argument(
         "run_wefr: train dataset must carry the fleet's base features");
 
-  const auto precomputed_for =
-      [&](const std::string& label, const data::Dataset& ds) -> const RankerRawScores* {
-    if (hooks == nullptr || !hooks->ranker_scores) return nullptr;
-    return hooks->ranker_scores(label, ds);
-  };
-
   WefrResult out;
   // Lines 1-8: ensemble ranking + automated selection on all samples.
-  out.all = select_features_for(train, opt, "all", diag, obs,
-                                precomputed_for("all", train));
+  out.all = select_features_for(train, opt, "all", diag, obs);
 
   if (!opt.update_with_wearout) return out;
   if (out.all.degraded) {
@@ -150,15 +132,8 @@ WefrResult run_wefr(const data::FleetData& fleet, const data::Dataset& train,
 
   {
     obs::Span survival_span(obs, "survival");
-    if (hooks != nullptr && hooks->survival != nullptr) {
-      // Sharded path: the curve was finalized from merged per-shard
-      // tallies — bit-identical to the in-process computation, since
-      // both run through SurvivalTally.
-      out.survival = *hooks->survival;
-    } else {
-      out.survival = survival_vs_mwi(fleet, train_day_end, opt.survival_min_count,
-                                     opt.survival_bucket_width);
-    }
+    out.survival = survival_vs_mwi(fleet, train_day_end, opt.survival_min_count,
+                                   opt.survival_bucket_width);
   }
   if (diag != nullptr && out.survival.drives_skipped_nan > 0) {
     diag->survival_drives_skipped += out.survival.drives_skipped_nan;
@@ -203,8 +178,7 @@ WefrResult run_wefr(const data::FleetData& fleet, const data::Dataset& train,
     if (!idx.empty()) {
       const data::Dataset group = data::subset(train, idx);
       if (group.num_positive() >= opt.min_group_positives) {
-        gs = select_features_for(group, opt, label, diag, obs,
-                                 precomputed_for(label, group));
+        gs = select_features_for(group, opt, label, diag, obs);
         // A single-class group (all positives) degrades inside
         // select_features_for; inherit the whole-model set instead of
         // keeping every feature for just one wear regime.

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -87,16 +86,10 @@ struct WefrResult {
 ///
 /// `obs` (nullable) wraps the call in a "select:<label>" span and flows
 /// into the ensemble and auto_select stages beneath it.
-/// `precomputed_scores` (nullable) substitutes raw ranker score
-/// vectors computed elsewhere — the sharded driver's worker processes
-/// — for the in-process ranker run; finalization flows through
-/// ensemble_rank_from_scores, the same code ensemble_rank uses, so a
-/// correct precomputed set reproduces the in-process result bitwise.
 GroupSelection select_features_for(const data::Dataset& samples, const WefrOptions& opt,
                                    const std::string& label = "all",
                                    PipelineDiagnostics* diag = nullptr,
-                                   const obs::Context* obs = nullptr,
-                                   const RankerRawScores* precomputed_scores = nullptr);
+                                   const obs::Context* obs = nullptr);
 
 /// Runs full WEFR (Algorithm 1). `train` must be a base-feature sample
 /// set (no window expansion) whose feature names match `fleet`'s; the
@@ -115,29 +108,10 @@ GroupSelection select_features_for(const data::Dataset& samples, const WefrOptio
 /// for the whole-model selection ("select:all"), the survival-curve
 /// construction ("survival"), change-point detection ("cpd"), and the
 /// per-group re-selections ("select:low" / "select:high").
-/// Precomputed inputs a sharded run substitutes into run_wefr. Both
-/// are optional; anything absent is computed in-process. The contract
-/// for both is bit-identity: a merged SurvivalTally finalizes to
-/// exactly what survival_vs_mwi computes, and worker-scored ranker
-/// vectors finalize to exactly what the in-process rankers produce, so
-/// run_wefr's control flow (degradation, fallbacks, diagnostics)
-/// stays byte-for-byte the single-process oracle.
-struct WefrRunHooks {
-  /// Returns raw ranker scores for the population labeled `label`
-  /// ("all" / "low" / "high") over `samples`, or nullptr to score
-  /// in-process (the safety valve when a worker's partition disagrees).
-  std::function<const RankerRawScores*(const std::string& label,
-                                       const data::Dataset& samples)>
-      ranker_scores;
-  /// Survival curve finalized from merged shard tallies.
-  const SurvivalCurve* survival = nullptr;
-};
-
 WefrResult run_wefr(const data::FleetData& fleet, const data::Dataset& train,
                     int train_day_end, const WefrOptions& opt = {},
                     PipelineDiagnostics* diag = nullptr,
-                    const obs::Context* obs = nullptr,
-                    const WefrRunHooks* hooks = nullptr);
+                    const obs::Context* obs = nullptr);
 
 /// Copies the selection outcome into `report`: one selection group per
 /// population ranked ("all" plus "low"/"high" when the wear-out update

@@ -356,34 +356,25 @@ FleetData load_fleet_csv_cached(const std::string& path, const std::string& mode
   return fleet;
 }
 
-// --- WEFRSH01 / WEFROB01 framed exchange records -------------------
-// One framing implementation behind two magics: WEFRSH01 carries the
-// shard-partial payloads the merge depends on, WEFROB01 carries the
-// best-effort observability sidecars. Keeping the validation machinery
-// shared means a new record family can never drift from the
-// magic/version/endian/kind/index/count/digest discipline.
+// --- Framed records (WEFRDM01 daemon frames, WEFRDS01 snapshots) ---
 
 namespace {
 
-constexpr char kShardMagic[8] = {'W', 'E', 'F', 'R', 'S', 'H', '0', '1'};
-constexpr char kObsMagic[8] = {'W', 'E', 'F', 'R', 'O', 'B', '0', '1'};
 constexpr char kDaemonMagic[8] = {'W', 'E', 'F', 'R', 'D', 'M', '0', '1'};
 constexpr char kDaemonSnapshotMagic[8] = {'W', 'E', 'F', 'R', 'D', 'S', '0', '1'};
-constexpr std::uint32_t kShardFormatVersion = 1;
-constexpr std::uint32_t kObsFormatVersion = 1;
 constexpr std::uint32_t kDaemonFormatVersion = 1;
 constexpr std::uint32_t kDaemonSnapshotFormatVersion = 1;
 
 std::string encode_framed_record(const char (&magic)[8], std::uint32_t version,
-                                 std::uint32_t kind, std::uint32_t shard_index,
-                                 std::uint32_t shard_count, std::string_view payload) {
+                                 std::uint32_t kind, std::uint32_t index,
+                                 std::uint32_t count, std::string_view payload) {
   ByteWriter w;
   w.bytes(magic, sizeof(magic));
   w.scalar(version);
   w.scalar(kEndianSentinel);
   w.scalar(kind);
-  w.scalar(shard_index);
-  w.scalar(shard_count);
+  w.scalar(index);
+  w.scalar(count);
   w.scalar(std::uint32_t{0});  // reserved
   w.scalar(static_cast<std::uint64_t>(payload.size()));
   w.bytes(payload.data(), payload.size());
@@ -391,54 +382,14 @@ std::string encode_framed_record(const char (&magic)[8], std::uint32_t version,
   return std::move(w.buf());
 }
 
+/// Validates one framed record and extracts its payload and index slot.
+/// Magic, version, endianness, kind, count, payload size and digest must
+/// all match exactly; `count_mismatch_reason` names what the count slot
+/// means to the caller.
 bool decode_framed_record(const char (&expect_magic)[8], std::uint32_t expect_version,
                           std::string_view bytes, std::uint32_t kind,
-                          std::uint32_t expect_index, std::uint32_t expect_count,
-                          std::string& payload, std::string* why) {
-  const auto invalid = [&](const char* reason) {
-    if (why != nullptr) *why = reason;
-    return false;
-  };
-  ByteReader r(bytes);
-  const char* magic = r.raw(sizeof(expect_magic));
-  if (magic == nullptr) return invalid("truncated header");
-  if (std::memcmp(magic, expect_magic, sizeof(expect_magic)) != 0)
-    return invalid("bad magic");
-  std::uint32_t version = 0, endian = 0, rkind = 0, idx = 0, count = 0, reserved = 0;
-  std::uint64_t payload_size = 0;
-  if (!r.scalar(version) || !r.scalar(endian) || !r.scalar(rkind) ||
-      !r.scalar(idx) || !r.scalar(count) || !r.scalar(reserved) ||
-      !r.scalar(payload_size))
-    return invalid("truncated header");
-  if (version != expect_version) return invalid("format version mismatch");
-  if (endian != kEndianSentinel) return invalid("endianness mismatch");
-  if (rkind != kind) return invalid("record kind mismatch");
-  if (idx != expect_index) return invalid("shard index mismatch");
-  if (count != expect_count) return invalid("shard count mismatch");
-  if (r.remaining() < sizeof(std::uint64_t) ||
-      payload_size != r.remaining() - sizeof(std::uint64_t))
-    return invalid("payload size mismatch");
-  const std::size_t body = bytes.size() - sizeof(std::uint64_t);
-  std::uint64_t stored_sum = 0;
-  std::memcpy(&stored_sum, bytes.data() + body, sizeof(stored_sum));
-  if (snapshot_digest(bytes.data(), body) != stored_sum)
-    return invalid("checksum mismatch");
-  const char* p = r.raw(static_cast<std::size_t>(payload_size));
-  if (p == nullptr) return invalid("truncated payload");
-  payload.assign(p, static_cast<std::size_t>(payload_size));
-  return true;
-}
-
-/// decode_framed_record with the index slot extracted instead of
-/// matched: the daemon wire reuses that slot as a request sequence
-/// number the reader cannot predict. Every other layer (magic,
-/// version, endianness, kind, count, payload size, digest) keeps the
-/// exact-match discipline.
-bool decode_framed_record_seq(const char (&expect_magic)[8], std::uint32_t expect_version,
-                              std::string_view bytes, std::uint32_t kind,
-                              std::uint32_t& index_out, std::uint32_t expect_count,
-                              const char* count_mismatch_reason, std::string& payload,
-                              std::string* why) {
+                          std::uint32_t expect_count, const char* count_mismatch_reason,
+                          std::uint32_t& index, std::string& payload, std::string* why) {
   const auto invalid = [&](const char* reason) {
     if (why != nullptr) *why = reason;
     return false;
@@ -468,7 +419,7 @@ bool decode_framed_record_seq(const char (&expect_magic)[8], std::uint32_t expec
     return invalid("checksum mismatch");
   const char* p = r.raw(static_cast<std::size_t>(payload_size));
   if (p == nullptr) return invalid("truncated payload");
-  index_out = idx;
+  index = idx;
   payload.assign(p, static_cast<std::size_t>(payload_size));
   return true;
 }
@@ -503,72 +454,6 @@ bool write_record_file(const std::string& path, std::string_view record,
 
 }  // namespace
 
-std::string encode_shard_record(ShardRecordKind kind, std::uint32_t shard_index,
-                                std::uint32_t shard_count, std::string_view payload) {
-  return encode_framed_record(kShardMagic, kShardFormatVersion,
-                              static_cast<std::uint32_t>(kind), shard_index, shard_count,
-                              payload);
-}
-
-bool decode_shard_record(std::string_view bytes, ShardRecordKind kind,
-                         std::uint32_t expect_index, std::uint32_t expect_count,
-                         std::string& payload, std::string* why) {
-  return decode_framed_record(kShardMagic, kShardFormatVersion, bytes,
-                              static_cast<std::uint32_t>(kind), expect_index,
-                              expect_count, payload, why);
-}
-
-bool write_shard_record(const std::string& path, ShardRecordKind kind,
-                        std::uint32_t shard_index, std::uint32_t shard_count,
-                        std::string_view payload, std::string* error) {
-  return write_record_file(path, encode_shard_record(kind, shard_index, shard_count, payload),
-                           error);
-}
-
-bool read_shard_record(const std::string& path, ShardRecordKind kind,
-                       std::uint32_t expect_index, std::uint32_t expect_count,
-                       std::string& payload, std::string* why) {
-  MappedFile file;
-  if (!file.open(path) || file.size() == 0) {
-    if (why != nullptr) *why = "cannot read " + path;
-    return false;
-  }
-  return decode_shard_record(file.view(), kind, expect_index, expect_count, payload, why);
-}
-
-std::string encode_obs_record(ObsRecordKind kind, std::uint32_t shard_index,
-                              std::uint32_t shard_count, std::string_view payload) {
-  return encode_framed_record(kObsMagic, kObsFormatVersion,
-                              static_cast<std::uint32_t>(kind), shard_index, shard_count,
-                              payload);
-}
-
-bool decode_obs_record(std::string_view bytes, ObsRecordKind kind,
-                       std::uint32_t expect_index, std::uint32_t expect_count,
-                       std::string& payload, std::string* why) {
-  return decode_framed_record(kObsMagic, kObsFormatVersion, bytes,
-                              static_cast<std::uint32_t>(kind), expect_index,
-                              expect_count, payload, why);
-}
-
-bool write_obs_record(const std::string& path, ObsRecordKind kind,
-                      std::uint32_t shard_index, std::uint32_t shard_count,
-                      std::string_view payload, std::string* error) {
-  return write_record_file(path, encode_obs_record(kind, shard_index, shard_count, payload),
-                           error);
-}
-
-bool read_obs_record(const std::string& path, ObsRecordKind kind,
-                     std::uint32_t expect_index, std::uint32_t expect_count,
-                     std::string& payload, std::string* why) {
-  MappedFile file;
-  if (!file.open(path) || file.size() == 0) {
-    if (why != nullptr) *why = "cannot read " + path;
-    return false;
-  }
-  return decode_obs_record(file.view(), kind, expect_index, expect_count, payload, why);
-}
-
 std::string encode_daemon_frame(DaemonFrameKind kind, std::uint32_t seq,
                                 std::string_view payload) {
   return encode_framed_record(kDaemonMagic, kDaemonFormatVersion,
@@ -578,10 +463,9 @@ std::string encode_daemon_frame(DaemonFrameKind kind, std::uint32_t seq,
 
 bool decode_daemon_frame(std::string_view bytes, DaemonFrameKind expect_kind,
                          std::uint32_t& seq, std::string& payload, std::string* why) {
-  return decode_framed_record_seq(kDaemonMagic, kDaemonFormatVersion, bytes,
-                                  static_cast<std::uint32_t>(expect_kind), seq,
-                                  kDaemonProtocolVersion, "protocol version mismatch",
-                                  payload, why);
+  return decode_framed_record(kDaemonMagic, kDaemonFormatVersion, bytes,
+                              static_cast<std::uint32_t>(expect_kind), kDaemonProtocolVersion,
+                              "protocol version mismatch", seq, payload, why);
 }
 
 DaemonFramePeek peek_daemon_frame(std::string_view buf, std::size_t& total_size,
@@ -622,9 +506,16 @@ std::string encode_daemon_snapshot(std::string_view payload) {
 
 bool decode_daemon_snapshot(std::string_view bytes, std::string& payload,
                             std::string* why) {
-  return decode_framed_record(
-      kDaemonSnapshotMagic, kDaemonSnapshotFormatVersion, bytes,
-      static_cast<std::uint32_t>(DaemonSnapshotKind::kResidentFleet), 0, 1, payload, why);
+  std::uint32_t index = 0;
+  if (!decode_framed_record(kDaemonSnapshotMagic, kDaemonSnapshotFormatVersion, bytes,
+                            static_cast<std::uint32_t>(DaemonSnapshotKind::kResidentFleet),
+                            1, "record count mismatch", index, payload, why))
+    return false;
+  if (index != 0) {
+    if (why != nullptr) *why = "record index mismatch";
+    return false;
+  }
+  return true;
 }
 
 bool write_daemon_snapshot(const std::string& path, std::string_view payload,

@@ -98,86 +98,26 @@ FleetData load_fleet_csv_cached(const std::string& path, const std::string& mode
                                 const obs::Context* obs = nullptr,
                                 CacheOutcome* outcome = nullptr);
 
-/// WEFRSH01 shard-partial record: the exchange format sharded WEFR
-/// workers use to hand their partial sketches back to the merging
-/// parent. Same discipline as the WEFRFC01 fleet snapshot — versioned
-/// magic, endian sentinel, bounds-checked reads, trailing word-wise
-/// FNV-1a digest — but the payload is caller-defined bytes (the shard
-/// driver serializes its own partial structures through ByteWriter):
+/// Framed records. The daemon's wire frames and snapshots share one
+/// framing discipline with the WEFRFC01 fleet cache — versioned magic,
+/// endian sentinel, bounds-checked reads, trailing word-wise FNV-1a
+/// digest — laid out as a fixed 40-byte header and the payload:
 ///
-///   magic "WEFRSH01" | u32 record version | u32 endian sentinel
-///   | u32 record kind | u32 shard index | u32 shard count
-///   | u32 reserved | u64 payload size | payload
-///   | u64 FNV-1a digest (8-byte words) of everything before it
+///   magic[8] | u32 format version | u32 endian sentinel | u32 kind
+///   | u32 index | u32 count | u32 reserved | u64 payload size
+///   | payload | u64 FNV-1a digest (8-byte words) of everything before it
 ///
-/// The (kind, shard index, shard count) triple is validated on read so
-/// a worker's record can never be merged into the wrong slot or the
-/// wrong run shape; any mismatch or damage fails with a reason instead
-/// of faulting.
-enum class ShardRecordKind : std::uint32_t {
-  kWefrPartial = 1,   ///< selection-stage partial (samples + tallies)
-  kRankerScores = 2,  ///< raw ranker score vectors for one worker
-  kScorePartial = 3,  ///< fleet-scoring partial (drive scores + AUC tallies)
-};
-
-/// Frames `payload` as a WEFRSH01 record (header + digest appended).
-std::string encode_shard_record(ShardRecordKind kind, std::uint32_t shard_index,
-                                std::uint32_t shard_count, std::string_view payload);
-
-/// Validates the framing of `bytes` and extracts the payload. Returns
-/// false (with the first failed layer in `why` when non-null) on any
-/// mismatch: magic/version/endianness, wrong kind, wrong shard index
-/// or count, truncation, or digest mismatch.
-bool decode_shard_record(std::string_view bytes, ShardRecordKind kind,
-                         std::uint32_t expect_index, std::uint32_t expect_count,
-                         std::string& payload, std::string* why = nullptr);
-
-/// encode_shard_record + atomic write (temp file + rename), mirroring
-/// write_fleet_cache. Returns false and fills `error` on I/O failure.
-bool write_shard_record(const std::string& path, ShardRecordKind kind,
-                        std::uint32_t shard_index, std::uint32_t shard_count,
-                        std::string_view payload, std::string* error = nullptr);
-
-/// Maps `path` and decodes it as a WEFRSH01 record.
-bool read_shard_record(const std::string& path, ShardRecordKind kind,
-                       std::uint32_t expect_index, std::uint32_t expect_count,
-                       std::string& payload, std::string* why = nullptr);
-
-/// WEFROB01 observability sidecar record: identical framing discipline
-/// to WEFRSH01 (versioned magic, endian sentinel, kind/index/count
-/// validation, trailing word-wise FNV-1a digest — the same machinery,
-/// behind a different magic) wrapped around a serialized
-/// obs::ObsPartial. Workers ship one next to each shard-partial file;
-/// the sidecar is best-effort, so a damaged or stale record degrades to
-/// "obs partial dropped, run unaffected" — never to a wrong merge.
-enum class ObsRecordKind : std::uint32_t {
-  kWorkerObs = 1,  ///< one worker's spans + metrics + diagnostics for one phase
-};
-
-std::string encode_obs_record(ObsRecordKind kind, std::uint32_t shard_index,
-                              std::uint32_t shard_count, std::string_view payload);
-bool decode_obs_record(std::string_view bytes, ObsRecordKind kind,
-                       std::uint32_t expect_index, std::uint32_t expect_count,
-                       std::string& payload, std::string* why = nullptr);
-bool write_obs_record(const std::string& path, ObsRecordKind kind,
-                      std::uint32_t shard_index, std::uint32_t shard_count,
-                      std::string_view payload, std::string* error = nullptr);
-bool read_obs_record(const std::string& path, ObsRecordKind kind,
-                     std::uint32_t expect_index, std::uint32_t expect_count,
-                     std::string& payload, std::string* why = nullptr);
-
+/// Any damage fails with a reason instead of faulting.
+///
 /// WEFRDM01 daemon wire frame: the unit of exchange on the wefrd
-/// client socket. Same framing machinery as WEFRSH01/WEFROB01 — fixed
-/// 40-byte header (magic, version, endian sentinel, kind, two u32
-/// slots, u64 payload size), payload, trailing word-wise FNV-1a digest
-/// — but repurposed for a stream: the index slot carries the client's
-/// request sequence number (extracted by the reader rather than
-/// matched against an expectation, so responses can be paired with the
-/// request that caused them), and the count slot carries the protocol
-/// version (matched exactly, so a client and server from different
-/// protocol generations refuse each other's frames instead of
-/// misreading them). The fixed-size header lets a stream reader learn
-/// the full frame length before the payload arrives.
+/// client socket. The index slot carries the client's request sequence
+/// number (extracted by the reader rather than matched against an
+/// expectation, so responses can be paired with the request that caused
+/// them), and the count slot carries the protocol version (matched
+/// exactly, so a client and server from different protocol generations
+/// refuse each other's frames instead of misreading them). The
+/// fixed-size header lets a stream reader learn the full frame length
+/// before the payload arrives.
 enum class DaemonFrameKind : std::uint32_t {
   kRequest = 1,   ///< client -> server
   kResponse = 2,  ///< server -> client
@@ -213,7 +153,8 @@ DaemonFramePeek peek_daemon_frame(std::string_view buf, std::size_t& total_size,
 
 /// WEFRDS01 resident-fleet snapshot record: the daemon's warm-restart
 /// blob (ResidentFleet::save_snapshot payload framed with the shared
-/// record discipline). One record per file, written atomically.
+/// record discipline; index 0, count 1). One record per file, written
+/// atomically.
 enum class DaemonSnapshotKind : std::uint32_t {
   kResidentFleet = 1,  ///< serialized ResidentFleet state
 };

@@ -17,7 +17,7 @@ Dataset build_samples(const FleetData& fleet, std::span<const std::size_t> base_
                       const SamplingOptions& opt, util::Rng* rng, const obs::Context* obs) {
   obs::Span span(obs, "build_samples");
   if (opt.horizon_days < 1) throw std::invalid_argument("build_samples: horizon_days < 1");
-  if (opt.negative_keep_prob < 1.0 && rng == nullptr && !opt.per_drive_rng)
+  if (opt.negative_keep_prob < 1.0 && rng == nullptr)
     throw std::invalid_argument("build_samples: negative downsampling requires an Rng");
 
   const int day_hi = opt.day_hi < 0 ? fleet.num_days - 1 : opt.day_hi;
@@ -52,30 +52,13 @@ Dataset build_samples(const FleetData& fleet, std::span<const std::size_t> base_
             ? expand_series(drive.values, base_cols, opt.window_config, obs)
             : drive.values.select_columns(base_cols);
 
-    // Per-drive sampling stream: seeded only by (seed, drive_id), never
-    // by fleet position, so the kept-negative set is a pure function of
-    // the drive. Keyed on drive_id (FNV-1a, not std::hash — the stream
-    // must not vary across standard libraries) to stay stable under
-    // fleet churn, matching the hashring's assignment key.
-    std::optional<util::Rng> drive_rng;
-    util::Rng* row_rng = rng;
-    if (opt.per_drive_rng && opt.negative_keep_prob < 1.0) {
-      std::uint64_t h = 14695981039346656037ull;
-      for (const char ch : drive.drive_id) {
-        h ^= static_cast<unsigned char>(ch);
-        h *= 1099511628211ull;
-      }
-      drive_rng.emplace(h ^ opt.per_drive_seed);
-      row_rng = &*drive_rng;
-    }
-
     for (int day = lo; day <= hi; ++day) {
       if (opt.keep && !opt.keep(di, day)) continue;
       const std::size_t local = static_cast<std::size_t>(day - drive.first_day);
       const bool positive =
           drive.failed() && drive.fail_day > day && drive.fail_day <= day + opt.horizon_days;
       if (!positive && opt.negative_keep_prob < 1.0 &&
-          !row_rng->bernoulli(opt.negative_keep_prob))
+          !rng->bernoulli(opt.negative_keep_prob))
         continue;
       out.x.push_row(features.row(local));
       out.y.push_back(positive ? 1 : 0);

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <span>
 
 #include "data/dataset.h"
@@ -30,16 +29,6 @@ struct SamplingOptions {
   /// Optional row filter: keep a (drive, day) observation only when this
   /// returns true. Used to build per-wear-group training sets.
   std::function<bool(std::size_t drive_index, int day)> keep;
-  /// Partition-invariant negative downsampling: instead of one
-  /// sequential Rng stream shared across drives (where the set of kept
-  /// negatives depends on which drives came before), each drive draws
-  /// from its own stream seeded by FNV-1a(drive_id) mixed with
-  /// `per_drive_seed`. A drive then keeps exactly the same negative
-  /// days no matter which subset of the fleet it is sampled with —
-  /// the property the sharded driver needs for bit-identical merges.
-  /// The caller's `rng` argument is ignored when set.
-  bool per_drive_rng = false;
-  std::uint64_t per_drive_seed = 0;
 };
 
 /// Builds a sample set from a fleet, restricted to the base feature

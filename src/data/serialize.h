@@ -10,7 +10,7 @@ namespace wefr::data {
 // --- byte-buffer serialization -------------------------------------
 // Native-endianness memcpy of scalar fields, shared by every binary
 // artifact the data layer writes (the WEFRFC01 fleet snapshot, the
-// WEFRSH01 shard-partial records). Writers pair an endian sentinel in
+// WEFRDM01/WEFRDS01 daemon records). Writers pair an endian sentinel in
 // their fixed header with a trailing FNV-1a digest, so foreign or
 // damaged files degrade to a clean validation failure instead of a
 // fault.

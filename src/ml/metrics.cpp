@@ -128,73 +128,4 @@ double auc(std::span<const double> scores, std::span<const int> labels) {
   return (rank_sum - np * (np + 1.0) / 2.0) / (np * static_cast<double>(n_neg));
 }
 
-void AucPartial::add(double score, int label) {
-  (label != 0 ? pos_ : neg_).push_back(score);
-  sorted_ = false;
-}
-
-void AucPartial::canonicalize() const {
-  if (sorted_) return;
-  std::sort(pos_.begin(), pos_.end());
-  std::sort(neg_.begin(), neg_.end());
-  sorted_ = true;
-}
-
-void AucPartial::merge(const AucPartial& other) {
-  canonicalize();
-  other.canonicalize();
-  std::vector<double> pos(pos_.size() + other.pos_.size());
-  std::merge(pos_.begin(), pos_.end(), other.pos_.begin(), other.pos_.end(), pos.begin());
-  std::vector<double> neg(neg_.size() + other.neg_.size());
-  std::merge(neg_.begin(), neg_.end(), other.neg_.begin(), other.neg_.end(), neg.begin());
-  pos_ = std::move(pos);
-  neg_ = std::move(neg);
-}
-
-double AucPartial::finalize() const {
-  if (pos_.empty() || neg_.empty()) return std::numeric_limits<double>::quiet_NaN();
-  canonicalize();
-  // One midrank walk over the merged multiset in ascending score
-  // order: each tie group of g = gp + gn equal scores starting at
-  // 1-based rank r contributes midrank r + (g-1)/2 for each of its gp
-  // positives. The accumulation order is a pure function of the score
-  // multiset, which is what makes the result shard-count invariant.
-  double rank_sum = 0.0;
-  std::size_t i = 0, j = 0, rank = 1;
-  while (i < pos_.size() || j < neg_.size()) {
-    double v;
-    if (i < pos_.size() && (j >= neg_.size() || pos_[i] <= neg_[j])) {
-      v = pos_[i];
-    } else {
-      v = neg_[j];
-    }
-    std::size_t gp = 0, gn = 0;
-    while (i < pos_.size() && pos_[i] == v) ++i, ++gp;
-    while (j < neg_.size() && neg_[j] == v) ++j, ++gn;
-    const std::size_t g = gp + gn;
-    const double midrank = static_cast<double>(rank) + (static_cast<double>(g) - 1.0) / 2.0;
-    rank_sum += midrank * static_cast<double>(gp);
-    rank += g;
-  }
-  const double np = static_cast<double>(pos_.size());
-  const double nn = static_cast<double>(neg_.size());
-  return (rank_sum - np * (np + 1.0) / 2.0) / (np * nn);
-}
-
-const std::vector<double>& AucPartial::pos_scores() const {
-  canonicalize();
-  return pos_;
-}
-
-const std::vector<double>& AucPartial::neg_scores() const {
-  canonicalize();
-  return neg_;
-}
-
-void AucPartial::set_scores(std::vector<double> pos, std::vector<double> neg) {
-  pos_ = std::move(pos);
-  neg_ = std::move(neg);
-  sorted_ = false;
-}
-
 }  // namespace wefr::ml

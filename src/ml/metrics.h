@@ -60,32 +60,4 @@ std::vector<PrPoint> pr_sweep(std::span<const double> scores, std::span<const in
 /// rather than "unanswerable question".
 double auc(std::span<const double> scores, std::span<const int> labels);
 
-/// Mergeable shard-partial AUC: per-class score tallies whose merge is
-/// a sorted-sequence union, finalized by one canonical midrank walk in
-/// ascending score order. Because the finalize order is a pure
-/// function of the merged multiset (never of insertion or shard
-/// order), the result is bit-identical at any shard count — unlike
-/// feeding concatenated score spans to auc(), whose rank_sum
-/// accumulates in input order. finalize() agrees with auc() to
-/// accumulation-order rounding (~1 ulp) and is NaN on single-class
-/// inputs, matching auc()'s contract.
-class AucPartial {
- public:
-  void add(double score, int label);
-  void merge(const AucPartial& other);
-  double finalize() const;
-
-  std::size_t num_pos() const { return pos_.size(); }
-  std::size_t num_neg() const { return neg_.size(); }
-  /// Sorted-ascending tallies (canonical form; exposed for serialization).
-  const std::vector<double>& pos_scores() const;
-  const std::vector<double>& neg_scores() const;
-  void set_scores(std::vector<double> pos, std::vector<double> neg);
-
- private:
-  void canonicalize() const;
-  mutable std::vector<double> pos_, neg_;
-  mutable bool sorted_ = true;
-};
-
 }  // namespace wefr::ml

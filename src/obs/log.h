@@ -11,7 +11,7 @@ namespace wefr::obs {
 enum class LogLevel : int {
   kQuiet = 0,  ///< nothing
   kInfo = 1,   ///< stage progress (the default)
-  kDebug = 2,  ///< + per-step detail (cache outcomes, shard plans, ...)
+  kDebug = 2,  ///< + per-step detail (cache outcomes, ...)
 };
 
 /// Parses "quiet" / "info" / "debug" into `out`; false on anything else.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/json.h"
@@ -39,83 +38,16 @@ Histogram::Snapshot Histogram::snapshot() const {
   return s;
 }
 
-bool Histogram::absorb(const Snapshot& s) {
-  if (s.bounds != bounds_ || s.counts.size() != bounds_.size() + 1) return false;
-  for (std::size_t i = 0; i <= bounds_.size(); ++i)
-    counts_[i].fetch_add(s.counts[i], std::memory_order_relaxed);
-  count_.fetch_add(s.count, std::memory_order_relaxed);
-  double cur = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(cur, cur + s.sum, std::memory_order_relaxed)) {
-  }
-  return true;
-}
-
-namespace {
-
-/// Splits a stored series key into its base name and the label text
-/// inside the trailing {...} block ("" when unlabeled).
-struct SeriesName {
-  std::string base;
-  std::string labels;
-};
-
-SeriesName split_series(const std::string& key) {
-  const auto brace = key.find('{');
-  if (brace == std::string::npos || key.empty() || key.back() != '}') return {key, ""};
-  return {key.substr(0, brace), key.substr(brace + 1, key.size() - brace - 2)};
-}
-
-/// Appends one pre-escaped `key="value"` pair to a series name,
-/// creating or extending its label block.
-std::string append_label(const std::string& name, const std::string& label) {
-  if (label.empty()) return name;
-  const SeriesName s = split_series(name);
-  if (s.labels.empty() && name.find('{') == std::string::npos)
-    return s.base + "{" + label + "}";
-  return s.base + "{" + s.labels + "," + label + "}";
-}
-
-}  // namespace
-
-std::string escape_label_value(std::string_view value) {
-  std::string out;
-  out.reserve(value.size());
-  for (const char c : value) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-std::string labeled(std::string_view base, std::string_view key, std::string_view value) {
-  std::string pair;
-  pair.reserve(key.size() + value.size() + 3);
-  pair.append(key).append("=\"").append(escape_label_value(value)).append("\"");
-  return append_label(std::string(base), pair);
-}
-
 std::string Registry::sanitize_name(const std::string& name) {
-  // A trailing {...} label block (built with labeled()) rides along
-  // untouched; only the base name is forced into the Prometheus charset.
-  std::string base = name, labels;
-  const auto brace = name.find('{');
-  if (brace != std::string::npos && !name.empty() && name.back() == '}') {
-    base = name.substr(0, brace);
-    labels = name.substr(brace);
-  }
   std::string out;
-  out.reserve(base.size());
-  for (const char c : base) {
+  out.reserve(name.size());
+  for (const char c : name) {
     const bool ok = std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == ':';
     out += ok ? c : '_';
   }
   if (out.empty()) out = "_";
   if (std::isdigit(static_cast<unsigned char>(out[0]))) out.insert(out.begin(), '_');
-  return out + labels;
+  return out;
 }
 
 Counter& Registry::counter(const std::string& name, const std::string& help) {
@@ -124,7 +56,7 @@ Counter& Registry::counter(const std::string& name, const std::string& help) {
   auto& slot = counters_[key];
   if (slot == nullptr) {
     slot = std::make_unique<Counter>();
-    if (!help.empty()) help_.emplace(split_series(key).base, help);
+    if (!help.empty()) help_.emplace(key, help);
   }
   return *slot;
 }
@@ -135,7 +67,7 @@ Gauge& Registry::gauge(const std::string& name, const std::string& help) {
   auto& slot = gauges_[key];
   if (slot == nullptr) {
     slot = std::make_unique<Gauge>();
-    if (!help.empty()) help_.emplace(split_series(key).base, help);
+    if (!help.empty()) help_.emplace(key, help);
   }
   return *slot;
 }
@@ -147,7 +79,7 @@ Histogram& Registry::histogram(const std::string& name, std::vector<double> uppe
   auto& slot = histograms_[key];
   if (slot == nullptr) {
     slot = std::make_unique<Histogram>(std::move(upper_bounds));
-    if (!help.empty()) help_.emplace(split_series(key).base, help);
+    if (!help.empty()) help_.emplace(key, help);
   }
   return *slot;
 }
@@ -155,42 +87,6 @@ Histogram& Registry::histogram(const std::string& name, std::vector<double> uppe
 bool Registry::empty() const {
   std::lock_guard<std::mutex> lock(mu_);
   return counters_.empty() && gauges_.empty() && histograms_.empty();
-}
-
-MetricsSnapshot Registry::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  MetricsSnapshot s;
-  for (const auto& [name, c] : counters_) s.counters.emplace(name, c->value());
-  for (const auto& [name, g] : gauges_) s.gauges.emplace(name, g->value());
-  for (const auto& [name, h] : histograms_) s.histograms.emplace(name, h->snapshot());
-  s.help = help_;
-  return s;
-}
-
-std::size_t Registry::absorb(const MetricsSnapshot& snap, const std::string& label) {
-  std::size_t absorbed = 0;
-  for (const auto& [name, help] : snap.help) {
-    std::lock_guard<std::mutex> lock(mu_);
-    help_.emplace(name, help);
-  }
-  for (const auto& [name, v] : snap.counters) {
-    counter(append_label(name, label)).add(v);
-    ++absorbed;
-  }
-  for (const auto& [name, v] : snap.gauges) {
-    gauge(append_label(name, label)).set(v);
-    ++absorbed;
-  }
-  for (const auto& [name, hs] : snap.histograms) {
-    // Shape-check before registering: snapshots may arrive off the wire,
-    // and the Histogram constructor throws on malformed bounds.
-    if (hs.bounds.empty() || hs.counts.size() != hs.bounds.size() + 1 ||
-        !std::is_sorted(hs.bounds.begin(), hs.bounds.end()) ||
-        std::adjacent_find(hs.bounds.begin(), hs.bounds.end()) != hs.bounds.end())
-      continue;
-    if (histogram(append_label(name, label), hs.bounds).absorb(hs)) ++absorbed;
-  }
-  return absorbed;
 }
 
 void Registry::write_json(json::Writer& w) const {
@@ -233,67 +129,36 @@ void Registry::write_json(std::ostream& os) const {
 
 void Registry::write_prometheus(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mu_);
-  // Group series by base name first: "m" and "m{shard=\"3\"}" are one
-  // family and the exposition format requires a family's samples to sit
-  // contiguously under a single # HELP / # TYPE pair — map iteration
-  // order alone does not give that ("m_other" sorts between them).
-  const auto head = [&](const std::string& base, const char* type) {
-    const auto it = help_.find(base);
-    os << "# HELP " << base << ' '
+  const auto head = [&](const std::string& name, const char* type) {
+    const auto it = help_.find(name);
+    os << "# HELP " << name << ' '
        << (it != help_.end() ? it->second : "wefr metric (no help recorded)") << '\n'
-       << "# TYPE " << base << ' ' << type << '\n';
+       << "# TYPE " << name << ' ' << type << '\n';
   };
-  const auto series = [](const SeriesName& n) {
-    return n.labels.empty() ? n.base : n.base + "{" + n.labels + "}";
-  };
-
-  std::map<std::string, std::vector<std::pair<std::string, const Counter*>>> counter_fams;
   for (const auto& [name, c] : counters_) {
-    const SeriesName n = split_series(name);
-    counter_fams[n.base].emplace_back(n.labels, c.get());
+    head(name, "counter");
+    os << name << ' ' << c->value() << '\n';
   }
-  for (const auto& [base, fam] : counter_fams) {
-    head(base, "counter");
-    for (const auto& [labels, c] : fam)
-      os << series({base, labels}) << ' ' << c->value() << '\n';
-  }
-
-  std::map<std::string, std::vector<std::pair<std::string, const Gauge*>>> gauge_fams;
   for (const auto& [name, g] : gauges_) {
-    const SeriesName n = split_series(name);
-    gauge_fams[n.base].emplace_back(n.labels, g.get());
+    head(name, "gauge");
+    os << name << ' ' << json::format_double(g->value()) << '\n';
   }
-  for (const auto& [base, fam] : gauge_fams) {
-    head(base, "gauge");
-    for (const auto& [labels, g] : fam)
-      os << series({base, labels}) << ' ' << json::format_double(g->value()) << '\n';
-  }
-
-  std::map<std::string, std::vector<std::pair<std::string, const Histogram*>>> hist_fams;
   for (const auto& [name, h] : histograms_) {
-    const SeriesName n = split_series(name);
-    hist_fams[n.base].emplace_back(n.labels, h.get());
-  }
-  for (const auto& [base, fam] : hist_fams) {
-    head(base, "histogram");
-    for (const auto& [labels, h] : fam) {
-      const Histogram::Snapshot s = h->snapshot();
-      const std::string prefix = labels.empty() ? "{le=\"" : "{" + labels + ",le=\"";
-      std::uint64_t cumulative = 0;
-      for (std::size_t i = 0; i < s.counts.size(); ++i) {
-        cumulative += s.counts[i];
-        os << base << "_bucket" << prefix;
-        if (i < s.bounds.size()) {
-          os << json::format_double(s.bounds[i]);
-        } else {
-          os << "+Inf";
-        }
-        os << "\"} " << cumulative << '\n';
+    const Histogram::Snapshot s = h->snapshot();
+    head(name, "histogram");
+    std::uint64_t cumulative = 0;
+    for (std::size_t i = 0; i < s.counts.size(); ++i) {
+      cumulative += s.counts[i];
+      os << name << "_bucket{le=\"";
+      if (i < s.bounds.size()) {
+        os << json::format_double(s.bounds[i]);
+      } else {
+        os << "+Inf";
       }
-      const std::string suffix = labels.empty() ? "" : "{" + labels + "}";
-      os << base << "_sum" << suffix << ' ' << json::format_double(s.sum) << '\n'
-         << base << "_count" << suffix << ' ' << s.count << '\n';
+      os << "\"} " << cumulative << '\n';
     }
+    os << name << "_sum " << json::format_double(s.sum) << '\n'
+       << name << "_count " << s.count << '\n';
   }
 }
 

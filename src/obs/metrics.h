@@ -60,11 +60,6 @@ class Histogram {
   };
   Snapshot snapshot() const;
 
-  /// Adds a snapshot's buckets into this histogram (cross-process
-  /// merge). Returns false and changes nothing when the bucket layouts
-  /// differ — mismatched shapes must not silently mis-bin.
-  bool absorb(const Snapshot& s);
-
  private:
   std::vector<double> bounds_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;  ///< bounds_.size()+1
@@ -72,38 +67,11 @@ class Histogram {
   std::atomic<double> sum_{0.0};
 };
 
-/// Escapes a Prometheus label value: backslash, double quote, and
-/// newline become \\, \", and \n per the text exposition format.
-std::string escape_label_value(std::string_view value);
-
-/// Builds a labeled series name — `base{key="value"}` with the value
-/// escaped. When `base` already carries a label block the new pair is
-/// appended inside it (`m{a="x"}` + (shard, 3) -> `m{a="x",shard="3"}`),
-/// so a worker's already-labeled stage histograms gain the shard label
-/// on merge. This is the sanctioned way to put labels in a metric
-/// name; sanitize_name preserves a trailing {...} block verbatim.
-std::string labeled(std::string_view base, std::string_view key, std::string_view value);
-
-/// Plain-data image of a Registry at one instant: every counter, gauge,
-/// and histogram keyed by its (possibly labeled) series name, plus the
-/// recorded help strings keyed by base name. This is what crosses a
-/// process boundary — a shard worker snapshots its local registry,
-/// ships the snapshot inside a WEFROB01 record, and the merging parent
-/// absorbs it as `name{shard="k"}` series.
-struct MetricsSnapshot {
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, double> gauges;
-  std::map<std::string, Histogram::Snapshot> histograms;
-  std::map<std::string, std::string> help;  ///< keyed by base metric name
-};
-
 /// Named-metric registry: counters, gauges, and histograms registered
 /// by name, exported as JSON or Prometheus text. Registration takes a
 /// mutex once and hands back a stable reference; every subsequent
 /// update through that reference is lock-free. Names are sanitized to
-/// the Prometheus charset ([a-zA-Z0-9_:], leading digit prefixed); a
-/// trailing `{key="value"}` label block built with labeled() rides
-/// along untouched and keys a distinct series.
+/// the Prometheus charset ([a-zA-Z0-9_:], leading digit prefixed).
 class Registry {
  public:
   Registry() = default;
@@ -119,29 +87,15 @@ class Registry {
 
   bool empty() const;
 
-  /// Plain-data copy of every registered metric, for serialization
-  /// (obs/wire.h) and cross-process merging.
-  MetricsSnapshot snapshot() const;
-
-  /// Merges a worker registry snapshot into this one as labeled series:
-  /// worker metric `name` lands here as `name{<label>}`, where `label`
-  /// is one pre-escaped `key="value"` pair (normally `shard="k"`).
-  /// Counters and histograms add — integer bucket/count arithmetic, so
-  /// repeated absorbs sum exactly — and gauges overwrite. Help strings
-  /// merge by base name (first writer wins, matching registration).
-  /// Returns the number of series absorbed.
-  std::size_t absorb(const MetricsSnapshot& snap, const std::string& label);
-
   /// {"counters": {...}, "gauges": {...}, "histograms": {...}} value
   /// emitted into an in-flight writer (for embedding in a RunReport).
   void write_json(json::Writer& w) const;
   /// Standalone JSON document of the same shape.
   void write_json(std::ostream& os) const;
-  /// Prometheus text exposition format. Series sharing a base name are
-  /// grouped into one family with exactly one `# HELP` and one `# TYPE`
-  /// line each (a default help is synthesized when none was
-  /// registered); histograms expand to `_bucket{...le}`/`_sum`/`_count`
-  /// with any series labels preserved on every sample line.
+  /// Prometheus text exposition format. Every metric gets exactly one
+  /// `# HELP` and one `# TYPE` line (a default help is synthesized when
+  /// none was registered); histograms expand to `_bucket{le}`/`_sum`/
+  /// `_count`.
   void write_prometheus(std::ostream& os) const;
 
   static std::string sanitize_name(const std::string& name);

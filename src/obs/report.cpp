@@ -150,54 +150,6 @@ void RunReport::write_json(std::ostream& os) const {
     w.null();
   }
 
-  w.key("sharding");
-  if (sharding.has_value()) {
-    w.begin_object();
-    w.field("shards", sharding->shards);
-    w.field("forked", sharding->forked);
-    w.key("fallback_reason");
-    if (sharding->fallback_reason.empty()) {
-      w.null();
-    } else {
-      w.value(std::string_view(sharding->fallback_reason));
-    }
-    w.key("shard_drives").begin_array();
-    for (const std::uint64_t n : sharding->shard_drives) w.value(n);
-    w.end_array();
-    w.key("shard_samples").begin_array();
-    for (const std::uint64_t n : sharding->shard_samples) w.value(n);
-    w.end_array();
-    w.field("partial_seconds", sharding->partial_seconds);
-    w.field("merge_seconds", sharding->merge_seconds);
-    w.key("health").begin_array();
-    for (const Sharding::ShardHealth& h : sharding->health) {
-      w.begin_object();
-      w.field("wall_seconds", h.wall_seconds);
-      w.field("cpu_seconds", h.cpu_seconds);
-      w.field("drives", h.drives);
-      w.field("rows", h.rows);
-      w.field("bytes", h.bytes);
-      w.field("records_verified", h.records_verified);
-      w.field("obs_merged", h.obs_merged);
-      w.field("worker_exit", h.worker_exit);
-      w.end_object();
-    }
-    w.end_array();
-    w.field("records_verified", sharding->records_verified);
-    w.field("obs_spans_merged", sharding->obs_spans_merged);
-    w.field("obs_partials_merged", sharding->obs_partials_merged);
-    w.field("obs_partials_dropped", sharding->obs_partials_dropped);
-    w.field("workers_failed", sharding->workers_failed);
-    w.key("straggler").begin_object();
-    w.field("max_shard_seconds", sharding->max_shard_seconds);
-    w.field("median_shard_seconds", sharding->median_shard_seconds);
-    w.field("imbalance_ratio", sharding->imbalance_ratio);
-    w.end_object();
-    w.end_object();
-  } else {
-    w.null();
-  }
-
   w.key("metrics");
   if (metrics != nullptr) {
     metrics->write_json(w);

@@ -24,11 +24,9 @@ class Tracer;
 /// stays at the bottom of the dependency stack.
 struct RunReport {
   /// Bumped whenever the JSON layout changes incompatibly. Emitted as
-  /// the top-level "schema_version" field. v2 added the "sharding"
-  /// block (null for single-process runs); v3 added the shard health
-  /// ledger inside it ("fallback_reason", "health", "straggler", and
-  /// the exchange/obs accounting fields).
-  static constexpr int kSchemaVersion = 3;
+  /// the top-level "schema_version" field. v2 and v3 carried a
+  /// "sharding" block for multi-process runs; v4 removed it.
+  static constexpr int kSchemaVersion = 4;
 
   std::string tool;   ///< producing binary ("wefr_select", ...)
   std::string model;  ///< drive model the run operated on
@@ -75,50 +73,6 @@ struct RunReport {
     std::optional<double> precision, recall, f05, threshold;
   };
   std::optional<Scoring> scoring;
-
-  /// Shard-driver outcome for a `--shards N` run: how the fleet was
-  /// partitioned, what the partial build + merge cost, and the per-shard
-  /// health ledger (schema v3). Absent (JSON null) for single-process
-  /// runs.
-  struct Sharding {
-    std::uint64_t shards = 0;        ///< worker count requested
-    bool forked = false;             ///< false = serial in-process driver
-    /// Why the run redid everything through the in-process oracle
-    /// ("" = sharding held). When set, every per-shard field below is
-    /// zeroed/empty — the sharded numbers described work that was
-    /// thrown away.
-    std::string fallback_reason;
-    std::vector<std::uint64_t> shard_drives;   ///< drives owned per shard
-    std::vector<std::uint64_t> shard_samples;  ///< selection samples per shard
-    double partial_seconds = 0.0;    ///< slowest worker's partial build
-    double merge_seconds = 0.0;      ///< shard-index-ordered merge
-
-    /// One health-ledger row per shard (v3).
-    struct ShardHealth {
-      double wall_seconds = 0.0;  ///< worker wall clock across its phases
-      double cpu_seconds = 0.0;   ///< worker CPU clock (0 when obs was off)
-      std::uint64_t drives = 0;   ///< drives the shard owned
-      std::uint64_t rows = 0;     ///< sample rows / drive-days contributed
-      std::uint64_t bytes = 0;    ///< framed record bytes exchanged
-      std::uint64_t records_verified = 0;  ///< digest-checked records decoded
-      bool obs_merged = false;    ///< worker obs partials all merged
-      std::int64_t worker_exit = 0;  ///< worker exit status (forked mode)
-    };
-    std::vector<ShardHealth> health;
-
-    // Run-level exchange + worker-obs accounting (v3).
-    std::uint64_t records_verified = 0;
-    std::uint64_t obs_spans_merged = 0;
-    std::uint64_t obs_partials_merged = 0;
-    std::uint64_t obs_partials_dropped = 0;
-    std::uint64_t workers_failed = 0;
-
-    // Derived straggler/imbalance summary over per-shard wall time (v3).
-    double max_shard_seconds = 0.0;
-    double median_shard_seconds = 0.0;
-    double imbalance_ratio = 0.0;  ///< max / median (0 when undefined)
-  };
-  std::optional<Sharding> sharding;
 
   /// Optional sources merged in at write time. Both must outlive
   /// write_json.

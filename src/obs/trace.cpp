@@ -1,7 +1,6 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <map>
 #include <ostream>
 #include <utility>
 
@@ -50,40 +49,6 @@ void Tracer::record(SpanRecord&& rec, std::thread::id tid) {
   spans_.push_back(std::move(rec));
 }
 
-std::uint64_t Tracer::absorb(const std::vector<SpanRecord>& worker_spans,
-                             std::uint64_t parent_span, const std::string& label,
-                             std::uint32_t pid, double offset_us) {
-  const std::uint64_t container = next_id();
-  std::map<std::uint64_t, std::uint64_t> remap;
-  for (const SpanRecord& s : worker_spans) remap.emplace(s.id, next_id());
-
-  std::lock_guard<std::mutex> lock(mu_);
-  double lo = offset_us, hi = offset_us;
-  bool any = false;
-  for (const SpanRecord& s : worker_spans) {
-    SpanRecord rec = s;
-    rec.id = remap[s.id];
-    const auto p = s.parent == 0 ? remap.end() : remap.find(s.parent);
-    rec.parent = p == remap.end() ? container : p->second;
-    rec.start_us += offset_us;
-    rec.pid = pid;
-    if (!any || rec.start_us < lo) lo = rec.start_us;
-    if (!any || rec.start_us + rec.dur_us > hi) hi = rec.start_us + rec.dur_us;
-    any = true;
-    spans_.push_back(std::move(rec));
-  }
-  SpanRecord c;
-  c.id = container;
-  c.parent = parent_span;
-  c.name = label;
-  c.start_us = lo;
-  c.dur_us = hi - lo;
-  c.tid = 0;
-  c.pid = pid;
-  spans_.push_back(std::move(c));
-  return container;
-}
-
 void Tracer::write_chrome_trace(std::ostream& os) const {
   const std::vector<SpanRecord> spans = snapshot();
   json::Writer w(os);
@@ -97,7 +62,7 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
     w.field("ph", "X");
     w.field("ts", s.start_us);
     w.field("dur", s.dur_us);
-    w.field("pid", s.pid);
+    w.field("pid", 1);
     w.field("tid", s.tid);
     w.key("args").begin_object();
     w.field("id", s.id);

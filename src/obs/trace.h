@@ -23,11 +23,6 @@ struct SpanRecord {
   double start_us = 0.0;
   double dur_us = 0.0;
   std::uint32_t tid = 0;  ///< dense per-tracer thread number (0 = first seen)
-  /// Chrome-trace process lane. Spans recorded by this process stay in
-  /// lane 1; spans absorbed from a shard worker land in lane 2+shard,
-  /// so a merged fleet trace renders one swimlane per worker process
-  /// (tid stays worker-local — (pid, tid) is the unique key).
-  std::uint32_t pid = 1;
 };
 
 /// Collects trace spans for one pipeline run. Thread-safe: spans may
@@ -61,20 +56,6 @@ class Tracer {
   /// Chrome trace-event JSON ("complete" X events), loadable in
   /// chrome://tracing or https://ui.perfetto.dev.
   void write_chrome_trace(std::ostream& os) const;
-
-  /// Cross-process merge: appends a shard worker's finished spans (as
-  /// shipped in a WEFROB01 obs partial) under `parent_span`, wrapped in
-  /// one synthetic container span named `label` — the shard-index label,
-  /// e.g. "shard:3". Worker span ids are remapped into this tracer's id
-  /// space, worker roots (and spans whose parent never finished) are
-  /// re-parented under the container, start times shift by `offset_us`
-  /// (the parent-clock instant the worker was dispatched, converting the
-  /// worker's local epoch onto this tracer's timeline), and every
-  /// absorbed span lands in Chrome-trace lane `pid`. Returns the
-  /// container span's id.
-  std::uint64_t absorb(const std::vector<SpanRecord>& worker_spans,
-                       std::uint64_t parent_span, const std::string& label,
-                       std::uint32_t pid, double offset_us);
 
  private:
   friend class Span;

@@ -78,15 +78,25 @@ ComplexityMeasures feature_complexity(std::span<const double> x, std::span<const
   return out;
 }
 
-std::vector<double> blend_complexity_measures(
-    std::span<const ComplexityMeasures> per_feature) {
-  const std::size_t nf = per_feature.size();
+std::vector<double> ensemble_complexity(std::span<const std::vector<double>> columns,
+                                        std::span<const int> y,
+                                        std::size_t num_threads) {
+  const std::size_t nf = columns.size();
+  std::vector<ComplexityMeasures> measures(nf);
+  auto scan_one = [&](std::size_t i) { measures[i] = feature_complexity(columns[i], y); };
+  if (num_threads > 1 && nf > 1) {
+    util::ThreadPool pool(std::min(num_threads, nf));
+    pool.parallel_for(nf, scan_one);
+  } else {
+    for (std::size_t i = 0; i < nf; ++i) scan_one(i);
+  }
+
   std::vector<double> inv_f1(nf), f2(nf), inv_f3(nf);
   constexpr double kEps = 1e-12;
   for (std::size_t i = 0; i < nf; ++i) {
-    inv_f1[i] = 1.0 / (per_feature[i].fisher_ratio + kEps);
-    f2[i] = per_feature[i].overlap_volume;
-    inv_f3[i] = 1.0 / (per_feature[i].feature_efficiency + kEps);
+    inv_f1[i] = 1.0 / (measures[i].fisher_ratio + kEps);
+    f2[i] = measures[i].overlap_volume;
+    inv_f3[i] = 1.0 / (measures[i].feature_efficiency + kEps);
   }
   auto minmax_normalize = [](std::vector<double>& v) {
     if (v.empty()) return;
@@ -104,134 +114,6 @@ std::vector<double> blend_complexity_measures(
 
   std::vector<double> out(nf);
   for (std::size_t i = 0; i < nf; ++i) out[i] = (inv_f1[i] + f2[i] + inv_f3[i]) / 3.0;
-  return out;
-}
-
-std::vector<double> ensemble_complexity(std::span<const std::vector<double>> columns,
-                                        std::span<const int> y,
-                                        std::size_t num_threads) {
-  const std::size_t nf = columns.size();
-  std::vector<ComplexityMeasures> measures(nf);
-  auto scan_one = [&](std::size_t i) { measures[i] = feature_complexity(columns[i], y); };
-  if (num_threads > 1 && nf > 1) {
-    util::ThreadPool pool(std::min(num_threads, nf));
-    pool.parallel_for(nf, scan_one);
-  } else {
-    for (std::size_t i = 0; i < nf; ++i) scan_one(i);
-  }
-  return blend_complexity_measures(measures);
-}
-
-ComplexitySketch::ComplexitySketch(std::vector<double> bin_uppers)
-    : bin_uppers_(std::move(bin_uppers)) {
-  if (bin_uppers_.size() > 256)
-    throw std::invalid_argument("ComplexitySketch: more than 256 bins");
-  for (std::size_t b = 1; b < bin_uppers_.size(); ++b)
-    if (!(bin_uppers_[b - 1] < bin_uppers_[b]))
-      throw std::invalid_argument("ComplexitySketch: bin_uppers not ascending");
-  if (!bin_uppers_.empty()) {
-    cls_[0].hist.assign(bin_uppers_.size(), 0);
-    cls_[1].hist.assign(bin_uppers_.size(), 0);
-  }
-}
-
-void ComplexitySketch::add(double v, int label) {
-  ClassSketch& c = cls_[label != 0 ? 1 : 0];
-  ++c.count;
-  c.sum.add(v);
-  c.sum2.add(v * v);
-  // min/max mirror feature_complexity's std::min/std::max: NaN never
-  // replaces a finite bound (and never seeds one — comparisons against
-  // the infinities are false too).
-  c.min = std::min(c.min, v);
-  c.max = std::max(c.max, v);
-  if (!c.hist.empty() && !std::isnan(v)) {
-    const auto it = std::lower_bound(bin_uppers_.begin(), bin_uppers_.end(), v);
-    const std::size_t b = it == bin_uppers_.end()
-                              ? bin_uppers_.size() - 1
-                              : static_cast<std::size_t>(it - bin_uppers_.begin());
-    ++c.hist[b];
-  }
-}
-
-void ComplexitySketch::merge(const ComplexitySketch& other) {
-  if (other.bin_uppers_ != bin_uppers_)
-    throw std::invalid_argument("ComplexitySketch::merge: codec mismatch");
-  for (int cl = 0; cl < 2; ++cl) {
-    ClassSketch& a = cls_[cl];
-    const ClassSketch& b = other.cls_[cl];
-    a.count += b.count;
-    a.sum.merge(b.sum);
-    a.sum2.merge(b.sum2);
-    a.min = std::min(a.min, b.min);
-    a.max = std::max(a.max, b.max);
-    for (std::size_t i = 0; i < a.hist.size(); ++i) a.hist[i] += b.hist[i];
-  }
-}
-
-ComplexityMeasures ComplexitySketch::finalize() const {
-  ComplexityMeasures out;
-  const std::uint64_t cnt0 = cls_[0].count, cnt1 = cls_[1].count;
-  if (cnt0 == 0 || cnt1 == 0) {
-    out.fisher_ratio = 0.0;
-    out.overlap_volume = 1.0;
-    out.feature_efficiency = 0.0;
-    return out;
-  }
-  // Same expression structure as feature_complexity, fed by the
-  // exactly-merged sums: shard count cannot change a single bit here.
-  const double sum0 = cls_[0].sum.finalize(), sum1 = cls_[1].sum.finalize();
-  const double sum2_0 = cls_[0].sum2.finalize(), sum2_1 = cls_[1].sum2.finalize();
-  const double mean0 = sum0 / static_cast<double>(cnt0);
-  const double mean1 = sum1 / static_cast<double>(cnt1);
-  const double var0 = std::max(0.0, sum2_0 / static_cast<double>(cnt0) - mean0 * mean0);
-  const double var1 = std::max(0.0, sum2_1 / static_cast<double>(cnt1) - mean1 * mean1);
-  const double diff = mean0 - mean1;
-  const double denom = var0 + var1;
-  if (denom <= 0.0) {
-    out.fisher_ratio = diff != 0.0 ? 1e12 : 0.0;
-  } else {
-    out.fisher_ratio = diff * diff / denom;
-  }
-
-  const double lo = std::max(cls_[0].min, cls_[1].min);
-  const double hi = std::min(cls_[0].max, cls_[1].max);
-  const double total_lo = std::min(cls_[0].min, cls_[1].min);
-  const double total_hi = std::max(cls_[0].max, cls_[1].max);
-  const double total_range = total_hi - total_lo;
-  if (total_range <= 0.0) {
-    out.overlap_volume = 1.0;
-    out.feature_efficiency = 0.0;
-    return out;
-  }
-  const double overlap = std::max(0.0, hi - lo);
-  out.overlap_volume = overlap / total_range;
-
-  const std::uint64_t n = cnt0 + cnt1;
-  std::uint64_t outside = 0;
-  if (hi < lo) {
-    outside = n;  // disjoint class ranges: everything separable
-  } else if (!bin_uppers_.empty()) {
-    // Count bins strictly outside [lo, hi]. lo/hi are data values, so
-    // with one bin per distinct value this reproduces the exact
-    // point count; coarser codecs undercount by at most the boundary
-    // bins' population — deterministically, since the codec is fixed
-    // across shards.
-    const auto bin_of = [&](double v) {
-      const auto it = std::lower_bound(bin_uppers_.begin(), bin_uppers_.end(), v);
-      return it == bin_uppers_.end() ? bin_uppers_.size() - 1
-                                     : static_cast<std::size_t>(it - bin_uppers_.begin());
-    };
-    const std::size_t blo = bin_of(lo), bhi = bin_of(hi);
-    for (int cl = 0; cl < 2; ++cl) {
-      for (std::size_t b = 0; b < blo; ++b) outside += cls_[cl].hist[b];
-      for (std::size_t b = bhi + 1; b < cls_[cl].hist.size(); ++b)
-        outside += cls_[cl].hist[b];
-    }
-  }
-  // No codec and overlapping ranges: no way to count points in the
-  // overlap — report 0 outside (maximally conservative), documented.
-  out.feature_efficiency = static_cast<double>(outside) / static_cast<double>(n);
   return out;
 }
 

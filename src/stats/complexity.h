@@ -1,11 +1,7 @@
 #pragma once
 
-#include <cstdint>
-#include <limits>
 #include <span>
 #include <vector>
-
-#include "util/exact_sum.h"
 
 namespace wefr::stats {
 
@@ -45,62 +41,5 @@ ComplexityMeasures feature_complexity(std::span<const double> x, std::span<const
 std::vector<double> ensemble_complexity(std::span<const std::vector<double>> columns,
                                         std::span<const int> y,
                                         std::size_t num_threads = 0);
-
-/// The normalize-and-blend half of ensemble_complexity: min-max
-/// normalize 1/F1, F2 and 1/F3 across features and average. Shared by
-/// ensemble_complexity and the sketch-based sharded path, so measures
-/// finalized from merged shard partials blend through the identical
-/// arithmetic.
-std::vector<double> blend_complexity_measures(std::span<const ComplexityMeasures> per_feature);
-
-/// Mergeable shard-partial form of feature_complexity for one feature:
-/// per-class integer counts, exact min/max, moment sums held in
-/// util::ExactSum fixed-point accumulators (exactly associative — no
-/// FP reassociation across shards), and an optional <= 256-bin value
-/// histogram over caller-fixed ascending bin upper bounds (the PR 1
-/// quantized-codec shape: one bin per distinct value on coarse
-/// features; harvest QuantizedDataset::bin_upper to build one).
-///
-/// merge() is bucket/limb-wise integer addition, so finalize() after
-/// any shard partitioning is bit-identical to finalize() over a single
-/// pass — the property the shard tests pin down. Relative to the exact
-/// feature_complexity: F2 is bit-identical (pure min/max); F1 agrees
-/// to the accumulator's deterministic final rounding (~1 ulp); F3 is
-/// exact when the codec has one bin per distinct value, bin-resolution
-/// bounded otherwise, and degrades to the disjoint-range rule when no
-/// codec was provided.
-class ComplexitySketch {
- public:
-  ComplexitySketch() = default;
-  /// `bin_uppers`: ascending bin upper bounds (value v lands in the
-  /// first bin with v <= bin_uppers[b]; values above the last bound
-  /// land in the last bin). At most 256 bins.
-  explicit ComplexitySketch(std::vector<double> bin_uppers);
-
-  void add(double v, int label);
-  /// Throws std::invalid_argument when the codecs disagree.
-  void merge(const ComplexitySketch& other);
-  ComplexityMeasures finalize() const;
-
-  std::uint64_t count(int cls) const { return cls_[cls != 0 ? 1 : 0].count; }
-  bool has_codec() const { return !bin_uppers_.empty(); }
-
-  /// Serialization access.
-  const std::vector<double>& bin_uppers() const { return bin_uppers_; }
-  struct ClassSketch {
-    std::uint64_t count = 0;
-    double min = std::numeric_limits<double>::infinity();
-    double max = -std::numeric_limits<double>::infinity();
-    util::ExactSum sum;
-    util::ExactSum sum2;
-    std::vector<std::uint64_t> hist;  ///< per bin, empty without a codec
-  };
-  const ClassSketch& class_sketch(int cls) const { return cls_[cls != 0 ? 1 : 0]; }
-  ClassSketch& mutable_class_sketch(int cls) { return cls_[cls != 0 ? 1 : 0]; }
-
- private:
-  std::vector<double> bin_uppers_;
-  ClassSketch cls_[2];
-};
 
 }  // namespace wefr::stats

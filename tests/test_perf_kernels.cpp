@@ -16,8 +16,11 @@
 
 #include "core/auto_select.h"
 #include "core/ensemble.h"
+#include "core/pipeline.h"
 #include "core/ranker.h"
+#include "core/wefr.h"
 #include "data/window_features.h"
+#include "smartsim/generator.h"
 #include "stats/complexity.h"
 #include "stats/kendall.h"
 #include "stats/ranking.h"
@@ -306,6 +309,75 @@ TEST(PerfKernels, ComplexityScanInvariantAcrossThreadCounts) {
     for (std::size_t i = 0; i < got.size(); ++i)
       EXPECT_TRUE(bit_equal(got[i], serial[i])) << "feature " << i;
   }
+}
+
+void expect_same_group(const core::GroupSelection& a, const core::GroupSelection& b) {
+  EXPECT_EQ(a.label, b.label);
+  EXPECT_EQ(a.selected, b.selected);
+  EXPECT_EQ(a.selected_names, b.selected_names);
+  EXPECT_EQ(a.fallback, b.fallback);
+  EXPECT_EQ(a.degraded, b.degraded);
+  EXPECT_EQ(a.num_samples, b.num_samples);
+  EXPECT_EQ(a.num_positives, b.num_positives);
+  ASSERT_EQ(a.ensemble.rankings.size(), b.ensemble.rankings.size());
+  for (std::size_t k = 0; k < a.ensemble.rankings.size(); ++k) {
+    ASSERT_EQ(a.ensemble.rankings[k].size(), b.ensemble.rankings[k].size());
+    for (std::size_t i = 0; i < a.ensemble.rankings[k].size(); ++i)
+      EXPECT_TRUE(bit_equal(a.ensemble.rankings[k][i], b.ensemble.rankings[k][i]))
+          << a.label << " ranker " << k << " feature " << i;
+  }
+  ASSERT_EQ(a.ensemble.final_ranking.size(), b.ensemble.final_ranking.size());
+  for (std::size_t i = 0; i < a.ensemble.final_ranking.size(); ++i)
+    EXPECT_TRUE(bit_equal(a.ensemble.final_ranking[i], b.ensemble.final_ranking[i]))
+        << a.label << " final_ranking[" << i << "]";
+  EXPECT_EQ(a.ensemble.order, b.ensemble.order);
+  EXPECT_EQ(a.ensemble.discarded, b.ensemble.discarded);
+  EXPECT_EQ(a.ensemble.failed, b.ensemble.failed);
+}
+
+void expect_same_result(const core::WefrResult& a, const core::WefrResult& b) {
+  expect_same_group(a.all, b.all);
+  ASSERT_EQ(a.survival.mwi.size(), b.survival.mwi.size());
+  for (std::size_t i = 0; i < a.survival.mwi.size(); ++i) {
+    EXPECT_TRUE(bit_equal(a.survival.mwi[i], b.survival.mwi[i]));
+    EXPECT_TRUE(bit_equal(a.survival.rate[i], b.survival.rate[i]));
+    EXPECT_EQ(a.survival.total[i], b.survival.total[i]);
+  }
+  ASSERT_EQ(a.change_point.has_value(), b.change_point.has_value());
+  if (a.change_point.has_value()) {
+    EXPECT_TRUE(bit_equal(a.change_point->mwi_threshold, b.change_point->mwi_threshold));
+    EXPECT_TRUE(bit_equal(a.change_point->zscore, b.change_point->zscore));
+  }
+  ASSERT_EQ(a.low.has_value(), b.low.has_value());
+  if (a.low.has_value()) expect_same_group(*a.low, *b.low);
+  ASSERT_EQ(a.high.has_value(), b.high.has_value());
+  if (a.high.has_value()) expect_same_group(*a.high, *b.high);
+}
+
+TEST(PerfKernels, RunWefrInvariantAcrossThreadCounts) {
+  // The whole weekly selection job — sampling, five rankers, complexity
+  // scan, survival curve, change point, per-wear-group re-selection —
+  // must not move a bit when it runs on a thread pool.
+  smartsim::SimOptions sim;
+  sim.num_drives = 300;
+  sim.num_days = 120;
+  sim.seed = 31;
+  sim.afr_scale = 30.0;
+  const auto fleet = generate_fleet(smartsim::profile_by_name("MC1"), sim);
+  core::ExperimentConfig cfg;
+  cfg.negative_keep_prob = 0.10;
+
+  const auto run = [&](std::size_t threads) {
+    core::WefrOptions wopt;
+    wopt.update_with_wearout = true;
+    wopt.num_threads = threads;
+    const auto samples = core::build_selection_samples(fleet, 0, 119, cfg);
+    return core::run_wefr(fleet, samples, 119, wopt);
+  };
+  const auto serial = run(0);
+  ASSERT_TRUE(serial.change_point.has_value()) << "fixture must exercise Lines 9-15";
+  ASSERT_TRUE(serial.low.has_value() && serial.high.has_value());
+  expect_same_result(serial, run(4));
 }
 
 // --- chunked parallel_for ------------------------------------------------

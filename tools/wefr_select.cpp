@@ -24,8 +24,10 @@
 //
 // --log-level {quiet,info,debug} controls the structured progress log
 // on stderr ([+elapsed] [stage] message lines); results always go to
-// stdout. Default is info; debug adds the per-shard health ledger and
-// obs-merge accounting.
+// stdout. Default is info.
+//
+// Selection, training and scoring run on every hardware thread; the
+// results are identical at any thread count.
 //
 // Any of --trace-out / --metrics-out / --report-out enables the obs
 // instrumentation: the whole run is traced (Chrome trace-event JSON,
@@ -55,8 +57,8 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
-#include "shard/driver.h"
 #include "util/strings.h"
+#include "util/thread_pool.h"
 
 using namespace wefr;
 
@@ -67,101 +69,10 @@ void usage() {
                "usage: wefr_select --in FILE [--model NAME] [--train-end DAY]\n"
                "                   [--horizon N] [--no-update] [--save-model FILE]\n"
                "                   [--policy strict|recover|skip-drive]\n"
-               "                   [--cache-dir DIR] [--shards N]\n"
+               "                   [--cache-dir DIR]\n"
                "                   [--log-level quiet|info|debug]\n"
                "                   [--trace-out FILE] [--metrics-out FILE]\n"
                "                   [--report-out FILE]\n");
-}
-
-/// Folds the selection-stage and scoring-stage driver stats into the
-/// report's v3 sharding block: per-shard ledger rows sum across the
-/// two runs, the straggler summary is recomputed over the combined
-/// wall clocks, and a fallback in either stage surfaces as a non-null
-/// fallback_reason (with the per-shard fields left zeroed, per the
-/// driver's contract).
-obs::RunReport::Sharding make_sharding_block(const shard::ShardRunStats& sel,
-                                             const shard::ShardRunStats* score) {
-  obs::RunReport::Sharding sh;
-  sh.shards = sel.num_shards;
-  sh.forked = sel.forked;
-  sh.fallback_reason = sel.fallback_reason.empty() ? "" : "selection: " + sel.fallback_reason;
-  if (score != nullptr && !score->fallback_reason.empty()) {
-    if (!sh.fallback_reason.empty()) sh.fallback_reason += "; ";
-    sh.fallback_reason += "scoring: " + score->fallback_reason;
-  }
-  sh.shard_drives = sel.shard_drives;
-  sh.shard_samples = sel.shard_samples;
-
-  const auto fold = [&sh](const shard::ShardRunStats& st) {
-    sh.partial_seconds += st.partial_seconds;
-    sh.merge_seconds += st.merge_seconds;
-    sh.records_verified += st.records_verified;
-    sh.obs_spans_merged += st.obs_spans_merged;
-    sh.obs_partials_merged += st.obs_partials_merged;
-    sh.obs_partials_dropped += st.obs_partials_dropped;
-    sh.workers_failed += st.workers_failed;
-    if (sh.health.size() < st.health.size()) sh.health.resize(st.health.size());
-    for (std::size_t s = 0; s < st.health.size(); ++s) {
-      auto& dst = sh.health[s];
-      const auto& src = st.health[s];
-      dst.wall_seconds += src.wall_seconds;
-      dst.cpu_seconds += src.cpu_seconds;
-      dst.drives = std::max(dst.drives, src.drives);  // same partition both runs
-      dst.rows += src.rows;
-      dst.bytes += src.bytes;
-      dst.records_verified += src.records_verified;
-      dst.obs_merged = dst.obs_merged || src.obs_merged;
-      if (src.worker_exit != 0) dst.worker_exit = src.worker_exit;
-    }
-  };
-  fold(sel);
-  if (score != nullptr) fold(*score);
-
-  std::vector<double> walls;
-  for (const auto& h : sh.health) walls.push_back(h.wall_seconds);
-  if (!walls.empty()) {
-    std::sort(walls.begin(), walls.end());
-    sh.max_shard_seconds = walls.back();
-    const std::size_t n = walls.size();
-    sh.median_shard_seconds =
-        n % 2 == 1 ? walls[n / 2] : 0.5 * (walls[n / 2 - 1] + walls[n / 2]);
-    sh.imbalance_ratio = sh.median_shard_seconds > 0.0
-                             ? sh.max_shard_seconds / sh.median_shard_seconds
-                             : 0.0;
-  }
-  return sh;
-}
-
-/// One info line + optional per-shard debug rows for a driver run.
-void log_shard_stats(obs::Logger& log, const char* what,
-                     const shard::ShardRunStats& st) {
-  if (!st.fallback_reason.empty()) {
-    log.infof("shard", "%s fell back to the in-process oracle: %s", what,
-              st.fallback_reason.c_str());
-    return;
-  }
-  log.infof("shard",
-            "%s: %zu workers (%s), %.3fs partials + %.3fs merge; straggler max/median "
-            "%.3fs/%.3fs (x%.2f); %llu records verified, %llu obs partials merged, "
-            "%llu dropped",
-            what, st.num_shards, st.forked ? "forked" : "in-process",
-            st.partial_seconds, st.merge_seconds, st.max_shard_seconds,
-            st.median_shard_seconds, st.imbalance_ratio,
-            static_cast<unsigned long long>(st.records_verified),
-            static_cast<unsigned long long>(st.obs_partials_merged),
-            static_cast<unsigned long long>(st.obs_partials_dropped));
-  for (std::size_t s = 0; s < st.health.size(); ++s) {
-    const auto& h = st.health[s];
-    log.debugf("shard",
-               "  s%zu: %llu drives, %llu rows, %llu bytes, wall %.3fs, cpu %.3fs, "
-               "%llu records, obs %s, exit %lld",
-               s, static_cast<unsigned long long>(h.drives),
-               static_cast<unsigned long long>(h.rows),
-               static_cast<unsigned long long>(h.bytes), h.wall_seconds, h.cpu_seconds,
-               static_cast<unsigned long long>(h.records_verified),
-               h.obs_merged ? "merged" : "none",
-               static_cast<long long>(h.worker_exit));
-  }
 }
 
 void print_group(const core::GroupSelection& g) {
@@ -178,10 +89,11 @@ void print_group(const core::GroupSelection& g) {
 int main(int argc, char** argv) {
   std::string in_path, model = "fleet", save_model, cache_dir;
   int train_end = -1;
-  int shards = 0;  // 0 = the historical single-process path
   obs::LogLevel log_level = obs::LogLevel::kInfo;
   core::ExperimentConfig cfg;
   core::WefrOptions wopt;
+  cfg.num_threads = util::default_thread_count();
+  wopt.num_threads = util::default_thread_count();
   data::ReadOptions ropt;
   tools::ToolObs tobs;
 
@@ -198,11 +110,6 @@ int main(int argc, char** argv) {
       // parsed in the condition
     } else if (arg == "--cache-dir") {
       cache_dir = cur.value();
-    } else if (arg == "--shards" && util::parse_int_as(cur.value(), shards)) {
-      if (shards < 1) {
-        std::fprintf(stderr, "--shards must be >= 1\n");
-        return 2;
-      }
     } else if (arg == "--log-level") {
       if (!tools::parse_log_level_flag(cur.value(), log_level)) {
         usage();
@@ -268,23 +175,10 @@ int main(int argc, char** argv) {
               fleet.num_days, fleet.num_features(), train_end);
 
     cfg.negative_keep_prob = 0.15;
-    shard::ShardOptions shard_opt;
-    shard_opt.num_shards = shards > 0 ? static_cast<std::size_t>(shards) : 1;
-    shard::ShardRunStats shard_stats, score_stats;
-    core::WefrResult result;
-    data::Dataset samples;
-    if (shards > 0) {
-      result = shard::run_wefr_sharded(fleet, 0, train_end, train_end, wopt, cfg,
-                                       shard_opt, &diag, obs, &shard_stats, &samples);
-      log_shard_stats(log, "selection", shard_stats);
-      log.infof("select", "samples: %zu (%zu positive)", samples.size(),
-                samples.num_positive());
-    } else {
-      samples = core::build_selection_samples(fleet, 0, train_end, cfg, obs);
-      log.infof("select", "samples: %zu (%zu positive)", samples.size(),
-                samples.num_positive());
-      result = core::run_wefr(fleet, samples, train_end, wopt, &diag, obs);
-    }
+    const auto samples = core::build_selection_samples(fleet, 0, train_end, cfg, obs);
+    log.infof("select", "samples: %zu (%zu positive)", samples.size(),
+              samples.num_positive());
+    const auto result = core::run_wefr(fleet, samples, train_end, wopt, &diag, obs);
 
     std::printf("\npreliminary rankings (Kendall-tau mean distance; * = discarded):\n");
     const auto& ens = result.all.ensemble;
@@ -329,15 +223,7 @@ int main(int argc, char** argv) {
           t0 = std::max(0, t1 - 29);
           in_sample = true;
         }
-        std::vector<core::DriveDayScores> scores;
-        ml::AucPartial auc_partial;
-        if (shards > 0) {
-          scores = shard::score_fleet_sharded(fleet, predictor, t0, t1, cfg, shard_opt,
-                                              &diag, obs, &score_stats, &auc_partial);
-          log_shard_stats(log, "scoring", score_stats);
-        } else {
-          scores = core::score_fleet(fleet, predictor, t0, t1, cfg, &diag, obs);
-        }
+        const auto scores = core::score_fleet(fleet, predictor, t0, t1, cfg, &diag, obs);
 
         obs::RunReport::Scoring sc;
         sc.drives = scores.size();
@@ -363,12 +249,7 @@ int main(int argc, char** argv) {
           if (l != 0) has_pos = true;
           else has_neg = true;
         }
-        if (has_pos && has_neg) {
-          // Sharded runs report the AUC finalized from the merged
-          // per-shard rank tallies (the mergeable form); it agrees with
-          // ml::auc over the flattened scores.
-          sc.auc = shards > 0 ? auc_partial.finalize() : ml::auc(flat, labels);
-        }
+        if (has_pos && has_neg) sc.auc = ml::auc(flat, labels);
         const auto eval = core::evaluate_fixed_recall(fleet, scores, t0, t1,
                                                       cfg.horizon_days, 0.3);
         sc.precision = eval.precision;
@@ -401,11 +282,6 @@ int main(int argc, char** argv) {
         run_report.params["horizon_days"] = std::to_string(cfg.horizon_days);
         run_report.params["update_with_wearout"] =
             wopt.update_with_wearout ? "true" : "false";
-        if (shards > 0) {
-          run_report.params["shards"] = std::to_string(shards);
-          run_report.sharding = make_sharding_block(
-              shard_stats, score_stats.num_shards > 0 ? &score_stats : nullptr);
-        }
         report.fill_run_report(run_report);
         diag.fill_run_report(run_report);
         core::fill_run_report(result, run_report);

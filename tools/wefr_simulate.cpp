@@ -27,7 +27,6 @@
 // --log-level {quiet,info,debug} controls the structured progress log
 // on stderr; the CSV itself (stdout when --out is omitted) is never
 // affected.
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -45,7 +44,6 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
-#include "shard/hashring.h"
 #include "smartsim/faultsim.h"
 #include "smartsim/generator.h"
 #include "smartsim/mixed_fleet.h"
@@ -61,7 +59,7 @@ void usage() {
                "                     [--seed N] [--afr-scale X] [--out FILE]\n"
                "                     [--mix SPEC] [--churn SPEC]\n"
                "                     [--faults SPEC] [--fault-seed N]\n"
-               "                     [--cache-dir DIR] [--shards N]\n"
+               "                     [--cache-dir DIR]\n"
                "                     [--log-level quiet|info|debug]\n"
                "                     [--trace-out FILE] [--metrics-out FILE]\n"
                "                     [--report-out FILE]\n"
@@ -83,7 +81,6 @@ int main(int argc, char** argv) {
   std::string fault_spec;
   std::string cache_dir;
   std::uint64_t fault_seed = 0x5eedfau;
-  int shards = 0;  // 0 = no shard-plan preview
   obs::LogLevel log_level = obs::LogLevel::kInfo;
   smartsim::SimOptions opt;
   opt.num_drives = 1000;
@@ -118,11 +115,6 @@ int main(int argc, char** argv) {
       // parsed in the condition
     } else if (arg == "--cache-dir") {
       cache_dir = cur.value();
-    } else if (arg == "--shards" && util::parse_int_as(cur.value(), shards)) {
-      if (shards < 1) {
-        std::fprintf(stderr, "--shards must be >= 1\n");
-        return 2;
-      }
     } else if (arg == "--log-level") {
       if (!tools::parse_log_level_flag(cur.value(), log_level)) {
         usage();
@@ -178,32 +170,6 @@ int main(int argc, char** argv) {
     logger.infof("generate", "%s: %zu drives, %zu failed, %d days, AFR %.2f%%",
                  fleet.model_name.c_str(), fleet.drives.size(), fleet.num_failed(),
                  fleet.num_days, fleet.afr_percent());
-    if (shards > 0) {
-      // Preview of how wefr_select --shards N would own this fleet:
-      // the hashring is keyed purely on drive ids, so the plan printed
-      // here is exactly the selection-time partition — including the
-      // imbalance a straggler-prone partition would show in the shard
-      // health ledger.
-      const auto plan =
-          shard::partition_fleet(fleet, static_cast<std::size_t>(shards));
-      std::vector<std::size_t> sizes;
-      for (const auto& p : plan) sizes.push_back(p.size());
-      std::sort(sizes.begin(), sizes.end());
-      const std::size_t max_drives = sizes.empty() ? 0 : sizes.back();
-      const double median_drives =
-          sizes.empty() ? 0.0
-          : sizes.size() % 2 == 1
-              ? static_cast<double>(sizes[sizes.size() / 2])
-              : 0.5 * static_cast<double>(sizes[sizes.size() / 2 - 1] +
-                                          sizes[sizes.size() / 2]);
-      logger.infof("shard",
-                   "plan: %d workers, max/median %zu/%.1f drives (imbalance x%.2f)",
-                   shards, max_drives, median_drives,
-                   median_drives > 0.0 ? static_cast<double>(max_drives) / median_drives
-                                       : 0.0);
-      for (std::size_t s = 0; s < plan.size(); ++s)
-        logger.debugf("shard", "  s%zu: %zu drives", s, plan[s].size());
-    }
     if (obs_enabled) {
       obs::add_counter(obs, "wefr_sim_drives_total", fleet.drives.size());
       obs::add_counter(obs, "wefr_sim_drives_failed_total", fleet.num_failed());
