@@ -1,12 +1,14 @@
 #include "ml/gbdt.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
 
 #include "ml/forest_infer.h"
 #include "ml/quantize.h"
+#include "ml/radix_sort.h"
 #include "obs/context.h"
 #include "obs/trace.h"
 #include "util/thread_pool.h"
@@ -23,21 +25,39 @@ double structure_score(double g, double h, double lambda) {
 
 }  // namespace
 
+/// Gradient statistics of one histogram bin. Every row's hessian is at
+/// least 1e-12, so a bin holds node rows exactly when its hess sum is
+/// positive; no row count is needed.
+struct BinSums {
+  double grad = 0.0;
+  double hess = 0.0;
+};
+
+/// The best split found so far; rows of rank <= `rank` route left.
+struct SplitChoice {
+  double gain = 0.0;
+  std::size_t feature = 0;
+  double threshold = 0.0;
+  std::uint32_t rank = 0;
+};
+
 /// Per-fit state shared by every round's tree build: gradients, the
-/// optional quantized codes, and scratch buffers hoisted out of the
-/// per-node hot path.
+/// rank/bin codes of the training matrix, and scratch buffers hoisted
+/// out of the per-node hot path.
 struct Gbdt::BuildContext {
-  const data::Matrix& x;
   const GbdtOptions& opt;
   std::span<const double> grad;
   std::span<const double> hess;
-  /// Non-null selects histogram split finding.
-  const QuantizedDataset* quantized = nullptr;
+  const QuantizedDataset& q;
+  /// Histogram split finding on nodes of at least exact_node_cutoff rows.
+  bool histogram = false;
 
-  std::vector<std::pair<double, std::size_t>> sorted;  ///< exact: (value, row)
-  std::vector<double> bin_grad;                        ///< histogram: grad sum per bin
-  std::vector<double> bin_hess;                        ///< histogram: hess sum per bin
-  std::vector<std::size_t> bin_count;                  ///< histogram: rows per bin
+  std::vector<double> node_grad;  ///< the current node's gradients, in idx order
+  std::vector<double> node_hess;  ///< the current node's hessians, in idx order
+  std::vector<std::size_t> rows;    ///< exact: the node's rows, ascending
+  std::vector<std::uint64_t> keys;  ///< exact: rank << 32 | row
+  std::vector<std::uint64_t> key_scratch;  ///< exact: radix sort buffer
+  std::vector<BinSums> bins;        ///< histogram: one feature's per-bin sums
 };
 
 double Gbdt::Tree::predict(std::span<const double> row) const {
@@ -77,23 +97,15 @@ void Gbdt::fit(const data::Matrix& x, std::span<const int> y, const GbdtOptions&
   const std::size_t cols_per_tree = std::max<std::size_t>(
       1, static_cast<std::size_t>(opt.colsample * static_cast<double>(num_features_)));
 
-  // Quantize once per fit; all rounds share the codes (gradients change
-  // per round, bin memberships do not).
+  // Code the matrix once per fit; all rounds share the codes (gradients
+  // change per round, ranks and bin memberships do not).
   const bool histogram =
       opt.split_method == SplitMethod::kHistogram ||
       (opt.split_method == SplitMethod::kAuto && n >= opt.histogram_cutoff);
   QuantizedDataset quantized;
-  if (histogram) quantized.build(x, opt.max_bins);
+  quantized.build(x, opt.max_bins);
 
-  BuildContext ctx{x, opt, grad, hess, histogram ? &quantized : nullptr, {}, {}, {}, {}};
-  if (histogram) {
-    std::size_t most_bins = 0;
-    for (std::size_t f = 0; f < num_features_; ++f)
-      most_bins = std::max(most_bins, quantized.num_bins(f));
-    ctx.bin_grad.resize(most_bins);
-    ctx.bin_hess.resize(most_bins);
-    ctx.bin_count.resize(most_bins);
-  }
+  BuildContext ctx{opt, grad, hess, quantized, histogram, {}, {}, {}, {}, {}, {}};
 
   for (std::size_t round = 0; round < opt.num_rounds; ++round) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -140,121 +152,140 @@ void Gbdt::fit(const data::Matrix& x, std::span<const int> y, const GbdtOptions&
 std::int32_t Gbdt::build_node(BuildContext& ctx, std::vector<std::size_t>& idx,
                               std::size_t begin, std::size_t end, int depth,
                               std::span<const std::size_t> features, Tree& tree) {
-  const data::Matrix& x = ctx.x;
   const GbdtOptions& opt = ctx.opt;
+  const QuantizedDataset& q = ctx.q;
   std::span<const double> grad = ctx.grad;
   std::span<const double> hess = ctx.hess;
 
+  // The node's gradients are gathered once here, in idx order, and read
+  // by every histogram pass; the recursion below only starts after them.
+  const std::size_t n = end - begin;
+  ctx.node_grad.resize(n);
+  ctx.node_hess.resize(n);
   double g_sum = 0.0, h_sum = 0.0;
-  for (std::size_t i = begin; i < end; ++i) {
-    g_sum += grad[idx[i]];
-    h_sum += hess[idx[i]];
+  for (std::size_t k = 0; k < n; ++k) {
+    ctx.node_grad[k] = grad[idx[begin + k]];
+    ctx.node_hess[k] = hess[idx[begin + k]];
+    g_sum += ctx.node_grad[k];
+    h_sum += ctx.node_hess[k];
   }
 
   const std::int32_t me = static_cast<std::int32_t>(tree.nodes.size());
   tree.nodes.emplace_back();
   tree.nodes[me].weight = -g_sum / (h_sum + opt.reg_lambda);
 
-  if (depth >= opt.max_depth || end - begin < 2) return me;
+  if (depth >= opt.max_depth || n < 2) return me;
 
   const double parent_score = structure_score(g_sum, h_sum, opt.reg_lambda);
 
-  double best_gain = 0.0;
-  std::size_t best_feature = 0;
-  double best_threshold = 0.0;
+  SplitChoice best;
 
   // Histogram search on large nodes; small nodes fall back to the exact
   // sort (cheap there, and global bin edges are too coarse for them).
   const bool use_histogram =
-      ctx.quantized != nullptr &&
-      (opt.exact_node_cutoff == 0 || end - begin >= opt.exact_node_cutoff);
+      ctx.histogram && (opt.exact_node_cutoff == 0 || n >= opt.exact_node_cutoff);
   if (use_histogram) {
-    const QuantizedDataset& q = *ctx.quantized;
+    auto& sums = ctx.bins;
+    sums.resize(256);
     for (std::size_t f : features) {
       const std::size_t bins = q.num_bins(f);
-      if (bins < 2) continue;
+      if (bins < 2) continue;  // constant feature
+      std::fill(sums.begin(), sums.begin() + static_cast<std::ptrdiff_t>(bins), BinSums{});
       const std::uint8_t* codes = q.codes(f).data();
-      std::fill(ctx.bin_grad.begin(), ctx.bin_grad.begin() + static_cast<std::ptrdiff_t>(bins),
-                0.0);
-      std::fill(ctx.bin_hess.begin(), ctx.bin_hess.begin() + static_cast<std::ptrdiff_t>(bins),
-                0.0);
-      std::fill(ctx.bin_count.begin(),
-                ctx.bin_count.begin() + static_cast<std::ptrdiff_t>(bins), 0);
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::size_t row = idx[i];
-        const std::uint8_t b = codes[row];
-        ctx.bin_grad[b] += grad[row];
-        ctx.bin_hess[b] += hess[row];
-        ++ctx.bin_count[b];
+      for (std::size_t k = 0; k < n; ++k) {
+        BinSums& b = sums[codes[idx[begin + k]]];
+        b.grad += ctx.node_grad[k];
+        b.hess += ctx.node_hess[k];
       }
       // Boundaries between consecutive node-occupied bins, mirroring the
       // CART histogram scan.
       double gl = 0.0, hl = 0.0;
       std::size_t prev = bins;
       for (std::size_t b = 0; b < bins; ++b) {
-        if (ctx.bin_count[b] == 0) continue;
+        const BinSums& bin = sums[b];
+        if (bin.hess == 0.0) continue;
         if (prev != bins) {
           const double gr = g_sum - gl, hr = h_sum - hl;
           if (hl >= opt.min_child_weight && hr >= opt.min_child_weight) {
-            const double gain =
-                0.5 * (structure_score(gl, hl, opt.reg_lambda) +
-                       structure_score(gr, hr, opt.reg_lambda) - parent_score) -
-                opt.gamma;
-            if (gain > best_gain) {
-              best_gain = gain;
-              best_feature = f;
-              best_threshold = q.threshold_between(f, prev, b);
+            const double gain = 0.5 * (structure_score(gl, hl, opt.reg_lambda) +
+                                       structure_score(gr, hr, opt.reg_lambda) - parent_score) -
+                                opt.gamma;
+            if (gain > best.gain) {
+              best.gain = gain;
+              best.feature = f;
+              best.threshold = q.threshold_between(f, prev, b);
+              best.rank = q.bin_last_rank(f, prev);
             }
           }
         }
-        gl += ctx.bin_grad[b];
-        hl += ctx.bin_hess[b];
+        gl += bin.grad;
+        hl += bin.hess;
         prev = b;
       }
     }
   } else {
-    auto& scratch = ctx.sorted;
-    scratch.reserve(end - begin);
+    // Order the node's rows by (rank, row): rank order is value order and
+    // ties keep row order, so gradients accumulate in the same sequence
+    // as a sort of (value, row) pairs. The rows are put in row order once
+    // per node; a stable radix sort of each feature's ranks then finishes
+    // the job (rows are distinct, so the keys are too).
+    auto& rows = ctx.rows;
+    rows.assign(idx.begin() + static_cast<std::ptrdiff_t>(begin),
+                idx.begin() + static_cast<std::ptrdiff_t>(end));
+    std::sort(rows.begin(), rows.end());
+    auto& keys = ctx.keys;
+    keys.resize(n);
     for (std::size_t f : features) {
-      scratch.clear();
-      for (std::size_t i = begin; i < end; ++i) scratch.emplace_back(x(idx[i], f), idx[i]);
-      std::sort(scratch.begin(), scratch.end());
-      if (scratch.front().first == scratch.back().first) continue;
+      const std::size_t values = q.num_values(f);
+      if (values < 2) continue;
+      const std::uint32_t* ranks = q.ranks(f).data();
+      for (std::size_t k = 0; k < n; ++k)
+        keys[k] = std::uint64_t{ranks[rows[k]]} << 32 | rows[k];
+      radix_sort(keys, ctx.key_scratch, [](std::uint64_t key) { return key >> 32; },
+                 static_cast<unsigned>(std::bit_width(values - 1)));
+      if (keys.front() >> 32 == keys.back() >> 32) continue;
 
       double gl = 0.0, hl = 0.0;
-      for (std::size_t i = 0; i + 1 < scratch.size(); ++i) {
-        gl += grad[scratch[i].second];
-        hl += hess[scratch[i].second];
-        if (scratch[i].first == scratch[i + 1].first) continue;
+      for (std::size_t i = 0; i + 1 < keys.size(); ++i) {
+        const std::size_t row = keys[i] & 0xffffffffu;
+        gl += grad[row];
+        hl += hess[row];
+        const auto rank = static_cast<std::uint32_t>(keys[i] >> 32);
+        const auto next = static_cast<std::uint32_t>(keys[i + 1] >> 32);
+        if (rank == next) continue;
         const double gr = g_sum - gl, hr = h_sum - hl;
         if (hl < opt.min_child_weight || hr < opt.min_child_weight) continue;
         const double gain = 0.5 * (structure_score(gl, hl, opt.reg_lambda) +
                                    structure_score(gr, hr, opt.reg_lambda) - parent_score) -
                             opt.gamma;
-        if (gain > best_gain) {
-          best_gain = gain;
-          best_feature = f;
-          best_threshold = scratch[i].first + (scratch[i + 1].first - scratch[i].first) / 2.0;
-          if (best_threshold >= scratch[i + 1].first) best_threshold = scratch[i].first;
+        if (gain > best.gain) {
+          best.gain = gain;
+          best.feature = f;
+          best.threshold = q.threshold_between_ranks(f, rank, next);
+          best.rank = rank;
         }
       }
     }
   }
 
-  if (best_gain <= 0.0) return me;
+  if (best.gain <= 0.0) return me;
+  // A -inf lower value makes the midpoint NaN, and `x <= NaN` routes no
+  // row left: the split degenerates and the node stays a leaf.
+  if (std::isnan(best.threshold)) return me;
 
+  // The rows of rank <= best.rank are the rows with `x <= best.threshold`.
+  const std::uint32_t* ranks = q.ranks(best.feature).data();
   const auto mid_it =
       std::partition(idx.begin() + static_cast<std::ptrdiff_t>(begin),
                      idx.begin() + static_cast<std::ptrdiff_t>(end),
-                     [&](std::size_t i) { return x(i, best_feature) <= best_threshold; });
+                     [&](std::size_t i) { return ranks[i] <= best.rank; });
   const std::size_t mid = static_cast<std::size_t>(mid_it - idx.begin());
-  if (mid == begin || mid == end) return me;
 
-  split_count_[best_feature] += 1.0;
-  split_gain_[best_feature] += best_gain;
+  split_count_[best.feature] += 1.0;
+  split_gain_[best.feature] += best.gain;
 
-  tree.nodes[me].feature = static_cast<std::int32_t>(best_feature);
-  tree.nodes[me].threshold = best_threshold;
+  tree.nodes[me].feature = static_cast<std::int32_t>(best.feature);
+  tree.nodes[me].threshold = best.threshold;
   const std::int32_t left = build_node(ctx, idx, begin, mid, depth + 1, features, tree);
   tree.nodes[me].left = left;
   const std::int32_t right = build_node(ctx, idx, mid, end, depth + 1, features, tree);

@@ -6,35 +6,76 @@
 
 #include "data/matrix.h"
 
+namespace wefr::util {
+class ThreadPool;
+}
+
 namespace wefr::ml {
 
-/// Per-feature equal-frequency quantization of a sample matrix, the
-/// standard histogram-GBDT representation (cf. LightGBM): bin edges are
-/// computed once per fit, every value is replaced by a <= 256-valued
-/// bin code stored column-major, and split finding then accumulates
-/// per-bin label/gradient histograms in O(n + bins) per feature per
-/// node instead of sorting the node's rows.
+/// Column-major coding of a sample matrix for tree split search, built
+/// once per fit and shared read-only by every tree (and every boosting
+/// round) of that fit. Each value is stored twice, as codes:
+///
+/// - its **rank**: the index of the value among the feature's sorted
+///   distinct values. Rank order is value order, so the exact splitter
+///   sorts 32-bit integers read from one contiguous column instead of
+///   (double, label) pairs gathered from strided matrix rows, and a node
+///   partitions on `rank <= split_rank` — the same rows `x <= threshold`
+///   selects.
+/// - its **bin**: the per-feature equal-frequency quantization of the
+///   standard histogram-GBDT representation (cf. LightGBM), a
+///   <= 256-valued code. Histogram split finding accumulates per-bin
+///   label/gradient sums in O(n + bins) per feature per node. Bins are
+///   contiguous rank ranges.
 ///
 /// When a feature has at most `max_bins` distinct values every value
-/// gets its own bin (lower == upper), which makes histogram split
-/// finding reproduce the exact splitter bit-for-bit — the equivalence
-/// the tests pin down. Values are assumed finite (the data layer
-/// imputes NaNs before matrices reach the models).
+/// gets its own bin (bin == rank), which makes histogram split finding
+/// reproduce the exact splitter bit-for-bit — the equivalence the tests
+/// pin down. Values are assumed finite (the data layer imputes NaNs
+/// before matrices reach the models).
 class QuantizedDataset {
  public:
   QuantizedDataset() = default;
 
-  /// Quantizes all rows of `x` into at most `max_bins` bins per feature
-  /// (clamped to [2, 256] so codes fit in a uint8_t).
-  void build(const data::Matrix& x, std::size_t max_bins = 256);
+  /// Codes all rows of `x`, with at most `max_bins` bins per feature
+  /// (clamped to [2, 256] so bin codes fit in a uint8_t). Features are
+  /// coded independently, across `pool` when given; the result does not
+  /// depend on it.
+  void build(const data::Matrix& x, std::size_t max_bins = 256,
+             util::ThreadPool* pool = nullptr);
 
   bool empty() const { return rows_ == 0; }
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
 
+  /// Number of distinct values of feature `f` (>= 1).
+  std::size_t num_values(std::size_t f) const { return values_[f].size(); }
+
+  /// Column-major rank span for feature `f` (length rows()): the rank of
+  /// every row's value among the feature's distinct values.
+  std::span<const std::uint32_t> ranks(std::size_t f) const {
+    return {ranks_.data() + f * rows_, rows_};
+  }
+
+  /// The raw value of rank `r` of feature `f`.
+  double value(std::size_t f, std::uint32_t r) const { return values_[f][r]; }
+
+  /// Split threshold between ranks `lo < hi` of feature `f`: the midpoint
+  /// between the two raw values, guarded against the midpoint rounding up
+  /// to the upper value for adjacent doubles. `x <= threshold` routes
+  /// left, so it selects exactly the rows of rank <= lo among rows whose
+  /// rank is <= lo or >= hi.
+  double threshold_between_ranks(std::size_t f, std::uint32_t lo, std::uint32_t hi) const {
+    const double a = value(f, lo);
+    const double b = value(f, hi);
+    double thr = a + (b - a) / 2.0;
+    if (thr >= b) thr = a;
+    return thr;
+  }
+
   /// Number of occupied bins for feature `f` (>= 1; 1 for a constant
   /// feature).
-  std::size_t num_bins(std::size_t f) const { return lower_[f].size(); }
+  std::size_t num_bins(std::size_t f) const { return bin_last_rank_[f].size(); }
 
   /// Column-major code span for feature `f` (length rows()): the bin
   /// index of every row's value.
@@ -42,29 +83,35 @@ class QuantizedDataset {
     return {codes_.data() + f * rows_, rows_};
   }
 
+  /// Highest rank that fell into bin `b` of feature `f`.
+  std::uint32_t bin_last_rank(std::size_t f, std::size_t b) const {
+    return bin_last_rank_[f][b];
+  }
+  /// Lowest rank that fell into bin `b` of feature `f`.
+  std::uint32_t bin_first_rank(std::size_t f, std::size_t b) const {
+    return b == 0 ? 0 : bin_last_rank(f, b - 1) + 1;
+  }
+
   /// Smallest / largest raw value that fell into bin `b` of feature `f`.
-  double bin_lower(std::size_t f, std::size_t b) const { return lower_[f][b]; }
-  double bin_upper(std::size_t f, std::size_t b) const { return upper_[f][b]; }
+  double bin_lower(std::size_t f, std::size_t b) const { return value(f, bin_first_rank(f, b)); }
+  double bin_upper(std::size_t f, std::size_t b) const { return value(f, bin_last_rank(f, b)); }
 
   /// Split threshold between bins `left` and `right` of feature `f`
-  /// (right must be a later bin): the midpoint between the adjacent
-  /// raw values, with the exact splitter's guard against the midpoint
-  /// rounding up to the right value for adjacent doubles. `x <= threshold`
-  /// routes left.
+  /// (right must be a later bin): threshold_between_ranks of the left
+  /// bin's largest and the right bin's smallest value.
   double threshold_between(std::size_t f, std::size_t left, std::size_t right) const {
-    const double lo = upper_[f][left];
-    const double hi = lower_[f][right];
-    double thr = lo + (hi - lo) / 2.0;
-    if (thr >= hi) thr = lo;
-    return thr;
+    return threshold_between_ranks(f, bin_last_rank(f, left), bin_first_rank(f, right));
   }
 
  private:
+  void build_feature(const data::Matrix& x, std::size_t f, std::size_t max_bins);
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::vector<std::uint8_t> codes_;        ///< column-major: codes_[f * rows_ + r]
-  std::vector<std::vector<double>> lower_; ///< per feature, per bin: min value
-  std::vector<std::vector<double>> upper_; ///< per feature, per bin: max value
+  std::vector<std::uint32_t> ranks_;  ///< column-major: ranks_[f * rows_ + r]
+  std::vector<std::uint8_t> codes_;   ///< column-major: codes_[f * rows_ + r]
+  std::vector<std::vector<double>> values_;  ///< per feature: sorted distinct values
+  std::vector<std::vector<std::uint32_t>> bin_last_rank_;  ///< per feature, per bin
 };
 
 }  // namespace wefr::ml

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <istream>
 #include <numeric>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -37,14 +38,14 @@ void RandomForest::fit(const data::Matrix& x, std::span<const int> y, const Fore
       std::max<std::size_t>(1, static_cast<std::size_t>(opt.bootstrap_fraction *
                                                         static_cast<double>(n)));
 
-  // Quantize once per fit and share across trees: bootstrap indices
-  // address the same rows, so the codes are tree-independent.
-  const bool histogram =
-      topt.split_method == SplitMethod::kHistogram ||
-      (topt.split_method == SplitMethod::kAuto && boot >= topt.histogram_cutoff);
+  // One pool serves the coding pass and the trees.
+  std::optional<util::ThreadPool> pool;
+  if (opt.num_threads > 1) pool.emplace(opt.num_threads);
+
+  // Code the matrix once per fit and share it across trees: bootstrap
+  // indices address the same rows, so ranks and bins are tree-independent.
   QuantizedDataset quantized;
-  if (histogram) quantized.build(x, topt.max_bins);
-  const QuantizedDataset* q = histogram ? &quantized : nullptr;
+  quantized.build(x, topt.max_bins, pool ? &*pool : nullptr);
 
   trees_.assign(opt.num_trees, DecisionTree{});
   inbag_.assign(opt.num_trees, {});
@@ -57,16 +58,15 @@ void RandomForest::fit(const data::Matrix& x, std::span<const int> y, const Fore
     util::Rng& local = streams[t];
     std::vector<std::size_t> idx(boot);
     for (auto& i : idx) i = local.uniform_index(n);
-    trees_[t].fit(x, y, idx, topt, local, q);
+    trees_[t].fit(x, y, idx, topt, local, &quantized);
     // Record the in-bag set (sorted, unique) for OOB importance.
     std::sort(idx.begin(), idx.end());
     idx.erase(std::unique(idx.begin(), idx.end()), idx.end());
     inbag_[t] = std::move(idx);
   };
 
-  if (opt.num_threads > 1) {
-    util::ThreadPool pool(opt.num_threads);
-    pool.parallel_for(opt.num_trees, fit_tree);
+  if (pool) {
+    pool->parallel_for(opt.num_trees, fit_tree);
   } else {
     for (std::size_t t = 0; t < opt.num_trees; ++t) fit_tree(t);
   }

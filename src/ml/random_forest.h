@@ -41,9 +41,9 @@ class RandomForest {
  public:
   /// Fits `opt.num_trees` trees on bootstrap resamples of (x, y).
   /// Deterministic for a given seed, including in threaded mode (each
-  /// tree gets its own pre-forked stream). When histogram splitting is
-  /// in effect (see TreeOptions::split_method) the dataset is quantized
-  /// once here and shared read-only by every tree.
+  /// tree gets its own pre-forked stream). The rank/bin codes of `x`
+  /// (ml::QuantizedDataset) are built once here and shared read-only by
+  /// every tree.
   ///
   /// `obs` (nullable) wraps the fit in a "forest:fit" span, counts the
   /// trees fitted, and records the wall time in the

@@ -1,6 +1,7 @@
 #include "ml/tree.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <istream>
 #include <numeric>
@@ -9,6 +10,7 @@
 #include <string>
 
 #include "ml/quantize.h"
+#include "ml/radix_sort.h"
 
 namespace wefr::ml {
 
@@ -25,128 +27,149 @@ struct SplitCandidate {
   bool valid = false;
   double threshold = 0.0;
   double impurity_decrease = -1.0;  // weighted by node fraction later
-  std::size_t left_count = 0;
+  /// Node rows whose rank is <= split_rank are exactly the rows with
+  /// `x <= threshold`; partitioning on the rank reads one contiguous
+  /// code column instead of strided matrix rows.
+  std::uint32_t split_rank = 0;
 };
 
 }  // namespace
 
-/// Everything one fit's recursion shares: the training data, the
-/// resolved options, and scratch buffers that would otherwise be
-/// reallocated at every node (candidate features, the exact splitter's
-/// sort scratch, the histogram accumulators).
+/// Everything one fit's recursion shares: the labels, the resolved
+/// options, the rank/bin coding of the training matrix, and scratch
+/// buffers that would otherwise be reallocated at every node (candidate
+/// features, the exact splitter's sort keys, the per-bin counters).
 struct DecisionTree::BuildContext {
-  const data::Matrix& x;
   std::span<const int> y;
   const TreeOptions& opt;
   util::Rng& rng;
+  const QuantizedDataset& q;
   std::size_t n_total = 0;
-  /// Non-null selects histogram split finding.
-  const QuantizedDataset* quantized = nullptr;
+  /// Histogram split finding on nodes of at least exact_node_cutoff rows.
+  bool histogram = false;
 
   std::vector<std::size_t> features;
-  std::vector<std::pair<double, int>> sorted;  ///< exact: (value, label)
-  std::vector<std::size_t> bin_count;          ///< histogram: samples per bin
-  std::vector<std::size_t> bin_pos;            ///< histogram: positives per bin
+  std::vector<std::uint64_t> keys;          ///< exact: rank << 32 | weight << 1 | label
+  std::vector<std::uint64_t> sort_scratch;  ///< exact: radix sort buffer
+  std::vector<std::uint8_t> labels;  ///< the current node's labels (0/1), in row order
+  std::vector<std::uint32_t> bin_label_count;  ///< histogram: rows per (bin, label)
 };
 
 namespace {
 
-SplitCandidate best_split_exact(const DecisionTree::BuildContext& ctx_const,
-                                std::vector<std::pair<double, int>>& scratch,
-                                std::span<const std::size_t> idx, std::size_t feature,
-                                std::size_t node_pos) {
-  const data::Matrix& x = ctx_const.x;
-  std::span<const int> y = ctx_const.y;
-  const TreeOptions& opt = ctx_const.opt;
+using WeightedRow = DecisionTree::WeightedRow;
 
-  const std::size_t n = idx.size();
-  scratch.clear();
-  scratch.reserve(n);
-  for (std::size_t i : idx) scratch.emplace_back(x(i, feature), y[i]);
-  std::sort(scratch.begin(), scratch.end());
+/// Scans candidate boundaries in value order and keeps the best Gini
+/// decrease, over a node of `n` samples (`node_pos` positive). Call
+/// add(count, positives) for each group of samples sharing one code, in
+/// code order, then boundary(prev, next) between two such groups.
+class BoundaryScan {
+ public:
+  BoundaryScan(const TreeOptions& opt, std::size_t n, std::size_t node_pos)
+      : min_leaf_(opt.min_samples_leaf), n_(n), node_pos_(node_pos),
+        parent_(gini(node_pos, n)) {}
 
-  SplitCandidate best;
-  if (scratch.front().first == scratch.back().first) return best;  // constant feature
+  void add(std::size_t count, std::size_t positives) {
+    n_left_ += count;
+    pos_left_ += positives;
+  }
 
-  const double parent = gini(node_pos, n);
-  std::size_t pos_left = 0;
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    pos_left += scratch[i].second != 0 ? 1 : 0;
-    if (scratch[i].first == scratch[i + 1].first) continue;  // not a boundary
-    const std::size_t n_left = i + 1;
-    const std::size_t n_right = n - n_left;
-    if (n_left < opt.min_samples_leaf || n_right < opt.min_samples_leaf) continue;
-    const std::size_t pos_right = node_pos - pos_left;
+  /// Evaluates splitting after everything added so far; `split_at` fills
+  /// the threshold and split rank when the candidate is the best yet.
+  template <typename SplitAt>
+  void boundary(SplitAt split_at) {
+    const std::size_t n_right = n_ - n_left_;
+    if (n_left_ < min_leaf_ || n_right < min_leaf_) return;
+    const std::size_t pos_right = node_pos_ - pos_left_;
     const double child =
-        (static_cast<double>(n_left) * gini(pos_left, n_left) +
+        (static_cast<double>(n_left_) * gini(pos_left_, n_left_) +
          static_cast<double>(n_right) * gini(pos_right, n_right)) /
-        static_cast<double>(n);
-    const double decrease = parent - child;
+        static_cast<double>(n_);
+    const double decrease = parent_ - child;
     if (decrease > best.impurity_decrease) {
       best.valid = true;
       best.impurity_decrease = decrease;
-      // Midpoint threshold; `x <= threshold` routes left.
-      best.threshold = scratch[i].first + (scratch[i + 1].first - scratch[i].first) / 2.0;
-      // Guard: midpoint can round to the upper value for adjacent doubles.
-      if (best.threshold >= scratch[i + 1].first) best.threshold = scratch[i].first;
-      best.left_count = n_left;
+      split_at(best);
     }
   }
-  return best;
-}
-
-SplitCandidate best_split_histogram(DecisionTree::BuildContext& ctx,
-                                    std::span<const std::size_t> idx, std::size_t feature,
-                                    std::size_t node_pos) {
-  const QuantizedDataset& q = *ctx.quantized;
-  const TreeOptions& opt = ctx.opt;
-  const std::size_t bins = q.num_bins(feature);
 
   SplitCandidate best;
-  if (bins < 2) return best;  // constant feature
 
-  const std::uint8_t* codes = q.codes(feature).data();
-  auto& cnt = ctx.bin_count;
-  auto& pos = ctx.bin_pos;
-  std::fill(cnt.begin(), cnt.begin() + static_cast<std::ptrdiff_t>(bins), 0);
-  std::fill(pos.begin(), pos.begin() + static_cast<std::ptrdiff_t>(bins), 0);
-  for (std::size_t i : idx) {
-    const std::uint8_t b = codes[i];
-    ++cnt[b];
-    pos[b] += ctx.y[i] != 0 ? 1 : 0;
+ private:
+  std::size_t min_leaf_, n_, node_pos_;
+  double parent_;
+  std::size_t n_left_ = 0, pos_left_ = 0;
+};
+
+/// Exact split search over the node's distinct values of one feature.
+/// Rank order is value order, so radix-sorting the node's rows by rank —
+/// read from one contiguous column — visits the same boundaries as
+/// sorting the raw values.
+SplitCandidate best_split_exact(DecisionTree::BuildContext& ctx,
+                                std::span<const WeightedRow> rows, std::size_t feature,
+                                std::size_t n, std::size_t node_pos) {
+  const QuantizedDataset& q = ctx.q;
+  const std::uint32_t* ranks = q.ranks(feature).data();
+  const std::size_t values = q.num_values(feature);
+  if (values < 2) return {};  // constant feature
+
+  auto& keys = ctx.keys;
+  keys.resize(rows.size());
+  for (std::size_t k = 0; k < rows.size(); ++k)
+    keys[k] = std::uint64_t{ranks[rows[k].row]} << 32 | std::uint64_t{rows[k].weight} << 1 |
+              ctx.labels[k];
+  radix_sort(keys, ctx.sort_scratch, [](std::uint64_t k) { return k >> 32; },
+             static_cast<unsigned>(std::bit_width(values - 1)));
+  if (keys.front() >> 32 == keys.back() >> 32) return {};  // constant in this node
+
+  BoundaryScan scan(ctx.opt, n, node_pos);
+  for (std::size_t i = 0; i + 1 < keys.size(); ++i) {
+    const std::size_t weight = (keys[i] & 0xffffffffu) >> 1;
+    scan.add(weight, (keys[i] & 1u) != 0 ? weight : 0);
+    const auto rank = static_cast<std::uint32_t>(keys[i] >> 32);
+    const auto next = static_cast<std::uint32_t>(keys[i + 1] >> 32);
+    if (rank == next) continue;  // not a boundary
+    scan.boundary([&](SplitCandidate& c) {
+      c.threshold = q.threshold_between_ranks(feature, rank, next);
+      c.split_rank = rank;
+    });
   }
+  return scan.best;
+}
 
-  const std::size_t n = idx.size();
-  const double parent = gini(node_pos, n);
-  // Scan boundaries between consecutive *node-occupied* bins so the
-  // threshold is the midpoint of the node's adjacent raw values — the
-  // exact splitter's choice whenever bins hold single distinct values.
-  std::size_t n_left = 0, pos_left = 0;
+/// Histogram split search: tallies the node's samples and positives per
+/// bin, then scans the boundaries between consecutive node-occupied bins
+/// in bin order. The threshold is the midpoint of the node's adjacent raw
+/// values — the exact splitter's choice whenever bins hold single
+/// distinct values.
+SplitCandidate best_split_histogram(DecisionTree::BuildContext& ctx,
+                                    std::span<const WeightedRow> rows, std::size_t feature,
+                                    std::size_t n, std::size_t node_pos) {
+  const QuantizedDataset& q = ctx.q;
+  const std::size_t bins = q.num_bins(feature);
+  if (bins < 2) return {};  // constant feature
+  const std::uint8_t* codes = q.codes(feature).data();
+  // One counter per (bin, label): a single add per distinct row.
+  auto& cnt = ctx.bin_label_count;
+  cnt.assign(2 * bins, 0);
+  const std::uint8_t* labels = ctx.labels.data();
+  for (std::size_t k = 0; k < rows.size(); ++k)
+    cnt[std::size_t{codes[rows[k].row]} << 1 | labels[k]] += rows[k].weight;
+
+  BoundaryScan scan(ctx.opt, n, node_pos);
   std::size_t prev = bins;  // sentinel: no occupied bin seen yet
   for (std::size_t b = 0; b < bins; ++b) {
-    if (cnt[b] == 0) continue;
-    if (prev != bins) {
-      const std::size_t n_right = n - n_left;
-      if (n_left >= opt.min_samples_leaf && n_right >= opt.min_samples_leaf) {
-        const std::size_t pos_right = node_pos - pos_left;
-        const double child =
-            (static_cast<double>(n_left) * gini(pos_left, n_left) +
-             static_cast<double>(n_right) * gini(pos_right, n_right)) /
-            static_cast<double>(n);
-        const double decrease = parent - child;
-        if (decrease > best.impurity_decrease) {
-          best.valid = true;
-          best.impurity_decrease = decrease;
-          best.threshold = q.threshold_between(feature, prev, b);
-          best.left_count = n_left;
-        }
-      }
-    }
-    n_left += cnt[b];
-    pos_left += pos[b];
+    const std::size_t c_neg = cnt[2 * b], c_pos = cnt[2 * b + 1];
+    if (c_neg + c_pos == 0) continue;
+    if (prev != bins)
+      scan.boundary([&](SplitCandidate& c) {
+        c.threshold = q.threshold_between(feature, prev, b);
+        c.split_rank = q.bin_last_rank(feature, prev);
+      });
+    scan.add(c_neg + c_pos, c_pos);
     prev = b;
   }
-  return best;
+  return scan.best;
 }
 
 }  // namespace
@@ -166,43 +189,45 @@ void DecisionTree::fit(const data::Matrix& x, std::span<const int> y,
       histogram = true;
       break;
     case SplitMethod::kAuto:
-      histogram = quantized != nullptr || sample_idx.size() >= opt.histogram_cutoff;
+      histogram = sample_idx.size() >= opt.histogram_cutoff;
       break;
   }
 
   QuantizedDataset local;
-  const QuantizedDataset* q = nullptr;
-  if (histogram) {
-    if (quantized != nullptr) {
-      if (quantized->rows() != x.rows() || quantized->cols() != x.cols())
-        throw std::invalid_argument("DecisionTree::fit: quantized shape mismatch");
-      q = quantized;
-    } else {
-      local.build(x, opt.max_bins);
-      q = &local;
-    }
+  const QuantizedDataset* q = quantized;
+  if (q != nullptr) {
+    if (q->rows() != x.rows() || q->cols() != x.cols())
+      throw std::invalid_argument("DecisionTree::fit: quantized shape mismatch");
+  } else {
+    local.build(x, opt.max_bins);
+    q = &local;
+  }
+
+  // Collapse repeated indices into (row, multiplicity), in row order.
+  std::vector<std::uint32_t> multiplicity(x.rows(), 0);
+  for (std::size_t i : sample_idx) {
+    if (i >= x.rows()) throw std::invalid_argument("DecisionTree::fit: sample index out of range");
+    ++multiplicity[i];
+  }
+  std::vector<WeightedRow> rows;
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    if (multiplicity[r] != 0)
+      rows.push_back({static_cast<std::uint32_t>(r), multiplicity[r]});
   }
 
   nodes_.clear();
   importance_.assign(x.cols(), 0.0);
-  std::vector<std::size_t> idx(sample_idx.begin(), sample_idx.end());
   // Worst case: every leaf holds min_samples_leaf samples, so there are
   // at most n/leaf leaves and 2*(n/leaf) - 1 nodes; the depth limit
   // bounds the count independently at 2^(depth+1) - 1.
   const std::size_t by_leaf =
-      2 * (idx.size() / std::max<std::size_t>(1, opt.min_samples_leaf)) + 1;
+      2 * (sample_idx.size() / std::max<std::size_t>(1, opt.min_samples_leaf)) + 1;
   const std::size_t by_depth =
       opt.max_depth < 30 ? (std::size_t{2} << opt.max_depth) - 1 : by_leaf;
   nodes_.reserve(std::min(by_leaf, by_depth));
 
-  BuildContext ctx{x, y, opt, rng, idx.size(), q, {}, {}, {}, {}};
-  if (q != nullptr) {
-    std::size_t most_bins = 0;
-    for (std::size_t f = 0; f < x.cols(); ++f) most_bins = std::max(most_bins, q->num_bins(f));
-    ctx.bin_count.resize(most_bins);
-    ctx.bin_pos.resize(most_bins);
-  }
-  build(ctx, idx, 0, idx.size(), 0);
+  BuildContext ctx{y, opt, rng, *q, sample_idx.size(), histogram, {}, {}, {}, {}, {}};
+  build(ctx, rows, 0, rows.size(), 0);
 }
 
 void DecisionTree::fit(const data::Matrix& x, std::span<const int> y, const TreeOptions& opt,
@@ -212,15 +237,22 @@ void DecisionTree::fit(const data::Matrix& x, std::span<const int> y, const Tree
   fit(x, y, idx, opt, rng);
 }
 
-std::int32_t DecisionTree::build(BuildContext& ctx, std::vector<std::size_t>& idx,
+std::int32_t DecisionTree::build(BuildContext& ctx, std::vector<WeightedRow>& rows,
                                  std::size_t begin, std::size_t end, int depth) {
-  const data::Matrix& x = ctx.x;
   std::span<const int> y = ctx.y;
   const TreeOptions& opt = ctx.opt;
 
-  const std::size_t n = end - begin;
-  std::size_t node_pos = 0;
-  for (std::size_t i = begin; i < end; ++i) node_pos += y[idx[i]] != 0 ? 1 : 0;
+  // The node's labels are gathered once here and read by every candidate
+  // feature's scan; the recursion below only starts after those scans.
+  // `n` counts samples, repeats included.
+  const std::span<const WeightedRow> node_rows(rows.data() + begin, end - begin);
+  ctx.labels.resize(node_rows.size());
+  std::size_t n = 0, node_pos = 0;
+  for (std::size_t k = 0; k < node_rows.size(); ++k) {
+    ctx.labels[k] = y[node_rows[k].row] != 0 ? 1 : 0;
+    n += node_rows[k].weight;
+    node_pos += ctx.labels[k] * std::size_t{node_rows[k].weight};
+  }
 
   const std::int32_t me = static_cast<std::int32_t>(nodes_.size());
   nodes_.emplace_back();
@@ -233,7 +265,7 @@ std::int32_t DecisionTree::build(BuildContext& ctx, std::vector<std::size_t>& id
   // Candidate features: all, or a per-node random subset (forest mode).
   // `ctx.features` is only consumed before the recursive calls below, so
   // one buffer serves the whole fit.
-  const std::size_t nf = x.cols();
+  const std::size_t nf = ctx.q.cols();
   std::vector<std::size_t>& features = ctx.features;
   if (opt.max_features == 0 || opt.max_features >= nf) {
     features.resize(nf);
@@ -242,40 +274,43 @@ std::int32_t DecisionTree::build(BuildContext& ctx, std::vector<std::size_t>& id
     ctx.rng.sample_without_replacement(nf, opt.max_features, features);
   }
 
-  std::span<const std::size_t> node_idx(idx.data() + begin, n);
   // Histogram search on large nodes; small nodes fall back to the exact
   // sort (cheap there, and global bin edges are too coarse for them).
   const bool use_histogram =
-      ctx.quantized != nullptr && (opt.exact_node_cutoff == 0 || n >= opt.exact_node_cutoff);
+      ctx.histogram && (opt.exact_node_cutoff == 0 || n >= opt.exact_node_cutoff);
   SplitCandidate best;
   std::size_t best_feature = 0;
   for (std::size_t f : features) {
     const SplitCandidate cand =
-        use_histogram ? best_split_histogram(ctx, node_idx, f, node_pos)
-                      : best_split_exact(ctx, ctx.sorted, node_idx, f, node_pos);
+        use_histogram ? best_split_histogram(ctx, node_rows, f, n, node_pos)
+                      : best_split_exact(ctx, node_rows, f, n, node_pos);
     if (cand.valid && (!best.valid || cand.impurity_decrease > best.impurity_decrease)) {
       best = cand;
       best_feature = f;
     }
   }
   if (!best.valid || best.impurity_decrease <= 0.0) return me;
+  // A -inf lower value makes the midpoint NaN, and `x <= NaN` routes no
+  // row left: the split degenerates and the node stays a leaf.
+  if (std::isnan(best.threshold)) return me;
 
-  // Partition [begin, end) by the chosen split.
+  // Partition [begin, end) by the chosen split: the rows of rank <=
+  // split_rank are the rows with `x <= threshold`.
+  const std::uint32_t* ranks = ctx.q.ranks(best_feature).data();
   const auto mid_it = std::partition(
-      idx.begin() + static_cast<std::ptrdiff_t>(begin),
-      idx.begin() + static_cast<std::ptrdiff_t>(end),
-      [&](std::size_t i) { return x(i, best_feature) <= best.threshold; });
-  const std::size_t mid = static_cast<std::size_t>(mid_it - idx.begin());
-  if (mid == begin || mid == end) return me;  // numeric edge case: degenerate partition
+      rows.begin() + static_cast<std::ptrdiff_t>(begin),
+      rows.begin() + static_cast<std::ptrdiff_t>(end),
+      [&](const WeightedRow& r) { return ranks[r.row] <= best.split_rank; });
+  const std::size_t mid = static_cast<std::size_t>(mid_it - rows.begin());
 
   importance_[best_feature] +=
       best.impurity_decrease * static_cast<double>(n) / static_cast<double>(ctx.n_total);
 
   nodes_[me].feature = static_cast<std::int32_t>(best_feature);
   nodes_[me].threshold = best.threshold;
-  const std::int32_t left = build(ctx, idx, begin, mid, depth + 1);
+  const std::int32_t left = build(ctx, rows, begin, mid, depth + 1);
   nodes_[me].left = left;
-  const std::int32_t right = build(ctx, idx, mid, end, depth + 1);
+  const std::int32_t right = build(ctx, rows, mid, end, depth + 1);
   nodes_[me].right = right;
   return me;
 }

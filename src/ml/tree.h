@@ -18,7 +18,8 @@ enum class SplitMethod {
   /// Per fit, pick histogram when the sample count reaches
   /// `TreeOptions::histogram_cutoff`, exact below it.
   kAuto,
-  /// Sort every candidate feature's node values — O(F n log n) per node.
+  /// Sort every candidate feature's node rank codes — O(F n log n) per
+  /// node over 32-bit integers.
   kExact,
   /// Accumulate per-bin histograms over quantized codes — O(F (n + bins))
   /// per node, no per-node sorting.
@@ -48,17 +49,19 @@ struct TreeOptions {
 };
 
 /// Binary CART classification tree (Gini impurity, axis-aligned splits,
-/// exact greedy or histogram split search). Produces calibrated leaf
+/// exact greedy or histogram split search, both over the column-major
+/// codes of ml::QuantizedDataset). Produces calibrated leaf
 /// probabilities (positive-class fraction) and accumulates
 /// impurity-decrease feature importance during training.
 class DecisionTree {
  public:
   /// Fits the tree on rows `sample_idx` of `x` (indices may repeat — the
   /// forest passes bootstrap samples). `rng` is consumed only when
-  /// `opt.max_features > 0`. When histogram splitting is in effect a
-  /// caller that already quantized `x` (the forest quantizes once and
-  /// shares across trees) passes it as `quantized`; otherwise the tree
-  /// quantizes locally.
+  /// `opt.max_features > 0`. Split search runs on the rank/bin codes of
+  /// `x`: a caller that already coded `x` (the forest codes once and
+  /// shares across trees) passes them as `quantized`; otherwise the tree
+  /// codes `x` locally. Under kAuto the histogram search engages when
+  /// `sample_idx` holds at least `opt.histogram_cutoff` rows.
   void fit(const data::Matrix& x, std::span<const int> y,
            std::span<const std::size_t> sample_idx, const TreeOptions& opt, util::Rng& rng,
            const QuantizedDataset* quantized = nullptr);
@@ -90,6 +93,14 @@ class DecisionTree {
   /// public so the file-local split helpers can name it).
   struct BuildContext;
 
+  /// One distinct training row and how often the sample holds it.
+  /// Bootstrap samples repeat rows, and split search only ever counts
+  /// rows, so each distinct row is visited once with its multiplicity.
+  struct WeightedRow {
+    std::uint32_t row;
+    std::uint32_t weight;
+  };
+
  private:
   /// The flattening pass (ml::FlatForest) recompiles nodes_ into SoA
   /// form; the recursive walk above stays the equivalence oracle.
@@ -105,7 +116,7 @@ class DecisionTree {
     std::int32_t depth = 0;
   };
 
-  std::int32_t build(BuildContext& ctx, std::vector<std::size_t>& idx, std::size_t begin,
+  std::int32_t build(BuildContext& ctx, std::vector<WeightedRow>& rows, std::size_t begin,
                      std::size_t end, int depth);
 
   std::vector<Node> nodes_;
