@@ -33,6 +33,7 @@
 #include "daemon/engine.h"
 #include "obs/json.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 using namespace wefr;
 
@@ -172,7 +173,8 @@ int main() {
     w.field("model", model);
     w.key("scale").begin_object();
     w.field("drives", fleet.drives.size()).field("days", scale.num_days);
-    w.field("trees", scale.trees).end_object();
+    w.field("trees", scale.trees);
+    w.field("hw_threads", util::default_thread_count()).end_object();
     w.key("steady_state").begin_object();
     w.field("resident_days", steady_end + 1);
     w.field("ingest_seconds", ingest_s);

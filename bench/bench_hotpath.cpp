@@ -285,14 +285,14 @@ int main() {
               kd_identical ? "identical" : "DIFFER");
 
   // (b) Full ensemble ranking + automated selection, sequential vs the
-  // thread-pool fan-out at 8 threads, identical-output check. The
-  // speedup scales with physical cores (the stage is dominated by the
-  // embarrassingly-parallel per-feature/per-tree work). The ensemble
-  // guards its pool: on a single-hardware-thread host (or a matrix too
-  // small to amortize pool startup) the parallel arm silently takes
-  // the serial path, so a speedup of ~1.0x next to hw_threads=1 in the
-  // JSON means the guard worked, not that the pool broke even. The
-  // tests prove thread-count invariance either way.
+  // ranker job list at 8 threads, identical-output check. One
+  // population gives five single-threaded jobs, so the parallel arm
+  // ends with the slower of the XGBoost and RandomForest rankers. The
+  // job list guards its pool: on a single-hardware-thread host (or a
+  // matrix too small to amortize pool startup) the parallel arm
+  // silently takes the serial path, so a speedup of ~1.0x next to
+  // hw_threads=1 in the JSON means the guard worked, not that the pool
+  // broke even. The tests prove thread-count invariance either way.
   const std::size_t ens_threads = 8;
   core::WefrOptions wopt;
   wopt.update_with_wearout = false;

@@ -1,5 +1,6 @@
 #include "core/ensemble.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -13,69 +14,72 @@
 
 namespace wefr::core {
 
-namespace {
-
-/// Raw per-ranker score vectors, before sanitization and ranking.
-struct RankerRawScores {
-  std::vector<std::string> names;            ///< per ranker
-  std::vector<std::vector<double>> scores;   ///< per ranker: raw importances
-  std::vector<std::uint8_t> failed;          ///< 1 = ranker threw on this input
-  std::vector<std::string> failure_reasons;  ///< exception text when failed
-};
-
-/// Runs every ranker and collects raw scores: failures are captured
-/// (zero scores + reason) and left for finalize_scores to record.
-/// `parent_span` parents the per-ranker spans.
-RankerRawScores score_rankers(std::span<const std::unique_ptr<FeatureRanker>> rankers,
-                              const data::Matrix& x, std::span<const int> y,
-                              const EnsembleOptions& opt, const obs::Context* obs,
-                              std::uint64_t parent_span) {
+std::vector<RankerScores> score_rankers(std::span<const std::unique_ptr<FeatureRanker>> rankers,
+                                        std::span<const RankingPopulation> populations,
+                                        std::size_t num_threads, const obs::Context* obs) {
   const std::size_t k = rankers.size();
-  const std::size_t nf = x.cols();
+  std::vector<RankerScores> raw(populations.size());
+  struct Job {
+    std::size_t population;
+    std::size_t ranker;
+  };
+  std::vector<Job> jobs;
+  std::size_t cells = 0;
+  for (std::size_t p = 0; p < populations.size(); ++p) {
+    raw[p].names.resize(k);
+    for (std::size_t i = 0; i < k; ++i) raw[p].names[i] = rankers[i]->name();
+    raw[p].scores.resize(k);
+    raw[p].failed.assign(k, 0);
+    raw[p].failure_reasons.resize(k);
+    for (std::size_t i = 0; i < k; ++i) jobs.push_back({p, i});
+    cells += populations[p].x->rows() * populations[p].x->cols();
+  }
+  // Longest first: model-fitting rankers before per-column statistics,
+  // larger populations before smaller ones. The pool claims jobs in
+  // list order, so the long poles start at once.
+  std::stable_sort(jobs.begin(), jobs.end(), [&](const Job& a, const Job& b) {
+    const bool fa = rankers[a.ranker]->fits_model(), fb = rankers[b.ranker]->fits_model();
+    if (fa != fb) return fa;
+    return populations[a.population].x->rows() > populations[b.population].x->rows();
+  });
 
-  RankerRawScores raw;
-  raw.names.resize(k);
-  raw.scores.resize(k);
-  raw.failed.assign(k, 0);
-  raw.failure_reasons.resize(k);
-
-  // Ranker spans are parented on the caller's span explicitly: in
-  // threaded mode the pool workers have no open-span stack of their
-  // own, so implicit (thread-local) parentage would orphan them.
-  auto run_one = [&](std::size_t i) {
-    raw.names[i] = rankers[i]->name();
-    obs::Span ranker_span(obs, ("ranker:" + raw.names[i]).c_str(), parent_span);
+  // Ranker spans are parented on their population's span explicitly:
+  // pool workers have no open-span stack of their own, so implicit
+  // (thread-local) parentage would orphan them.
+  auto run_one = [&](std::size_t j) {
+    const Job job = jobs[j];
+    const RankingPopulation& pop = populations[job.population];
+    RankerScores& out = raw[job.population];
+    const std::size_t i = job.ranker;
+    const std::size_t nf = pop.x->cols();
+    obs::Span ranker_span(obs, ("ranker:" + out.names[i]).c_str(), pop.parent_span);
     try {
-      raw.scores[i] = rankers[i]->score(x, y);
-      if (raw.scores[i].size() != nf)
-        throw std::runtime_error("returned " + std::to_string(raw.scores[i].size()) +
+      out.scores[i] = rankers[i]->score(*pop.x, pop.y);
+      if (out.scores[i].size() != nf)
+        throw std::runtime_error("returned " + std::to_string(out.scores[i].size()) +
                                  " scores for " + std::to_string(nf) + " features");
     } catch (const std::exception& e) {
-      raw.failed[i] = 1;
-      raw.failure_reasons[i] = e.what();
-      raw.scores[i].assign(nf, 0.0);
+      out.failed[i] = 1;
+      out.failure_reasons[i] = e.what();
+      out.scores[i].assign(nf, 0.0);
     }
   };
   // Fan out only when the pool can actually win: on a single hardware
   // thread the workers just take turns (BENCH_hotpath measured a ~2%
   // *slowdown* from pool overhead), and for tiny sample matrices the
   // per-ranker work is smaller than the thread handoff it would buy.
-  const bool pool_can_win =
-      util::default_thread_count() > 1 && x.rows() * x.cols() >= 4096;
-  if (opt.num_threads > 1 && k > 1 && pool_can_win) {
-    util::ThreadPool pool(std::min(opt.num_threads, k));
-    pool.parallel_for(k, run_one);
+  const bool pool_can_win = util::default_thread_count() > 1 && cells >= 4096;
+  if (num_threads > 1 && jobs.size() > 1 && pool_can_win) {
+    util::ThreadPool pool(std::min(num_threads, jobs.size()));
+    pool.parallel_for(jobs.size(), run_one);
   } else {
-    for (std::size_t i = 0; i < k; ++i) run_one(i);
+    for (std::size_t j = 0; j < jobs.size(); ++j) run_one(j);
   }
   return raw;
 }
 
-/// Deterministic finalization of raw ranker scores: sanitize non-finite
-/// importances, derive fractional rankings, prune Kendall-tau outliers,
-/// and average the survivors.
-EnsembleResult finalize_scores(RankerRawScores raw, std::size_t nf, const EnsembleOptions& opt,
-                               PipelineDiagnostics* diag, const obs::Context* obs) {
+EnsembleResult finalize_ensemble(RankerScores raw, std::size_t nf, const EnsembleOptions& opt,
+                                 PipelineDiagnostics* diag, const obs::Context* obs) {
   const std::size_t k = raw.names.size();
   const double neutral_rank = (static_cast<double>(nf) + 1.0) / 2.0;
 
@@ -207,8 +211,6 @@ EnsembleResult finalize_scores(RankerRawScores raw, std::size_t nf, const Ensemb
   return out;
 }
 
-}  // namespace
-
 EnsembleResult ensemble_rank(std::span<const std::unique_ptr<FeatureRanker>> rankers,
                              const data::Matrix& x, std::span<const int> y,
                              const EnsembleOptions& opt, PipelineDiagnostics* diag,
@@ -217,8 +219,9 @@ EnsembleResult ensemble_rank(std::span<const std::unique_ptr<FeatureRanker>> ran
   if (rankers.empty()) throw std::invalid_argument("ensemble_rank: no rankers");
   if (x.rows() != y.size()) throw std::invalid_argument("ensemble_rank: shape mismatch");
 
-  return finalize_scores(score_rankers(rankers, x, y, opt, obs, ensemble_span.id()), x.cols(),
-                         opt, diag, obs);
+  const RankingPopulation population{&x, y, ensemble_span.id()};
+  auto raw = score_rankers(rankers, {&population, 1}, opt.num_threads, obs);
+  return finalize_ensemble(std::move(raw.front()), x.cols(), opt, diag, obs);
 }
 
 }  // namespace wefr::core

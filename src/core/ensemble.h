@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -19,7 +21,7 @@ struct EnsembleOptions {
   /// z threshold on a ranker's mean Kendall-tau distance for it to be
   /// discarded as an outlier (paper: 1.96, the 95% confidence level).
   double outlier_z = 1.96;
-  /// Worker threads for running rankers in parallel (the deployment mode
+  /// Worker threads for the ranker job list (the parallel composition
   /// measured by Exp#4); 0 = sequential.
   std::size_t num_threads = 0;
 };
@@ -48,6 +50,50 @@ struct EnsembleResult {
   std::vector<std::size_t> order;
 };
 
+/// Raw importance scores of every ranker on one population, before
+/// finalize_ensemble sanitises, ranks and averages them.
+struct RankerScores {
+  std::vector<std::string> names;            ///< per ranker
+  std::vector<std::vector<double>> scores;   ///< per ranker: raw importances
+  std::vector<std::uint8_t> failed;          ///< 1 = ranker threw on this input
+  std::vector<std::string> failure_reasons;  ///< exception text when failed
+};
+
+/// One sample population on the ranker job list.
+struct RankingPopulation {
+  const data::Matrix* x = nullptr;
+  std::span<const int> y;
+  /// Span the population's "ranker:<name>" spans hang off (its
+  /// "ensemble" span; 0 = root).
+  std::uint64_t parent_span = 0;
+};
+
+/// Scores every (population, ranker) pair as one job list on one pool of
+/// `num_threads` workers: Algorithm 1's whole-model and per-wear-group
+/// rankings share the cores instead of each waiting on its slowest
+/// ranker. Model-fitting rankers on the larger populations are claimed
+/// first, so the long jobs start while the short ones fill the gaps.
+/// Each ranker runs single-threaded inside its job (no nested pools).
+/// A ranker that throws is recorded as failed with zero scores.
+///
+/// The pool starts only when it can win: more than one job, more than
+/// one hardware thread, and at least 4096 sample-matrix cells in total;
+/// otherwise the jobs run in order on the calling thread. Scores are
+/// identical either way.
+std::vector<RankerScores> score_rankers(std::span<const std::unique_ptr<FeatureRanker>> rankers,
+                                        std::span<const RankingPopulation> populations,
+                                        std::size_t num_threads,
+                                        const obs::Context* obs = nullptr);
+
+/// Turns one population's raw scores into its ensemble ranking: zeroes
+/// non-finite importances, derives fractional rankings, prunes
+/// Kendall-tau outliers and averages the survivors (see ensemble_rank
+/// for the rules and the diagnostics noted).
+EnsembleResult finalize_ensemble(RankerScores raw, std::size_t num_features,
+                                 const EnsembleOptions& opt = {},
+                                 PipelineDiagnostics* diag = nullptr,
+                                 const obs::Context* obs = nullptr);
+
 /// Runs every ranker, prunes ranking outliers by Kendall-tau distance
 /// (a ranker is dropped when its mean distance to the others exceeds
 /// the across-ranker mean by `outlier_z` standard deviations), and
@@ -61,6 +107,9 @@ struct EnsembleResult {
 /// is recorded as failed (neutral ranking, excluded from the average),
 /// non-finite scores are zeroed, and when every ranker fails the final
 /// ranking is neutral. Each fallback is noted in `diag` when given.
+///
+/// The one-population case of score_rankers + finalize_ensemble, with
+/// `opt.num_threads` workers on the job list.
 ///
 /// `obs` (nullable) wraps the step in an "ensemble" span with one
 /// "ranker:<name>" child per ranker (children are parented explicitly,

@@ -33,6 +33,7 @@ data::SamplingOptions sampling_for(const ExperimentConfig& cfg, int day_lo, int 
   opt.negative_keep_prob = downsample ? cfg.negative_keep_prob : 1.0;
   opt.expand_windows = cfg.expand_windows;
   opt.window_config = cfg.windows;
+  opt.num_threads = cfg.num_threads;
   return opt;
 }
 
@@ -47,6 +48,7 @@ data::Dataset build_selection_samples(const data::FleetData& fleet, int day_lo, 
   opt.day_hi = day_hi;
   opt.negative_keep_prob = cfg.negative_keep_prob;
   opt.expand_windows = false;  // selection operates on the original features
+  opt.num_threads = cfg.num_threads;
   return data::build_samples(fleet, opt, &rng, obs);
 }
 

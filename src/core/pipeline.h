@@ -27,9 +27,9 @@ struct ExperimentConfig {
   data::WindowFeatureConfig windows;
   bool expand_windows = true;
   std::uint64_t seed = 99;
-  /// Worker threads for fleet scoring (per-drive fan-out) and, when
-  /// `forest.num_threads` is left at 0, for forest fitting too.
-  /// 0 or 1 = sequential; results are identical either way.
+  /// Worker threads for fleet scoring and sample building (per-drive
+  /// fan-out) and, when `forest.num_threads` is left at 0, for forest
+  /// fitting too. 0 or 1 = sequential; results are identical either way.
   std::size_t num_threads = 0;
 
   ExperimentConfig() {

@@ -29,6 +29,11 @@ class FeatureRanker {
   /// important; ties averaged).
   std::vector<double> ranking(const data::Matrix& x, std::span<const int> y) const;
 
+  /// True for rankers that fit a model (forest, boosting, logistic
+  /// regression): the longest jobs on the ensemble's job list, which
+  /// starts them first.
+  virtual bool fits_model() const { return false; }
+
   /// Worker threads for this ranker's internal per-feature (statistical
   /// rankers) or per-tree (forest ranker) fan-out; 0 = sequential. Every
   /// ranker writes per-feature slots or pre-forks RNG streams, so scores
@@ -72,6 +77,7 @@ class RandomForestRanker final : public FeatureRanker {
       : opt_(opt), use_permutation_(use_permutation), seed_(seed) {}
 
   std::string name() const override { return "RandomForest"; }
+  bool fits_model() const override { return true; }
   std::vector<double> score(const data::Matrix& x, std::span<const int> y) const override;
 
   /// Lighter forest than the prediction model: selection only needs a
@@ -91,6 +97,7 @@ class XgboostRanker final : public FeatureRanker {
       : opt_(opt), seed_(seed) {}
 
   std::string name() const override { return "XGBoost"; }
+  bool fits_model() const override { return true; }
   std::vector<double> score(const data::Matrix& x, std::span<const int> y) const override;
 
   static ml::GbdtOptions default_options();
@@ -132,6 +139,7 @@ class LogisticRanker final : public FeatureRanker {
  public:
   explicit LogisticRanker(std::uint64_t seed = 19) : seed_(seed) {}
   std::string name() const override { return "Logistic"; }
+  bool fits_model() const override { return true; }
   std::vector<double> score(const data::Matrix& x, std::span<const int> y) const override;
 
  private:

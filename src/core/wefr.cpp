@@ -1,6 +1,8 @@
 #include "core/wefr.h"
 
+#include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/context.h"
 #include "obs/report.h"
@@ -36,62 +38,145 @@ std::size_t count_constant_columns(const data::Dataset& samples) {
   return n;
 }
 
-}  // namespace
+/// One population of Algorithm 1 (the whole model or one wear group),
+/// from the moment its gate is settled to its serial finish. A
+/// population that passed its gate is ranked on the shared job list; its
+/// "select:<label>" and "ensemble" spans stay open from then until
+/// finish_selection closes them.
+struct Population {
+  Population(std::string name, const data::Dataset& set, const obs::Context* obs)
+      : label(std::move(name)), samples(set), positives(set.num_positive()),
+        parent_span(obs != nullptr && obs->tracer != nullptr ? obs->tracer->current_span()
+                                                               : 0) {}
 
-GroupSelection select_features_for(const data::Dataset& samples, const WefrOptions& opt,
-                                   const std::string& label, PipelineDiagnostics* diag,
-                                   const obs::Context* obs) {
-  obs::Span span(obs, ("select:" + label).c_str());
-  if (samples.size() == 0 && diag == nullptr)
-    throw std::invalid_argument("select_features_for: empty sample set");
+  /// Non-empty with both classes: anything less leaves every ranker and
+  /// complexity measure blind.
+  bool rankable() const { return positives > 0 && positives < samples.size(); }
 
-  GroupSelection out;
-  out.label = label;
-  out.num_samples = samples.size();
-  out.num_positives = samples.num_positive();
+  std::string label;
+  const data::Dataset& samples;
+  std::size_t positives;
+  std::uint64_t parent_span;  ///< the caller's span when the population was settled
+  obs::Span select_span;
+  obs::Span ensemble_span;
+  RankerScores raw;
+};
 
-  if (samples.size() == 0) {
-    degrade_to_all_features(out, samples);
-    diag->selection_degraded = true;
-    diag->note("selection:" + label, "empty_population", "no samples to rank");
-    return out;
+/// Scores every (population, ranker) pair of `pops` as one job list on
+/// one pool (see score_rankers), leaving each population's raw scores in
+/// `raw`.
+void rank_populations(std::span<Population* const> pops, const WefrOptions& opt,
+                      const obs::Context* obs) {
+  if (pops.empty()) return;
+  // Spans open last to first, so that each population's select span is
+  // the innermost open one when its serial finish runs: auto_select
+  // takes its parent from the thread's open-span stack.
+  for (auto it = pops.rbegin(); it != pops.rend(); ++it) {
+    Population& p = **it;
+    p.select_span = obs::Span(obs, ("select:" + p.label).c_str(), p.parent_span);
+    p.ensemble_span = obs::Span(obs, "ensemble", p.select_span.id());
   }
-  if (out.num_positives == 0 || out.num_positives == out.num_samples) {
-    // Single-class labels: every ranker and complexity measure is blind
-    // here; ranking would be arbitrary. Keep every feature instead.
-    degrade_to_all_features(out, samples);
+  std::vector<RankingPopulation> inputs;
+  for (const Population* p : pops)
+    inputs.push_back({&p->samples.x, p->samples.y, p->ensemble_span.id()});
+  const std::size_t threads =
+      opt.ensemble.num_threads != 0 ? opt.ensemble.num_threads : opt.num_threads;
+  // The job list is the one pool: each ranker runs single-threaded.
+  const auto rankers = make_standard_rankers(opt.ranker_seed);
+  auto raw = score_rankers(rankers, inputs, threads, obs);
+  for (std::size_t i = 0; i < pops.size(); ++i) pops[i]->raw = std::move(raw[i]);
+}
+
+/// Lines 1-8 after the job list, for one population: a degenerate one
+/// keeps every feature; a ranked one gets its ensemble finalised and its
+/// feature count chosen. Every diagnostic of the population is noted
+/// here, so calling this in Algorithm 1's order keeps `diag` in order.
+GroupSelection finish_selection(Population& p, const WefrOptions& opt,
+                                PipelineDiagnostics* diag, const obs::Context* obs) {
+  GroupSelection out;
+  out.label = p.label;
+  out.num_samples = p.samples.size();
+  out.num_positives = p.positives;
+
+  if (!p.rankable()) {
+    obs::Span span(obs, ("select:" + p.label).c_str(), p.parent_span);
+    degrade_to_all_features(out, p.samples);
     if (diag != nullptr) {
       diag->selection_degraded = true;
-      diag->note("selection:" + label, "single_class",
-                 out.num_positives == 0 ? "no positive samples" : "no negative samples");
+      if (out.num_samples == 0)
+        diag->note("selection:" + p.label, "empty_population", "no samples to rank");
+      else
+        diag->note("selection:" + p.label, "single_class",
+                   out.num_positives == 0 ? "no positive samples" : "no negative samples");
     }
     return out;
   }
 
   if (diag != nullptr) {
-    const std::size_t constant = count_constant_columns(samples);
+    const std::size_t constant = count_constant_columns(p.samples);
     if (constant > 0) {
       diag->constant_features += constant;
-      diag->note("selection:" + label, "constant_features",
+      diag->note("selection:" + p.label, "constant_features",
                  std::to_string(constant) + " constant columns ranked neutrally");
     }
   }
-
-  // The experiment-level thread knob flows into every stage that is
-  // left at its sequential default (ranker internals, ranker-level
-  // fan-out, complexity scan); per-wear-group re-selection re-enters
-  // here, so Lines 9-15 parallelize the same way.
-  EnsembleOptions ens_opt = opt.ensemble;
-  if (ens_opt.num_threads == 0) ens_opt.num_threads = opt.num_threads;
+  out.ensemble =
+      finalize_ensemble(std::move(p.raw), p.samples.num_features(), opt.ensemble, diag, obs);
+  p.ensemble_span.finish();
   AutoSelectOptions sel_opt = opt.auto_select;
   if (sel_opt.num_threads == 0) sel_opt.num_threads = opt.num_threads;
-  const auto rankers = make_standard_rankers(opt.ranker_seed, opt.num_threads);
-  out.ensemble = ensemble_rank(rankers, samples.x, samples.y, ens_opt, diag, obs);
-  out.selection = auto_select(samples.x, samples.y, out.ensemble.order, sel_opt, obs);
+  out.selection = auto_select(p.samples.x, p.samples.y, out.ensemble.order, sel_opt, obs);
+  p.select_span.finish();
   out.selected = out.selection.selected;
   out.selected_names.reserve(out.selected.size());
-  for (std::size_t c : out.selected) out.selected_names.push_back(samples.feature_names[c]);
+  for (std::size_t c : out.selected) out.selected_names.push_back(p.samples.feature_names[c]);
   return out;
+}
+
+/// Lines 9-15's per-group selection: the group's own when it cleared
+/// `min_group_positives` and could be ranked, otherwise the whole-model
+/// set. `p` is empty when no sample fell into the group.
+GroupSelection finish_group(std::optional<Population>& p, const std::string& label,
+                            const GroupSelection& all, const WefrOptions& opt,
+                            PipelineDiagnostics* diag, const obs::Context* obs) {
+  GroupSelection gs;
+  if (p.has_value()) {
+    if (p->positives >= opt.min_group_positives) {
+      gs = finish_selection(*p, opt, diag, obs);
+      // A single-class group (all positives) degrades inside
+      // finish_selection; inherit the whole-model set instead of
+      // keeping every feature for just one wear regime.
+      if (!gs.degraded) return gs;
+    }
+    gs.num_samples = p->samples.size();
+    gs.num_positives = p->positives;
+  }
+  // Too small (or too degenerate) to re-select robustly: inherit the
+  // whole-model features.
+  gs.label = label;
+  gs.fallback = true;
+  gs.selected = all.selected;
+  gs.selected_names = all.selected_names;
+  if (diag != nullptr)
+    diag->note("group:" + label, "fallback_whole_model",
+               std::to_string(gs.num_positives) + " positives of " +
+                   std::to_string(gs.num_samples) + " samples");
+  return gs;
+}
+
+}  // namespace
+
+GroupSelection select_features_for(const data::Dataset& samples, const WefrOptions& opt,
+                                   const std::string& label, PipelineDiagnostics* diag,
+                                   const obs::Context* obs) {
+  if (samples.size() == 0 && diag == nullptr)
+    throw std::invalid_argument("select_features_for: empty sample set");
+  Population p(label, samples, obs);
+  if (p.rankable()) {
+    Population* const one[] = {&p};
+    rank_populations(one, opt, obs);
+  }
+  return finish_selection(p, opt, diag, obs);
 }
 
 WefrResult run_wefr(const data::FleetData& fleet, const data::Dataset& train,
@@ -101,10 +186,57 @@ WefrResult run_wefr(const data::FleetData& fleet, const data::Dataset& train,
   if (train.feature_names != fleet.feature_names)
     throw std::invalid_argument(
         "run_wefr: train dataset must carry the fleet's base features");
+  if (train.size() == 0 && diag == nullptr)
+    throw std::invalid_argument("select_features_for: empty sample set");
 
+  // Settle every population before ranking any. Survival and change
+  // point read only the fleet, so Lines 9-15's split is known before
+  // Lines 1-8 rank: whether "all" can be ranked, the wear groups, and
+  // each group's gate.
   WefrResult out;
-  // Lines 1-8: ensemble ranking + automated selection on all samples.
-  out.all = select_features_for(train, opt, "all", diag, obs);
+  Population all("all", train, obs);
+  const int mwi_col = fleet.feature_index("MWI_N");
+  if (opt.update_with_wearout && all.rankable() && mwi_col >= 0) {
+    {
+      obs::Span survival_span(obs, "survival");
+      out.survival = survival_vs_mwi(fleet, train_day_end, opt.survival_min_count,
+                                     opt.survival_bucket_width);
+    }
+    obs::Span cpd_span(obs, "cpd");
+    out.change_point = detect_wear_change_point(out.survival, opt.cpd);
+  }
+
+  std::optional<data::Dataset> low_set, high_set;
+  std::optional<Population> low, high;
+  std::size_t nan_mwi_samples = 0;
+  if (out.change_point.has_value()) {
+    const double thr = out.change_point->mwi_threshold;
+    const std::size_t mwi = static_cast<std::size_t>(mwi_col);
+    std::vector<std::size_t> low_idx, high_idx;
+    for (std::size_t i = 0; i < train.size(); ++i) {
+      const double v = train.x(i, mwi);
+      if (v != v) {
+        // NaN wear indicator: the sample cannot be routed to a group.
+        ++nan_mwi_samples;
+        continue;
+      }
+      (v <= thr ? low_idx : high_idx).push_back(i);
+    }
+    if (!low_idx.empty()) low.emplace("low", low_set.emplace(data::subset(train, low_idx)), obs);
+    if (!high_idx.empty())
+      high.emplace("high", high_set.emplace(data::subset(train, high_idx)), obs);
+  }
+
+  std::vector<Population*> ranked;
+  if (all.rankable()) ranked.push_back(&all);
+  for (std::optional<Population>* g : {&low, &high}) {
+    if (g->has_value() && (*g)->positives >= opt.min_group_positives && (*g)->rankable())
+      ranked.push_back(&**g);
+  }
+  rank_populations(ranked, opt, obs);
+
+  // Serial tail, in Algorithm 1's order. Lines 1-8 on all samples:
+  out.all = finish_selection(all, opt, diag, obs);
 
   if (!opt.update_with_wearout) return out;
   if (out.all.degraded) {
@@ -120,7 +252,6 @@ WefrResult run_wefr(const data::FleetData& fleet, const data::Dataset& train,
 
   // Lines 9-15: change-point detection on the survival-rate curve and
   // per-wear-group re-selection.
-  const int mwi_col = fleet.feature_index("MWI_N");
   if (mwi_col < 0) {
     // Model without a wear indicator: nothing to update.
     if (diag != nullptr) {
@@ -129,20 +260,10 @@ WefrResult run_wefr(const data::FleetData& fleet, const data::Dataset& train,
     }
     return out;
   }
-
-  {
-    obs::Span survival_span(obs, "survival");
-    out.survival = survival_vs_mwi(fleet, train_day_end, opt.survival_min_count,
-                                   opt.survival_bucket_width);
-  }
   if (diag != nullptr && out.survival.drives_skipped_nan > 0) {
     diag->survival_drives_skipped += out.survival.drives_skipped_nan;
     diag->note("survival", "drives_skipped_nan_mwi",
                std::to_string(out.survival.drives_skipped_nan) + " drives");
-  }
-  {
-    obs::Span cpd_span(obs, "cpd");
-    out.change_point = detect_wear_change_point(out.survival, opt.cpd);
   }
   if (!out.change_point.has_value()) {
     if (diag != nullptr) {
@@ -153,55 +274,12 @@ WefrResult run_wefr(const data::FleetData& fleet, const data::Dataset& train,
     }
     return out;
   }
-
-  const double thr = out.change_point->mwi_threshold;
-  const std::size_t mwi = static_cast<std::size_t>(mwi_col);
-  std::vector<std::size_t> low_idx, high_idx;
-  std::size_t nan_mwi_samples = 0;
-  for (std::size_t i = 0; i < train.size(); ++i) {
-    const double v = train.x(i, mwi);
-    if (v != v) {
-      // NaN wear indicator: the sample cannot be routed to a group.
-      ++nan_mwi_samples;
-      continue;
-    }
-    (v <= thr ? low_idx : high_idx).push_back(i);
-  }
   if (diag != nullptr && nan_mwi_samples > 0) {
     diag->note("wearout", "samples_unroutable_nan_mwi",
                std::to_string(nan_mwi_samples) + " samples");
   }
-
-  auto select_group = [&](const std::vector<std::size_t>& idx,
-                          const std::string& label) -> GroupSelection {
-    GroupSelection gs;
-    if (!idx.empty()) {
-      const data::Dataset group = data::subset(train, idx);
-      if (group.num_positive() >= opt.min_group_positives) {
-        gs = select_features_for(group, opt, label, diag, obs);
-        // A single-class group (all positives) degrades inside
-        // select_features_for; inherit the whole-model set instead of
-        // keeping every feature for just one wear regime.
-        if (!gs.degraded) return gs;
-      }
-      gs.num_samples = group.size();
-      gs.num_positives = group.num_positive();
-    }
-    // Too small (or too degenerate) to re-select robustly: inherit the
-    // whole-model features.
-    gs.label = label;
-    gs.fallback = true;
-    gs.selected = out.all.selected;
-    gs.selected_names = out.all.selected_names;
-    if (diag != nullptr)
-      diag->note("group:" + label, "fallback_whole_model",
-                 std::to_string(gs.num_positives) + " positives of " +
-                     std::to_string(gs.num_samples) + " samples");
-    return gs;
-  };
-
-  out.low = select_group(low_idx, "low");
-  out.high = select_group(high_idx, "high");
+  out.low = finish_group(low, "low", out.all, opt, diag, obs);
+  out.high = finish_group(high, "high", out.all, opt, diag, obs);
   return out;
 }
 

@@ -33,10 +33,10 @@ struct WefrOptions {
   std::size_t min_group_positives = 30;
   /// Seed for the stochastic rankers (Random Forest / XGBoost).
   std::uint64_t ranker_seed = 7;
-  /// Worker threads for the whole selection hot path: ranker-level
-  /// fan-out, each ranker's internal per-feature/per-tree fan-out, and
-  /// the F1/F2/F3 complexity scan — including the per-wear-group
-  /// re-selection of Lines 9-15. Applied wherever the nested
+  /// Worker threads for the whole selection hot path: the ranker job
+  /// list, on which every population's rankers (the whole model and
+  /// both wear groups of Lines 9-15) share one pool, and the F1/F2/F3
+  /// complexity scan. Applied wherever the nested
   /// `ensemble.num_threads` / `auto_select.num_threads` knobs are left
   /// at 0; results are identical for any thread count. 0 = sequential.
   std::size_t num_threads = 0;
@@ -104,10 +104,20 @@ GroupSelection select_features_for(const data::Dataset& samples, const WefrOptio
 /// fallback — neutral ranking, keep-everything selection, skipped
 /// wear-out split — and records it in `diag` when given.
 ///
+/// Every population is settled before any is ranked: survival curve
+/// and change point come first (they read only `fleet`), then the wear
+/// groups and their gates, and then all (population, ranker) pairs run
+/// as one job list (see score_rankers). Ensemble finalisation, the
+/// automated count, group fallbacks and every `diag` note follow
+/// serially in Algorithm 1's order, so the result and `diag` do not
+/// depend on the thread count.
+///
 /// `obs` (nullable) wraps the run in a "run_wefr" span with children
-/// for the whole-model selection ("select:all"), the survival-curve
-/// construction ("survival"), change-point detection ("cpd"), and the
-/// per-group re-selections ("select:low" / "select:high").
+/// for the survival-curve construction ("survival"), change-point
+/// detection ("cpd"), the whole-model selection ("select:all"), and the
+/// per-group re-selections ("select:low" / "select:high"). A ranked
+/// population's select and "ensemble" spans open when the job list
+/// starts, so they include its wait for the shared pool.
 WefrResult run_wefr(const data::FleetData& fleet, const data::Dataset& train,
                     int train_day_end, const WefrOptions& opt = {},
                     PipelineDiagnostics* diag = nullptr,

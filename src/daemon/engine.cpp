@@ -10,6 +10,7 @@
 #include "obs/context.h"
 #include "obs/json.h"
 #include "obs/log.h"
+#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace wefr::daemon {
@@ -96,7 +97,11 @@ void Engine::run_check(int day) {
     checks_.push_back(ev);  // nothing to learn from yet
     return;
   }
+  const util::Stopwatch select_timer;
   core::WefrResult sel = core::run_wefr(fleet(), samples, train_end, opt_.wefr);
+  if (log_ != nullptr)
+    log_->debugf("daemon", "check at day %d: selection %.3f s on %zu threads", day,
+                 select_timer.seconds(), opt_.wefr.num_threads);
   if (sel.change_point.has_value()) ev.wear_threshold = sel.change_point->mwi_threshold;
   ev.selected_all = sel.all.selected_names;
   ev.features_changed = !selection_.has_value() ||

@@ -1,9 +1,11 @@
 #include "data/labeling.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "obs/context.h"
 #include "obs/trace.h"
+#include "util/thread_pool.h"
 
 namespace wefr::data {
 
@@ -32,39 +34,60 @@ Dataset build_samples(const FleetData& fleet, std::span<const std::size_t> base_
   out.feature_names = opt.expand_windows
                           ? expanded_feature_names(base_names, opt.window_config)
                           : base_names;
-  out.x = Matrix(0, out.feature_names.size());
 
+  // Pass 1, serial: pick the kept (drive, day) rows — `keep`, label,
+  // then the Rng draw for negatives, in drive-then-day order, which
+  // fixes every draw. Each drive with a kept row gets a slice of the
+  // output.
+  struct DriveSlice {
+    std::size_t drive, begin, end;
+  };
+  std::vector<DriveSlice> slices;
   for (std::size_t di = 0; di < fleet.drives.size(); ++di) {
     const DriveSeries& drive = fleet.drives[di];
     if (drive.num_days() == 0) continue;
 
     const int lo = std::max(opt.day_lo, drive.first_day);
     const int hi = std::min(day_hi, drive.last_day());
-    if (lo > hi) continue;
-
-    // Expand the whole series: the streaming kernels make this O(1) per
-    // day, and full-history expansion keeps every sampled sub-range
-    // bit-identical to the whole-history features (running sums would
-    // otherwise drift ~1e-15 relative depending on where a slice
-    // started).
-    const Matrix features =
-        opt.expand_windows
-            ? expand_series(drive.values, base_cols, opt.window_config, obs)
-            : drive.values.select_columns(base_cols);
-
+    const std::size_t begin = out.y.size();
     for (int day = lo; day <= hi; ++day) {
       if (opt.keep && !opt.keep(di, day)) continue;
-      const std::size_t local = static_cast<std::size_t>(day - drive.first_day);
       const bool positive =
           drive.failed() && drive.fail_day > day && drive.fail_day <= day + opt.horizon_days;
       if (!positive && opt.negative_keep_prob < 1.0 &&
           !rng->bernoulli(opt.negative_keep_prob))
         continue;
-      out.x.push_row(features.row(local));
       out.y.push_back(positive ? 1 : 0);
       out.drive_index.push_back(static_cast<std::int32_t>(di));
       out.day.push_back(day);
     }
+    if (out.y.size() > begin) slices.push_back({di, begin, out.y.size()});
+  }
+
+  // Pass 2: only drives with a kept row compute features, each into its
+  // own slice of the output, so any thread count writes the same bytes.
+  out.x = Matrix::uninitialized(out.y.size(), out.feature_names.size());
+  auto fill_slice = [&](std::size_t k) {
+    const DriveSlice& slice = slices[k];
+    const DriveSeries& drive = fleet.drives[slice.drive];
+    // Expand the whole series: the streaming kernels make this O(1) per
+    // day, and full-history expansion keeps every sampled sub-range
+    // bit-identical to the whole-history features (running sums would
+    // otherwise drift ~1e-15 relative depending on where a slice
+    // started).
+    const Matrix features = opt.expand_windows
+                                ? expand_series(drive.values, base_cols, opt.window_config, obs)
+                                : drive.values.select_columns(base_cols);
+    for (std::size_t r = slice.begin; r < slice.end; ++r) {
+      const auto local = static_cast<std::size_t>(out.day[r] - drive.first_day);
+      std::ranges::copy(features.row(local), out.x.row(r).begin());
+    }
+  };
+  if (opt.num_threads > 1 && slices.size() > 1) {
+    util::ThreadPool pool(std::min(opt.num_threads, slices.size()));
+    pool.parallel_for(slices.size(), fill_slice);
+  } else {
+    for (std::size_t k = 0; k < slices.size(); ++k) fill_slice(k);
   }
   out.validate();
   if (obs != nullptr) {

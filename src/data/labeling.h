@@ -29,6 +29,10 @@ struct SamplingOptions {
   /// Optional row filter: keep a (drive, day) observation only when this
   /// returns true. Used to build per-wear-group training sets.
   std::function<bool(std::size_t drive_index, int day)> keep;
+  /// Worker threads for the per-drive feature pass; 0 or 1 = sequential.
+  /// Rows, labels and Rng draws are picked serially first, so the samples
+  /// are identical at any thread count.
+  std::size_t num_threads = 0;
 };
 
 /// Builds a sample set from a fleet, restricted to the base feature
@@ -37,6 +41,11 @@ struct SamplingOptions {
 /// expands into 13 learning features (Section V-A of the paper).
 ///
 /// `rng` is required only when `opt.negative_keep_prob < 1`.
+///
+/// Runs in two passes: one serial pass applies `keep`, labels each
+/// (drive, day) and makes the Rng draws, in drive-then-day order; then
+/// only drives with at least one kept row compute their features
+/// (over `opt.num_threads` workers) and copy their rows into place.
 ///
 /// `obs` (nullable) wraps the pass in a "build_samples" span, forwards
 /// to expand_series, and tallies wefr_samples_total /

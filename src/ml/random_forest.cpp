@@ -58,11 +58,7 @@ void RandomForest::fit(const data::Matrix& x, std::span<const int> y, const Fore
     util::Rng& local = streams[t];
     std::vector<std::size_t> idx(boot);
     for (auto& i : idx) i = local.uniform_index(n);
-    trees_[t].fit(x, y, idx, topt, local, &quantized);
-    // Record the in-bag set (sorted, unique) for OOB importance.
-    std::sort(idx.begin(), idx.end());
-    idx.erase(std::unique(idx.begin(), idx.end()), idx.end());
-    inbag_[t] = std::move(idx);
+    trees_[t].fit(x, y, idx, topt, local, &quantized, &inbag_[t]);
   };
 
   if (pool) {

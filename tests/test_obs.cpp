@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -572,59 +573,87 @@ TEST(DiagnosticsBridge, NotesBecomeRegistryCounters) {
 // ---------- Pipeline integration ----------
 
 TEST(PipelineObs, RunEmitsSpanTreeAndCounters) {
+  // A fleet with a wear-out change point, so Lines 9-15 rank both wear
+  // groups on the same job list as the whole model.
   smartsim::SimOptions sim;
-  sim.num_drives = 60;
-  sim.num_days = 80;
-  sim.seed = 5;
-  sim.afr_scale = 40.0;
+  sim.num_drives = 200;
+  sim.num_days = 120;
+  sim.seed = 31;
+  sim.afr_scale = 30.0;
   const auto fleet = generate_fleet(smartsim::profile_by_name("MC1"), sim);
 
   core::ExperimentConfig cfg;
   cfg.forest.num_trees = 5;
   cfg.negative_keep_prob = 0.2;
   core::WefrOptions wopt;
+  wopt.num_threads = 4;
 
   obs::Tracer tracer;
   obs::Registry registry;
   obs::Context ctx{&tracer, &registry};
 
-  const int train_end = 60;
+  const int train_end = 109;
   const auto samples = core::build_selection_samples(fleet, 0, train_end, cfg, &ctx);
   const auto sel = core::run_wefr(fleet, samples, train_end, wopt, nullptr, &ctx);
+  ASSERT_TRUE(sel.change_point.has_value()) << "fixture must exercise Lines 9-15";
+  ASSERT_TRUE(sel.low.has_value() && !sel.low->fallback);
+  ASSERT_TRUE(sel.high.has_value() && !sel.high->fallback);
   const auto pred = core::train_predictor(fleet, sel, 0, train_end, cfg, &ctx);
   const auto scores =
       core::score_fleet(fleet, pred, train_end + 1, fleet.num_days - 1, cfg, nullptr, &ctx);
   ASSERT_FALSE(scores.empty());
 
-  // The span tree covers selection -> training -> scoring, and each
-  // per-ranker span hangs off the ensemble span even when the rankers
-  // ran on pool threads.
+  // The span tree covers selection -> training -> scoring. Every
+  // population's select span hangs off run_wefr and holds one ensemble
+  // span (with exactly the five ranker spans, even though they ran on
+  // pool threads) and one auto_select span.
   const auto spans = tracer.snapshot();
-  std::uint64_t ensemble_id = 0, run_wefr_id = 0;
+  std::map<std::uint64_t, const obs::SpanRecord*> by_id;
+  std::uint64_t run_wefr_id = 0;
   for (const auto& s : spans) {
-    if (s.name == "ensemble" && ensemble_id == 0) ensemble_id = s.id;
+    by_id[s.id] = &s;
     if (s.name == "run_wefr") run_wefr_id = s.id;
   }
-  ASSERT_NE(ensemble_id, 0u);
   ASSERT_NE(run_wefr_id, 0u);
-  std::size_t rankers_under_first_ensemble = 0;
+  std::map<std::uint64_t, std::multiset<std::string>> children;
+  for (const auto& s : spans) children[s.parent].insert(s.name);
+  const std::multiset<std::string> five_rankers = {"ranker:Pearson", "ranker:Spearman",
+                                                   "ranker:J-index", "ranker:RandomForest",
+                                                   "ranker:XGBoost"};
+  std::set<std::string> selects;
+  std::size_t ensembles = 0;
   bool saw_fit = false, saw_score = false, saw_build = false;
   for (const auto& s : spans) {
-    if (s.name.rfind("ranker:", 0) == 0 && s.parent == ensemble_id) {
-      ++rankers_under_first_ensemble;
+    if (s.name == "survival" || s.name == "cpd") EXPECT_EQ(s.parent, run_wefr_id) << s.name;
+    if (s.name.rfind("select:", 0) == 0) {
+      selects.insert(s.name);
+      EXPECT_EQ(s.parent, run_wefr_id) << s.name;
+      EXPECT_EQ(children[s.id], (std::multiset<std::string>{"auto_select", "ensemble"}))
+          << s.name;
+    }
+    if (s.name == "ensemble") {
+      ++ensembles;
+      ASSERT_TRUE(by_id.count(s.parent));
+      EXPECT_EQ(by_id[s.parent]->name.rfind("select:", 0), 0u);
+      EXPECT_EQ(children[s.id], five_rankers) << "under " << by_id[s.parent]->name;
+    }
+    if (s.name.rfind("ranker:", 0) == 0) {
+      ASSERT_TRUE(by_id.count(s.parent));
+      EXPECT_EQ(by_id[s.parent]->name, "ensemble");
     }
     saw_fit = saw_fit || s.name == "forest:fit";
     saw_score = saw_score || s.name == "score_fleet";
     saw_build = saw_build || s.name == "build_samples";
   }
-  EXPECT_EQ(rankers_under_first_ensemble, 5u);  // the paper's five rankers
+  EXPECT_EQ(selects, (std::set<std::string>{"select:all", "select:low", "select:high"}));
+  EXPECT_EQ(ensembles, 3u);
   EXPECT_TRUE(saw_fit);
   EXPECT_TRUE(saw_score);
   EXPECT_TRUE(saw_build);
 
   // Stage counters flowed into the registry.
   EXPECT_GT(registry.counter("wefr_samples_total").value(), 0u);
-  EXPECT_EQ(registry.counter("wefr_rankers_run_total").value() % 5, 0u);
+  EXPECT_EQ(registry.counter("wefr_rankers_run_total").value(), 15u);
   EXPECT_GT(registry.counter("wefr_score_drives_total").value(), 0u);
   EXPECT_EQ(registry.counter("wefr_score_drives_total").value(), scores.size());
 

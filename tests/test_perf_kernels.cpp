@@ -19,7 +19,9 @@
 #include "core/pipeline.h"
 #include "core/ranker.h"
 #include "core/wefr.h"
+#include "data/labeling.h"
 #include "data/window_features.h"
+#include "obs/context.h"
 #include "smartsim/generator.h"
 #include "stats/complexity.h"
 #include "stats/kendall.h"
@@ -354,30 +356,114 @@ void expect_same_result(const core::WefrResult& a, const core::WefrResult& b) {
   if (a.high.has_value()) expect_same_group(*a.high, *b.high);
 }
 
+void expect_same_diagnostics(const core::PipelineDiagnostics& a,
+                             const core::PipelineDiagnostics& b) {
+  ASSERT_EQ(a.events.size(), b.events.size());
+  for (std::size_t i = 0; i < a.events.size(); ++i) {
+    EXPECT_EQ(a.events[i].stage, b.events[i].stage) << "event " << i;
+    EXPECT_EQ(a.events[i].code, b.events[i].code) << "event " << i;
+    EXPECT_EQ(a.events[i].detail, b.events[i].detail) << "event " << i;
+  }
+  EXPECT_EQ(a.rankers_failed, b.rankers_failed);
+  EXPECT_EQ(a.scores_sanitized, b.scores_sanitized);
+  EXPECT_EQ(a.constant_features, b.constant_features);
+  EXPECT_EQ(a.survival_drives_skipped, b.survival_drives_skipped);
+  EXPECT_EQ(a.score_days_rerouted, b.score_days_rerouted);
+  EXPECT_EQ(a.score_drives_missing_features, b.score_drives_missing_features);
+  EXPECT_EQ(a.selection_degraded, b.selection_degraded);
+  EXPECT_EQ(a.wearout_skipped, b.wearout_skipped);
+}
+
 TEST(PerfKernels, RunWefrInvariantAcrossThreadCounts) {
   // The whole weekly selection job — sampling, five rankers, complexity
   // scan, survival curve, change point, per-wear-group re-selection —
-  // must not move a bit when it runs on a thread pool.
+  // must not move a bit when it runs on a thread pool, and neither may
+  // its diagnostics. The fixture makes the serial tail note a stuck
+  // (constant) column, samples whose NaN wear indicator routes them to
+  // no group, and a wear group too starved to re-select.
   smartsim::SimOptions sim;
   sim.num_drives = 300;
   sim.num_days = 120;
   sim.seed = 31;
   sim.afr_scale = 30.0;
-  const auto fleet = generate_fleet(smartsim::profile_by_name("MC1"), sim);
+  auto fleet = generate_fleet(smartsim::profile_by_name("MC1"), sim);
+  const auto stuck = static_cast<std::size_t>(fleet.feature_index("RER_R"));
+  for (auto& drive : fleet.drives)
+    for (std::size_t d = 0; d < drive.num_days(); ++d) drive.values(d, stuck) = 7.0;
   core::ExperimentConfig cfg;
   cfg.negative_keep_prob = 0.10;
+  auto samples = core::build_selection_samples(fleet, 0, 119, cfg);
+  const auto mwi = static_cast<std::size_t>(fleet.feature_index("MWI_N"));
+  for (std::size_t i = 0; i < samples.size(); i += 40)
+    samples.x(i, mwi) = std::numeric_limits<double>::quiet_NaN();
 
-  const auto run = [&](std::size_t threads) {
+  const auto run = [&](std::size_t threads, core::PipelineDiagnostics& diag) {
     core::WefrOptions wopt;
     wopt.update_with_wearout = true;
     wopt.num_threads = threads;
-    const auto samples = core::build_selection_samples(fleet, 0, 119, cfg);
-    return core::run_wefr(fleet, samples, 119, wopt);
+    // Between the two groups' positive counts (~1.1k high, ~1.3k low):
+    // the high group falls back to the whole-model set.
+    wopt.min_group_positives = 1200;
+    return core::run_wefr(fleet, samples, 119, wopt, &diag);
   };
-  const auto serial = run(0);
+  core::PipelineDiagnostics serial_diag, parallel_diag;
+  const auto serial = run(0, serial_diag);
   ASSERT_TRUE(serial.change_point.has_value()) << "fixture must exercise Lines 9-15";
   ASSERT_TRUE(serial.low.has_value() && serial.high.has_value());
-  expect_same_result(serial, run(4));
+  ASSERT_NE(serial.low->fallback, serial.high->fallback) << "fixture must starve one group";
+  ASSERT_TRUE(serial_diag.has("constant_features"));
+  ASSERT_TRUE(serial_diag.has("samples_unroutable_nan_mwi"));
+  ASSERT_TRUE(serial_diag.has("fallback_whole_model"));
+  const auto parallel = run(4, parallel_diag);
+  expect_same_result(serial, parallel);
+  expect_same_diagnostics(serial_diag, parallel_diag);
+}
+
+TEST(PerfKernels, BuildSamplesInvariantAcrossThreadCounts) {
+  // Rows, labels and Rng draws are picked serially; only the per-drive
+  // feature pass fans out. The fixture filters rows, downsamples
+  // negatives, expands windows, and has a drive whose every day the
+  // filter drops.
+  smartsim::SimOptions sim;
+  sim.num_drives = 80;
+  sim.num_days = 90;
+  sim.seed = 17;
+  sim.afr_scale = 30.0;
+  const auto fleet = generate_fleet(smartsim::profile_by_name("MC1"), sim);
+  const std::size_t dropped = 3;
+  const std::vector<std::size_t> cols = {0, 5, 13, 21};
+
+  const auto build = [&](std::size_t threads, obs::Registry& registry) {
+    data::SamplingOptions opt;
+    opt.day_lo = 10;
+    opt.day_hi = 80;
+    opt.negative_keep_prob = 0.3;
+    opt.expand_windows = true;
+    opt.keep = [&](std::size_t drive, int day) { return drive != dropped && day % 3 != 0; };
+    opt.num_threads = threads;
+    util::Rng rng(99);
+    obs::Context ctx{nullptr, &registry};
+    return data::build_samples(fleet, cols, opt, &rng, &ctx);
+  };
+  obs::Registry serial_reg, parallel_reg;
+  const auto serial = build(1, serial_reg);
+  const auto parallel = build(4, parallel_reg);
+  ASSERT_GT(serial.size(), 0u);
+  ASSERT_GT(serial.num_positive(), 0u);
+  for (const std::int32_t d : serial.drive_index) ASSERT_NE(d, static_cast<std::int32_t>(dropped));
+
+  EXPECT_EQ(serial.feature_names, parallel.feature_names);
+  EXPECT_EQ(serial.y, parallel.y);
+  EXPECT_EQ(serial.drive_index, parallel.drive_index);
+  EXPECT_EQ(serial.day, parallel.day);
+  ASSERT_EQ(serial.x.rows(), parallel.x.rows());
+  ASSERT_EQ(serial.x.cols(), parallel.x.cols());
+  for (std::size_t r = 0; r < serial.x.rows(); ++r)
+    for (std::size_t c = 0; c < serial.x.cols(); ++c)
+      ASSERT_TRUE(bit_equal(serial.x(r, c), parallel.x(r, c))) << "row " << r << " col " << c;
+  for (const char* name : {"wefr_samples_total", "wefr_samples_positive_total"})
+    EXPECT_EQ(serial_reg.counter(name).value(), parallel_reg.counter(name).value()) << name;
+  EXPECT_EQ(serial_reg.counter("wefr_samples_total").value(), serial.size());
 }
 
 // --- chunked parallel_for ------------------------------------------------

@@ -87,7 +87,9 @@ int main(int argc, char** argv) {
       // parsed in the condition
     } else if (arg == "--threads" &&
                util::parse_int_as(cur.value(), eopt.experiment.num_threads)) {
-      // parsed in the condition
+      // Scoring and retraining read the experiment knob; the in-loop
+      // re-check's selection reads its own.
+      eopt.wefr.num_threads = eopt.experiment.num_threads;
     } else if (arg == "--no-drift-watch") {
       eopt.online_drift_check = false;
     } else if (arg == "--oracle-check") {
