@@ -11,9 +11,10 @@
 //   1. pooled AUC >= mean(per-model AUC) - WEFR_SCENARIO_AUC_BOUND
 //      (default 0.10) on every scenario where both sides are measurable
 //      — schema reconciliation must not wreck pooled learning;
-//   2. the FleetMonitor online drift watch detects the planted churn
-//      change point within WEFR_SCENARIO_LAG_BOUND days (default 21,
-//      i.e. better than three weekly cadences);
+//   2. the deployment loop's online drift watch (daemon::Engine fed by
+//      daemon::replay) detects the planted churn change point within
+//      WEFR_SCENARIO_LAG_BOUND days (default 21, i.e. better than three
+//      weekly cadences);
 //   3. determinism: regenerating a scenario fleet is bit-identical, and
 //      pooled fleet scoring is bit-identical at 1 vs N threads.
 //
@@ -30,10 +31,10 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/monitor.h"
 #include "core/pipeline.h"
 #include "core/transfer.h"
 #include "core/wefr.h"
+#include "daemon/engine.h"
 #include "data/preprocess.h"
 #include "data/schema.h"
 #include "ml/metrics.h"
@@ -274,14 +275,14 @@ int main() {
   data::forward_fill(drift_res.fleet, 0.0);
   const int churn_day = drift_ms.churn.front().day;
 
-  core::MonitorOptions mo;
+  daemon::EngineOptions mo;
   mo.experiment = cc.exp;
   mo.wefr = cc.wefr;
   mo.online_drift_check = true;
   mo.check_interval_days = 28;  // slow cadence: the drift watch must beat it
   mo.retrain_every_check = false;
-  core::FleetMonitor monitor(drift_res.fleet, mo);
-  monitor.run_to_end();
+  daemon::Engine monitor(mo, mo.experiment.windows);
+  daemon::replay(monitor, drift_res.fleet, drift_res.fleet.num_days);
   int detection_day = -1;
   for (const auto& det : monitor.drift_detections()) {
     if (det.day >= churn_day) {

@@ -21,9 +21,16 @@ Engine::Engine(EngineOptions options, data::WindowFeatureConfig windows,
   if (opt_.check_interval_days < 1)
     throw std::invalid_argument("Engine: check_interval_days < 1");
   if (opt_.warmup_days < 30) throw std::invalid_argument("Engine: warmup too short");
+  if (opt_.alarm_threshold <= 0.0 || opt_.alarm_threshold > 1.0)
+    throw std::invalid_argument("Engine: alarm_threshold outside (0,1]");
+  if (opt_.target_recall < 0.0 || opt_.target_recall > 1.0)
+    throw std::invalid_argument("Engine: target_recall outside [0,1]");
+  if (opt_.validation_frac <= 0.0 || opt_.validation_frac >= 1.0)
+    throw std::invalid_argument("Engine: validation_frac outside (0,1)");
   if (opt_.drift_cooldown_days < 1)
     throw std::invalid_argument("Engine: drift_cooldown_days < 1");
   next_check_day_ = opt_.warmup_days;
+  threshold_ = opt_.alarm_threshold;
   drift_cpd_ = changepoint::OnlineChangePointDetector(opt_.drift_cpd);
   // The engine's experiment windows must match the resident kernels, or
   // the batch oracle would expand different features than the tails.
@@ -45,20 +52,17 @@ double Engine::active_mean_mwi(int day) const {
 }
 
 void Engine::observe_completed_days(int up_to_day) {
-  if (!opt_.online_drift_check) {
-    high_water_day_ = std::max(high_water_day_, up_to_day);
-    return;
-  }
-  if (mwi_col_ < 0) mwi_col_ = fleet().feature_index("MWI_N");
-  if (mwi_col_ < 0) {
+  if (opt_.online_drift_check && mwi_col_ < 0) mwi_col_ = fleet().feature_index("MWI_N");
+  if (!opt_.online_drift_check || mwi_col_ < 0) {
     high_water_day_ = std::max(high_water_day_, up_to_day);
     return;
   }
   // Feed the delta of the active fleet's mean MWI_N through the online
-  // detector for every newly completed day — FleetMonitor's drift watch,
-  // driven by the append watermark instead of advance_to.
-  int d = high_water_day_;
-  for (; d < up_to_day; ++d) {
+  // detector for every newly completed day from warmup_days on: before
+  // the first check there is nothing for a detection to pull forward,
+  // and the set-up days' deltas would only train the detector on a
+  // fleet still filling up.
+  for (int d = std::max(high_water_day_, opt_.warmup_days); d < up_to_day; ++d) {
     const double m = active_mean_mwi(d);
     if (std::isnan(m)) continue;
     double prob = -1.0;
@@ -71,7 +75,7 @@ void Engine::observe_completed_days(int up_to_day) {
         drift_cpd_.time() > changepoint::OnlineChangePointDetector::kShortRunWindow + 4;
     if (prob >= opt_.drift_probability_threshold && cooled && burned_in) {
       last_drift_day_ = d;
-      drift_detections_.push_back(core::DriftDetection{d, prob});
+      drift_detections_.push_back(DriftDetection{d, prob});
       drift_pending_ = true;
       drift_probability_ = prob;
       next_check_day_ = std::min(next_check_day_, d + 1);
@@ -79,19 +83,21 @@ void Engine::observe_completed_days(int up_to_day) {
         log_->infof("daemon", "drift detected at day %d (p=%.3f); check pulled forward", d,
                     prob);
       obs::add_counter(obs_, "wefr_daemon_drift_detections_total");
-      ++d;
-      break;  // the pulled check runs before further observation
+      high_water_day_ = d + 1;
+      return;  // the pulled check runs before further observation
     }
   }
-  high_water_day_ = std::max(high_water_day_, d);
+  high_water_day_ = std::max(high_water_day_, up_to_day);
 }
 
 void Engine::run_check(int day) {
+  close_judgement();  // outside the span: a check's time is selection + training
   obs::Span span(obs_, "daemon:check");
   const int train_end = day - 1;
   CheckEvent ev;
   ev.day = day;
   ev.drift_triggered = drift_pending_;
+  ev.change_probability = drift_probability_;
   const auto samples = core::build_selection_samples(fleet(), 0, train_end, opt_.experiment);
   if (samples.num_positive() == 0) {
     checks_.push_back(ev);  // nothing to learn from yet
@@ -104,6 +110,8 @@ void Engine::run_check(int day) {
                  select_timer.seconds(), opt_.wefr.num_threads);
   if (sel.change_point.has_value()) ev.wear_threshold = sel.change_point->mwi_threshold;
   ev.selected_all = sel.all.selected_names;
+  if (sel.low.has_value()) ev.selected_low = sel.low->selected_names;
+  if (sel.high.has_value()) ev.selected_high = sel.high->selected_names;
   ev.features_changed = !selection_.has_value() ||
                         selection_->all.selected != sel.all.selected ||
                         selection_->change_point.has_value() != sel.change_point.has_value();
@@ -111,9 +119,25 @@ void Engine::run_check(int day) {
       opt_.retrain_every_check || ev.features_changed || !predictor_.has_value();
   selection_ = std::move(sel);
   if (need_retrain) {
-    set_predictor(
+    install_predictor(
         core::train_predictor(fleet(), *selection_, 0, train_end, opt_.experiment));
     ev.trained = true;
+  }
+
+  // Recalibrate the alarm threshold to the fixed-recall operating point
+  // on the trailing validation slice.
+  if (opt_.target_recall > 0.0 && predictor_.has_value()) {
+    const int val_days =
+        std::max(7, static_cast<int>(opt_.validation_frac * static_cast<double>(day)));
+    const int val_start = std::max(0, train_end - val_days + 1);
+    const auto scores =
+        core::score_fleet(fleet(), *predictor_, val_start, train_end, opt_.experiment);
+    const auto eval =
+        core::evaluate_fixed_recall(fleet(), scores, val_start, train_end,
+                                    opt_.experiment.horizon_days, opt_.target_recall);
+    if (eval.confusion.total() > 0 && eval.threshold > 0.0) {
+      threshold_ = eval.threshold;
+    }
   }
   checks_.push_back(ev);
   obs::add_counter(obs_, "wefr_daemon_checks_total");
@@ -149,16 +173,35 @@ AppendResult Engine::append_day(const std::string& drive_id, int day,
 }
 
 void Engine::set_predictor(core::WefrPredictor predictor) {
-  predictor_ = std::move(predictor);
-  mark_all_dirty();
+  close_judgement();
+  install_predictor(std::move(predictor));
 }
 
-void Engine::mark_all_dirty() {
+void Engine::close_judgement() {
+  if (predictor_.has_value()) rescore();
+  for (std::size_t di = 0; di < score_states_.size(); ++di)
+    score_states_[di].judged_until = fleet().drives[di].last_day();
+}
+
+void Engine::install_predictor(core::WefrPredictor predictor) {
+  predictor_ = std::move(predictor);
   for (auto& ss : score_states_) {
     ss.scored_until = -1;
     ss.full_dirty = false;  // rescore re-derives the cheapest valid path
     ss.scores.clear();
   }
+}
+
+void Engine::judge(std::size_t di) {
+  ScoreState& ss = score_states_[di];
+  for (int day = std::max(ss.judged_until + 1, ss.first_day);
+       !ss.alarmed && day <= ss.scored_until; ++day) {
+    const double score = ss.scores[static_cast<std::size_t>(day - ss.first_day)];
+    if (score < threshold_) continue;
+    ss.alarmed = true;
+    alarms_.push_back(Alarm{di, day, score});
+  }
+  ss.judged_until = std::max(ss.judged_until, ss.scored_until);
 }
 
 std::size_t Engine::dirty_count() const {
@@ -251,6 +294,9 @@ void Engine::score_drive_incremental(std::size_t di, ScoreState& ss, std::size_t
 RescoreStats Engine::rescore() {
   RescoreStats stats;
   if (!predictor_.has_value()) {
+    // Nothing to score with: release the pending feature rows (the first
+    // predictor scores this history through the batch oracle).
+    for (std::size_t di = 0; di < score_states_.size(); ++di) resident_.drop_feature_tail(di);
     last_rescore_ = stats;
     return stats;
   }
@@ -304,6 +350,14 @@ RescoreStats Engine::rescore() {
     }
     for (std::size_t r : rows_per) stats.rows_scored += r;
   }
+
+  // Judge only after the pool has drained: alarms are shared state.
+  const auto first_new = static_cast<std::ptrdiff_t>(alarms_.size());
+  for (std::size_t di : full) judge(di);
+  for (std::size_t di : incr) judge(di);
+  std::sort(alarms_.begin() + first_new, alarms_.end(), [](const Alarm& a, const Alarm& b) {
+    return a.day != b.day ? a.day < b.day : a.drive_index < b.drive_index;
+  });
 
   stats.drives_full = full.size();
   stats.drives_incremental = incr.size();
@@ -364,9 +418,13 @@ bool Engine::latest_score(const std::string& drive_id, int& day, double& score) 
 bool Engine::load_snapshot(std::string_view payload, std::string* why) {
   if (!resident_.load_snapshot(payload, why)) return false;
   score_states_.assign(resident_.num_drives(), ScoreState{});
+  // Restored days were judged (or not) by the previous process.
+  for (std::size_t di = 0; di < score_states_.size(); ++di)
+    score_states_[di].judged_until = fleet().drives[di].last_day();
   // The last day in the snapshot may have been mid-ingest when the
   // previous process stopped; treat only earlier days as complete. The
-  // drift detector restarts cold (its stream state is not persisted).
+  // drift detector restarts cold (its stream state is not persisted) at
+  // max(warmup_days, this watermark).
   high_water_day_ = std::max(0, resident_.max_day());
   next_check_day_ = std::max(opt_.warmup_days, resident_.max_day() + 1);
   return true;
@@ -394,6 +452,24 @@ std::string Engine::report_json() const {
   w.end_object();
   w.end_object();
   return os.str();
+}
+
+void replay(Engine& engine, const data::FleetData& fleet, int end_day) {
+  engine.resident().set_schema(fleet.model_name, fleet.feature_names);
+  const int from = engine.resident().max_day() + 1;
+  if (end_day < from) throw std::invalid_argument("daemon::replay: rewind");
+  end_day = std::min(end_day, fleet.num_days);
+  for (int day = from; day < end_day; ++day) {
+    for (const auto& d : fleet.drives) {
+      if (day < d.first_day || day > d.last_day()) continue;
+      engine.append_day(d.drive_id, day,
+                        d.values.row(static_cast<std::size_t>(day - d.first_day)),
+                        d.fail_day);
+    }
+    // Weekly rescores keep the pending feature rows bounded.
+    if ((day + 1) % 7 == 0) engine.rescore();
+  }
+  engine.rescore();
 }
 
 }  // namespace wefr::daemon

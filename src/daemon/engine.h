@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "changepoint/online_cpd.h"
-#include "core/monitor.h"
 #include "core/pipeline.h"
 #include "core/wefr.h"
 #include "daemon/resident.h"
@@ -17,7 +16,9 @@ class Logger;
 
 namespace wefr::daemon {
 
-/// Controls for the resident scoring engine.
+/// Controls for the resident scoring engine: the paper's deployment
+/// loop (Section IV-D: WEFR "periodically checks the change points of
+/// MWI_N (one week in our case) and updates the selected features").
 struct EngineOptions {
   core::ExperimentConfig experiment;
   core::WefrOptions wefr;
@@ -26,20 +27,57 @@ struct EngineOptions {
   /// whatever predictor set_predictor installed (the deterministic mode
   /// the bit-identity tests and bench use).
   bool auto_check = true;
+  /// Days between change-point re-checks / feature updates.
   int check_interval_days = 7;
-  /// Days of history required before the first check may train.
+  /// Days of history required before the first check may train; the
+  /// drift watch starts on this day too.
   int warmup_days = 120;
+  /// Retrain the predictor on every check even when the selected
+  /// features did not change (tracks drift); when false, retraining
+  /// happens only on feature-set changes.
   bool retrain_every_check = true;
-  /// Online drift watch over the day-over-day delta of the fleet's mean
-  /// MWI_N; a detection pulls the next check forward (FleetMonitor's
-  /// semantics, fed incrementally as days complete).
+  /// A drive alarms when a drive-day's score reaches this value. With
+  /// `target_recall` set this is only the starting value — each check
+  /// recalibrates it.
+  double alarm_threshold = 0.5;
+  /// When positive, every check recalibrates the alarm threshold to the
+  /// fixed-recall operating point measured on the validation slice (the
+  /// trailing `validation_frac` of the training window) — the paper's
+  /// "subject to a fixed recall" deployment policy.
+  double target_recall = 0.0;
+  double validation_frac = 0.2;
+  /// Online drift watch: stream the day-over-day delta of the active
+  /// fleet's mean MWI_N through an OnlineChangePointDetector, one
+  /// completed day at a time from `warmup_days` on. The level series
+  /// drifts slowly under normal wear, so its first difference is
+  /// near-stationary — a population change (churn wave, cohort with a
+  /// shifted wear distribution) shows up as a level jump in the delta
+  /// stream. A detection pulls the next check forward to the following
+  /// day instead of waiting out the cadence.
   bool online_drift_check = false;
+  /// Detection fires when P(run length <= 3) reaches this value.
   double drift_probability_threshold = 0.6;
+  /// Minimum days between drift-triggered re-checks (the posterior
+  /// keeps short-run mass for a few days after a real change).
   int drift_cooldown_days = 14;
   changepoint::CpdOptions drift_cpd;
   /// After every rescore, also run the from-scratch batch oracle and
   /// compare bit-for-bit (expensive; for tests and the bench gate).
   bool oracle_check = false;
+};
+
+/// A decommission recommendation: the first judged drive-day whose
+/// score reached the alarm threshold in force.
+struct Alarm {
+  std::size_t drive_index = 0;  ///< engine drive index (order of first append)
+  int day = 0;                  ///< day the alarm fired
+  double score = 0.0;           ///< predicted failure probability
+};
+
+/// One firing of the online drift watch.
+struct DriftDetection {
+  int day = 0;
+  double probability = 0.0;
 };
 
 /// What one rescore() pass did.
@@ -57,13 +95,20 @@ struct CheckEvent {
   int day = 0;
   bool trained = false;
   bool features_changed = false;
+  /// True when the online drift watch pulled this check forward.
   bool drift_triggered = false;
+  /// The detector's change probability at the triggering observation.
+  double change_probability = 0.0;
   std::optional<double> wear_threshold;
   std::vector<std::string> selected_all;
+  std::vector<std::string> selected_low;
+  std::vector<std::string> selected_high;
 };
 
-/// The daemon's core: a ResidentFleet plus a dirty-set incremental
-/// scorer and the paper's weekly re-check as an in-process job.
+/// The paper's deployment loop, and the daemon's core: a ResidentFleet
+/// plus a dirty-set incremental scorer, the periodic re-check and drift
+/// watch as in-process jobs, and first-alarm decommission
+/// recommendations.
 ///
 /// Scoring contract: after any rescore(), scores() is bit-identical to
 /// core::score_fleet(fleet(), predictor, 0, max_day) on the same data —
@@ -74,6 +119,14 @@ struct CheckEvent {
 /// the resident feature tails when the drive is streaming and through
 /// the batch oracle (score_fleet on the drive subset) when it is not.
 /// Installing a new predictor dirties every drive.
+///
+/// Alarm contract: each drive-day is judged once, by the predictor and
+/// threshold in force when it was appended, and a drive alarms at most
+/// once. Installing a predictor (by a check or set_predictor) first
+/// judges the pending days under the outgoing one, so alarms depend
+/// only on the order of appends, never on when rescore() runs. Days
+/// appended before the first predictor, and restored days, are never
+/// judged.
 class Engine {
  public:
   Engine(EngineOptions options, data::WindowFeatureConfig windows = {},
@@ -81,12 +134,13 @@ class Engine {
 
   /// Appends one drive-day. When the day watermark advances, completed
   /// days are first fed to the drift watch and any due re-check runs on
-  /// data strictly before `day` (FleetMonitor's no-lookahead contract).
+  /// data strictly before `day` (no lookahead).
   AppendResult append_day(const std::string& drive_id, int day,
                           std::span<const double> values, int fail_day = -1);
 
-  /// Scores every dirty drive's unscored days. No-op without a
-  /// predictor. Returns what was done.
+  /// Scores every dirty drive's unscored days and judges the new ones
+  /// for alarms. Without a predictor it only releases the pending
+  /// feature rows. Returns what was done.
   RescoreStats rescore();
 
   /// All scores under the current predictor, in score_fleet's output
@@ -98,7 +152,8 @@ class Engine {
   /// or has no scores yet.
   bool latest_score(const std::string& drive_id, int& day, double& score) const;
 
-  /// Installs a predictor and dirties every drive. Clears all scores.
+  /// Judges the pending days under the outgoing predictor, then installs
+  /// this one and dirties every drive. Clears all scores.
   void set_predictor(core::WefrPredictor predictor);
   bool has_predictor() const { return predictor_.has_value(); }
   const core::WefrPredictor* predictor() const {
@@ -112,9 +167,12 @@ class Engine {
   std::size_t dirty_count() const;
   int next_check_day() const { return next_check_day_; }
   const std::vector<CheckEvent>& checks() const { return checks_; }
-  const std::vector<core::DriftDetection>& drift_detections() const {
-    return drift_detections_;
-  }
+  const std::vector<DriftDetection>& drift_detections() const { return drift_detections_; }
+  /// Alarms raised so far, in day order within each rescore.
+  const std::vector<Alarm>& alarms() const { return alarms_; }
+  /// The alarm threshold in force (recalibrated when `target_recall`
+  /// is set).
+  double alarm_threshold() const { return threshold_; }
   const RescoreStats& last_rescore() const { return last_rescore_; }
 
   /// Engine + resident state snapshot payload (WEFRDS01 contents).
@@ -132,11 +190,15 @@ class Engine {
     bool full_dirty = false;
     int first_day = 0;
     std::vector<double> scores;
+    int judged_until = -1;  ///< days <= this are never judged (again)
+    bool alarmed = false;
   };
 
   void observe_completed_days(int up_to_day);
   void run_check(int day);
-  void mark_all_dirty();
+  void close_judgement();
+  void install_predictor(core::WefrPredictor predictor);
+  void judge(std::size_t di);
   double active_mean_mwi(int day) const;
   void score_drive_incremental(std::size_t di, ScoreState& ss, std::size_t& rows);
 
@@ -149,6 +211,8 @@ class Engine {
   std::optional<core::WefrPredictor> predictor_;
   std::vector<ScoreState> score_states_;
   RescoreStats last_rescore_;
+  double threshold_ = 0.5;
+  std::vector<Alarm> alarms_;
 
   int high_water_day_ = 0;  ///< days < this are complete (drift-observed)
   int next_check_day_ = 0;
@@ -161,7 +225,15 @@ class Engine {
   int last_drift_day_ = -1;
   bool drift_pending_ = false;
   double drift_probability_ = 0.0;
-  std::vector<core::DriftDetection> drift_detections_;
+  std::vector<DriftDetection> drift_detections_;
 };
+
+/// In-process replay of a recorded fleet: sets the engine's schema and
+/// appends `fleet`'s drive-days day-major, the way a live feed arrives,
+/// from the engine's watermark (the day after its last appended one) up
+/// to min(end_day, fleet.num_days), exclusive. Rescores after every 7th
+/// day and at the end. Throws std::invalid_argument when `end_day` lies
+/// before the watermark.
+void replay(Engine& engine, const data::FleetData& fleet, int end_day);
 
 }  // namespace wefr::daemon

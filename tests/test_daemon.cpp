@@ -16,6 +16,9 @@
 //      disconnects and whole-server restarts by redial + re-hello,
 //      while a corrupted byte stream gets one error reply and a closed
 //      connection, never a resync.
+//   4. One deployment loop — the same fleet replayed in process and
+//      streamed through a client makes the same checks, drift
+//      detections, threshold recalibrations and alarms.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -36,8 +39,10 @@
 #include "daemon/resident.h"
 #include "daemon/server.h"
 #include "data/cache.h"
+#include "data/preprocess.h"
 #include "data/window_features.h"
 #include "smartsim/generator.h"
+#include "smartsim/mixed_fleet.h"
 
 namespace wefr::daemon {
 namespace {
@@ -740,6 +745,43 @@ TEST(Engine, DriftDetectionPullsTheCheckForward) {
   EXPECT_TRUE(drift_check);
 }
 
+TEST(Engine, RestoredDaysAreNeverJudged) {
+  const auto fleet = mc1_fleet(71, 30, 80);
+  const auto cfg = light_cfg(0);
+  const auto pred = routed_predictor(fleet, 49, cfg);
+  EngineOptions eopt;
+  eopt.experiment = cfg;
+  eopt.auto_check = false;
+  eopt.alarm_threshold = 1e-9;  // any non-zero score alarms
+
+  Engine a(eopt, eopt.experiment.windows);
+  a.resident().set_schema(fleet.model_name, fleet.feature_names);
+  a.set_predictor(pred);
+  append_fleet(a, fleet, 0, 59, Order::kDayMajor);
+  a.rescore();
+  ASSERT_FALSE(a.alarms().empty());  // the restored days did alarm once
+
+  Engine b(eopt, eopt.experiment.windows);
+  std::string why;
+  ASSERT_TRUE(b.load_snapshot(a.save_snapshot(), &why)) << why;
+  b.set_predictor(pred);
+  b.rescore();
+  EXPECT_TRUE(b.alarms().empty());
+
+  // Same with the predictor installed before the restore.
+  Engine c(eopt, eopt.experiment.windows);
+  c.set_predictor(pred);
+  ASSERT_TRUE(c.load_snapshot(a.save_snapshot(), &why)) << why;
+  c.rescore();
+  EXPECT_TRUE(c.alarms().empty());
+
+  // Judgement resumes with the first day appended after the restore.
+  append_fleet(b, fleet, 60, fleet.num_days - 1, Order::kDayMajor);
+  b.rescore();
+  EXPECT_FALSE(b.alarms().empty());
+  for (const auto& alarm : b.alarms()) EXPECT_GE(alarm.day, 60);
+}
+
 // --------------------------------------------------- transport: loopback
 
 /// Streams the fleet through the client day-major; asserts every append
@@ -912,6 +954,119 @@ TEST(DaemonLoopback, TamperedFrameGetsErrorReplyThenDisconnect) {
   server.request_stop();
   loop.join();
   EXPECT_EQ(1u, server.frames_rejected());
+}
+
+// ------------------------------------------------- one deployment loop
+
+/// A mixed fleet whose half-fleet replacement at day 120 trips the
+/// drift watch.
+data::FleetData churned_mixed_fleet() {
+  smartsim::MixedFleetSpec spec;
+  spec.shares = smartsim::parse_mix_spec("MC1:0.6,MA2:0.4");
+  spec.sim.num_drives = 200;
+  spec.sim.num_days = 180;
+  spec.sim.seed = 11;
+  spec.sim.afr_scale = 11.0;
+  spec.churn = smartsim::parse_churn_spec("replace@120:0.5:MC1:3.0", 200);
+  auto res = smartsim::generate_mixed_fleet(spec);
+  data::forward_fill(res.fleet, 0.0);
+  return std::move(res.fleet);
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+void expect_same_checks(const std::vector<CheckEvent>& got,
+                        const std::vector<CheckEvent>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].day, want[i].day) << "check " << i;
+    EXPECT_EQ(got[i].trained, want[i].trained) << "check " << i;
+    EXPECT_EQ(got[i].features_changed, want[i].features_changed) << "check " << i;
+    EXPECT_EQ(got[i].drift_triggered, want[i].drift_triggered) << "check " << i;
+    EXPECT_TRUE(same_bits(got[i].change_probability, want[i].change_probability));
+    EXPECT_EQ(got[i].wear_threshold, want[i].wear_threshold) << "check " << i;
+    EXPECT_EQ(got[i].selected_all, want[i].selected_all) << "check " << i;
+    EXPECT_EQ(got[i].selected_low, want[i].selected_low) << "check " << i;
+    EXPECT_EQ(got[i].selected_high, want[i].selected_high) << "check " << i;
+  }
+}
+
+TEST(Engine, ReplayAndClientStreamRunTheSameLoop) {
+  const auto fleet = churned_mixed_fleet();
+  EngineOptions eopt;
+  eopt.experiment = light_cfg(0);
+  eopt.experiment.negative_keep_prob = 0.08;
+  eopt.warmup_days = 90;
+  eopt.check_interval_days = 28;
+  eopt.retrain_every_check = false;
+  eopt.online_drift_check = true;
+  eopt.target_recall = 0.3;
+
+  // In process: replay in weekly steps, so every step ends on the
+  // weekly rescore.
+  Engine replayed(eopt, eopt.experiment.windows);
+  std::vector<double> replayed_thresholds;  // alarm_threshold() after each check
+  for (int end = 7; end < fleet.num_days + 7; end += 7) {
+    const std::size_t before = replayed.checks().size();
+    replay(replayed, fleet, end);
+    ASSERT_LE(replayed.checks().size(), before + 1) << "two checks before day " << end;
+    if (replayed.checks().size() > before)
+      replayed_thresholds.push_back(replayed.alarm_threshold());
+  }
+
+  // Over the protocol: every active drive reads its score every day.
+  Engine served(eopt, eopt.experiment.windows);
+  Server server(served, ServerOptions{});
+  const int fd = server.connect_loopback();
+  ASSERT_GE(fd, 0);
+  std::thread loop([&server] { server.run(); });
+  Client::Options copt;
+  copt.model_name = fleet.model_name;
+  copt.feature_names = fleet.feature_names;
+  Client client(copt);
+  std::string err;
+  ASSERT_TRUE(client.adopt_fd(fd, &err)) << err;
+  std::vector<double> served_thresholds;
+  Msg reply;
+  for (int day = 0; day < fleet.num_days; ++day) {
+    // Read between replies, while the server loop waits for a request.
+    const std::size_t before = served.checks().size();
+    client_append_fleet(client, fleet, day, day);
+    for (const auto& d : fleet.drives) {
+      if (day < d.first_day || day > d.last_day()) continue;
+      ASSERT_TRUE(client.score_drive(d.drive_id, reply, &err)) << err;
+    }
+    if (served.checks().size() > before) served_thresholds.push_back(served.alarm_threshold());
+  }
+  client.shutdown_server(reply, &err);
+  loop.join();
+
+  expect_same_checks(served.checks(), replayed.checks());
+  ASSERT_EQ(served_thresholds.size(), replayed_thresholds.size());
+  for (std::size_t i = 0; i < served_thresholds.size(); ++i)
+    EXPECT_TRUE(same_bits(served_thresholds[i], replayed_thresholds[i])) << "check " << i;
+  ASSERT_EQ(served.drift_detections().size(), replayed.drift_detections().size());
+  for (std::size_t i = 0; i < served.drift_detections().size(); ++i) {
+    EXPECT_EQ(served.drift_detections()[i].day, replayed.drift_detections()[i].day);
+    EXPECT_TRUE(same_bits(served.drift_detections()[i].probability,
+                          replayed.drift_detections()[i].probability));
+  }
+  ASSERT_EQ(served.alarms().size(), replayed.alarms().size());
+  for (std::size_t i = 0; i < served.alarms().size(); ++i) {
+    const Alarm& got = served.alarms()[i];
+    const Alarm& want = replayed.alarms()[i];
+    EXPECT_EQ(served.fleet().drives[got.drive_index].drive_id,
+              replayed.fleet().drives[want.drive_index].drive_id)
+        << "alarm " << i;
+    EXPECT_EQ(got.day, want.day) << "alarm " << i;
+    EXPECT_TRUE(same_bits(got.score, want.score)) << "alarm " << i;
+  }
+
+  // The fleet exercises every part of the loop being compared.
+  EXPECT_GE(replayed.checks().size(), 3u);
+  EXPECT_EQ(replayed_thresholds.size(), replayed.checks().size());
+  EXPECT_FALSE(replayed.drift_detections().empty());
+  EXPECT_FALSE(replayed.alarms().empty());
 }
 
 // ------------------------------------------------ transport: unix socket

@@ -1,13 +1,17 @@
+// The paper's deployment loop (Section IV-D) as an offline replay: a
+// recorded fleet streamed day-major into daemon::Engine through
+// daemon::replay — the same engine wefrd hosts behind its socket.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
-#include "core/monitor.h"
+#include "daemon/engine.h"
 #include "data/preprocess.h"
 #include "smartsim/generator.h"
 #include "smartsim/mixed_fleet.h"
 
-namespace wefr::core {
+namespace wefr::daemon {
 namespace {
 
 const data::FleetData& monitor_fleet() {
@@ -22,8 +26,8 @@ const data::FleetData& monitor_fleet() {
   return fleet;
 }
 
-MonitorOptions light_monitor() {
-  MonitorOptions opt;
+EngineOptions light_monitor() {
+  EngineOptions opt;
   opt.warmup_days = 150;
   opt.check_interval_days = 30;
   opt.experiment.forest.num_trees = 10;
@@ -35,40 +39,58 @@ MonitorOptions light_monitor() {
   return opt;
 }
 
+Engine make_engine(const EngineOptions& opt) { return Engine(opt, opt.experiment.windows); }
+
+/// Replays the whole fleet and returns the engine.
+Engine run_to_end(const data::FleetData& fleet, const EngineOptions& opt) {
+  Engine engine = make_engine(opt);
+  replay(engine, fleet, fleet.num_days);
+  return engine;
+}
+
+/// The fleet drive an alarm names: engine drive indices follow the order
+/// of first append, so alarms map back by drive id.
+const data::DriveSeries& alarmed_drive(const Engine& engine, const data::FleetData& fleet,
+                                       const Alarm& alarm) {
+  const std::string& id = engine.fleet().drives[alarm.drive_index].drive_id;
+  for (const auto& d : fleet.drives)
+    if (d.drive_id == id) return d;
+  throw std::logic_error("alarm on unknown drive " + id);
+}
+
 TEST(FleetMonitor, RejectsBadOptions) {
-  MonitorOptions opt = light_monitor();
+  EngineOptions opt = light_monitor();
   opt.check_interval_days = 0;
-  EXPECT_THROW(FleetMonitor(monitor_fleet(), opt), std::invalid_argument);
+  EXPECT_THROW(make_engine(opt), std::invalid_argument);
   opt = light_monitor();
   opt.warmup_days = 5;
-  EXPECT_THROW(FleetMonitor(monitor_fleet(), opt), std::invalid_argument);
+  EXPECT_THROW(make_engine(opt), std::invalid_argument);
   opt = light_monitor();
   opt.alarm_threshold = 0.0;
-  EXPECT_THROW(FleetMonitor(monitor_fleet(), opt), std::invalid_argument);
+  EXPECT_THROW(make_engine(opt), std::invalid_argument);
 }
 
 TEST(FleetMonitor, RejectsRewind) {
-  FleetMonitor monitor(monitor_fleet(), light_monitor());
-  monitor.advance_to(170);
-  EXPECT_THROW(monitor.advance_to(160), std::invalid_argument);
+  Engine engine = make_engine(light_monitor());
+  replay(engine, monitor_fleet(), 170);
+  EXPECT_THROW(replay(engine, monitor_fleet(), 160), std::invalid_argument);
 }
 
 TEST(FleetMonitor, RunsChecksOnCadence) {
-  FleetMonitor monitor(monitor_fleet(), light_monitor());
-  monitor.run_to_end();
+  const Engine engine = run_to_end(monitor_fleet(), light_monitor());
   // Warmup 150, interval 30, window 220: checks at 150, 180, 210.
-  ASSERT_EQ(monitor.updates().size(), 3u);
-  EXPECT_EQ(monitor.updates()[0].day, 150);
-  EXPECT_EQ(monitor.updates()[1].day, 180);
-  EXPECT_TRUE(monitor.updates()[0].features_changed);  // first selection
-  EXPECT_TRUE(monitor.selection().has_value());
+  ASSERT_EQ(engine.checks().size(), 3u);
+  EXPECT_EQ(engine.checks()[0].day, 150);
+  EXPECT_EQ(engine.checks()[1].day, 180);
+  EXPECT_TRUE(engine.checks()[0].features_changed);  // first selection
+  EXPECT_FALSE(engine.checks()[0].selected_all.empty());
+  EXPECT_TRUE(engine.has_predictor());
 }
 
 TEST(FleetMonitor, AlarmsAreFirstAlarmPerDrive) {
-  FleetMonitor monitor(monitor_fleet(), light_monitor());
-  const auto alarms = monitor.run_to_end();
+  const Engine engine = run_to_end(monitor_fleet(), light_monitor());
   std::set<std::size_t> seen;
-  for (const auto& alarm : alarms) {
+  for (const auto& alarm : engine.alarms()) {
     EXPECT_TRUE(seen.insert(alarm.drive_index).second)
         << "drive " << alarm.drive_index << " alarmed twice";
     EXPECT_GE(alarm.day, 150);
@@ -79,12 +101,12 @@ TEST(FleetMonitor, AlarmsAreFirstAlarmPerDrive) {
 
 TEST(FleetMonitor, AlarmsCatchRealFailures) {
   const auto& fleet = monitor_fleet();
-  FleetMonitor monitor(fleet, light_monitor());
-  const auto alarms = monitor.run_to_end();
+  const Engine engine = run_to_end(fleet, light_monitor());
+  const auto& alarms = engine.alarms();
   ASSERT_GT(alarms.size(), 0u);
   std::size_t eventually_fail = 0, within_horizon = 0;
   for (const auto& alarm : alarms) {
-    const auto& drive = fleet.drives[alarm.drive_index];
+    const auto& drive = alarmed_drive(engine, fleet, alarm);
     if (drive.failed() && drive.fail_day > alarm.day) {
       ++eventually_fail;
       if (drive.fail_day <= alarm.day + 30) ++within_horizon;
@@ -100,15 +122,14 @@ TEST(FleetMonitor, AlarmsCatchRealFailures) {
 }
 
 TEST(FleetMonitor, IncrementalAdvanceMatchesSingleRun) {
-  FleetMonitor a(monitor_fleet(), light_monitor());
-  const auto one = a.run_to_end();
+  const Engine a = run_to_end(monitor_fleet(), light_monitor());
+  const auto& one = a.alarms();
 
-  FleetMonitor b(monitor_fleet(), light_monitor());
-  std::vector<Alarm> parts;
-  for (int day = 160; day <= 230; day += 10) {
-    const auto chunk = b.advance_to(day);
-    parts.insert(parts.end(), chunk.begin(), chunk.end());
-  }
+  // Chunk ends off the weekly rescore grid: alarms depend only on the
+  // order of appends, not on when the engine rescored.
+  Engine b = make_engine(light_monitor());
+  for (int day = 160; day <= 230; day += 10) replay(b, monitor_fleet(), day);
+  const auto& parts = b.alarms();
   ASSERT_EQ(parts.size(), one.size());
   for (std::size_t i = 0; i < one.size(); ++i) {
     EXPECT_EQ(parts[i].drive_index, one[i].drive_index);
@@ -117,30 +138,29 @@ TEST(FleetMonitor, IncrementalAdvanceMatchesSingleRun) {
 }
 
 TEST(FleetMonitor, CalibratedThresholdAdjusts) {
-  MonitorOptions opt = light_monitor();
+  EngineOptions opt = light_monitor();
   opt.target_recall = 0.3;
-  FleetMonitor monitor(monitor_fleet(), opt);
-  monitor.run_to_end();
+  const Engine engine = run_to_end(monitor_fleet(), opt);
   // Calibration must have replaced the initial threshold with a
   // validation-derived operating point in (0, 1].
-  EXPECT_NE(monitor.active_threshold(), 0.75);
-  EXPECT_GT(monitor.active_threshold(), 0.0);
-  EXPECT_LE(monitor.active_threshold(), 1.0);
+  EXPECT_NE(engine.alarm_threshold(), 0.75);
+  EXPECT_GT(engine.alarm_threshold(), 0.0);
+  EXPECT_LE(engine.alarm_threshold(), 1.0);
 }
 
 TEST(FleetMonitor, RejectsBadCalibration) {
-  MonitorOptions opt = light_monitor();
+  EngineOptions opt = light_monitor();
   opt.target_recall = 1.5;
-  EXPECT_THROW(FleetMonitor(monitor_fleet(), opt), std::invalid_argument);
+  EXPECT_THROW(make_engine(opt), std::invalid_argument);
   opt = light_monitor();
   opt.validation_frac = 1.0;
-  EXPECT_THROW(FleetMonitor(monitor_fleet(), opt), std::invalid_argument);
+  EXPECT_THROW(make_engine(opt), std::invalid_argument);
 }
 
 TEST(FleetMonitor, AdvanceClampsToWindow) {
-  FleetMonitor monitor(monitor_fleet(), light_monitor());
-  monitor.advance_to(100000);
-  EXPECT_EQ(monitor.current_day(), monitor_fleet().num_days);
+  Engine engine = make_engine(light_monitor());
+  replay(engine, monitor_fleet(), 100000);
+  EXPECT_EQ(engine.fleet().num_days, monitor_fleet().num_days);
 }
 
 // ---------------------------------------------------------------------------
@@ -167,8 +187,8 @@ data::FleetData churned_fleet(bool with_churn) {
   return std::move(res.fleet);
 }
 
-MonitorOptions drift_monitor() {
-  MonitorOptions opt = light_monitor();
+EngineOptions drift_monitor() {
+  EngineOptions opt = light_monitor();
   opt.warmup_days = 120;
   opt.check_interval_days = 28;  // slow cadence the watch must beat
   opt.retrain_every_check = false;
@@ -178,10 +198,9 @@ MonitorOptions drift_monitor() {
 
 TEST(FleetMonitor, DriftWatchTracksPlantedChurnWithBoundedLag) {
   static const data::FleetData fleet = churned_fleet(true);
-  FleetMonitor monitor(fleet, drift_monitor());
-  monitor.run_to_end();
+  const Engine engine = run_to_end(fleet, drift_monitor());
 
-  const auto& detections = monitor.drift_detections();
+  const auto& detections = engine.drift_detections();
   ASSERT_FALSE(detections.empty());
   // Every detection tracks the planted change point with bounded lag —
   // no spurious alarms before it (the burn-in guard holds the first
@@ -193,45 +212,49 @@ TEST(FleetMonitor, DriftWatchTracksPlantedChurnWithBoundedLag) {
   }
 
   // The detection pulled the next re-check off the 28-day cadence to
-  // the day right after, and the update is tagged as drift-triggered.
+  // the day right after, and the check is tagged as drift-triggered.
   bool triggered = false;
-  for (const auto& up : monitor.updates()) {
-    if (!up.drift_triggered) continue;
+  for (const auto& ev : engine.checks()) {
+    if (!ev.drift_triggered) continue;
     triggered = true;
-    EXPECT_EQ(up.day, detections.front().day + 1);
-    EXPECT_GE(up.change_probability, drift_monitor().drift_probability_threshold);
+    EXPECT_EQ(ev.day, detections.front().day + 1);
+    EXPECT_GE(ev.change_probability, drift_monitor().drift_probability_threshold);
   }
   EXPECT_TRUE(triggered);
 }
 
 TEST(FleetMonitor, DriftWatchQuietWithoutChurn) {
   static const data::FleetData fleet = churned_fleet(false);
-  MonitorOptions opt = drift_monitor();
+  EngineOptions opt = drift_monitor();
   opt.check_interval_days = 45;  // fewer re-checks; the watch runs every day
-  FleetMonitor monitor(fleet, opt);
-  monitor.run_to_end();
-  EXPECT_TRUE(monitor.drift_detections().empty());
-  for (const auto& up : monitor.updates()) EXPECT_FALSE(up.drift_triggered);
+  const Engine engine = run_to_end(fleet, opt);
+  EXPECT_TRUE(engine.drift_detections().empty());
+  for (const auto& ev : engine.checks()) EXPECT_FALSE(ev.drift_triggered);
+  // The watch starts at the warmup day: fed from day 0, it fires at days
+  // 154 and 178 on this fleet and pulls the checks to 155 and 179.
+  ASSERT_EQ(engine.checks().size(), 3u);
+  EXPECT_EQ(engine.checks()[0].day, 120);
+  EXPECT_EQ(engine.checks()[1].day, 165);
+  EXPECT_EQ(engine.checks()[2].day, 210);
 }
 
 TEST(FleetMonitor, DriftWatchOffByDefault) {
   static const data::FleetData fleet = churned_fleet(true);
-  MonitorOptions opt = drift_monitor();
+  EngineOptions opt = drift_monitor();
   opt.online_drift_check = false;
-  FleetMonitor monitor(fleet, opt);
-  monitor.run_to_end();
-  EXPECT_TRUE(monitor.drift_detections().empty());
+  const Engine engine = run_to_end(fleet, opt);
+  EXPECT_TRUE(engine.drift_detections().empty());
   // Checks stay on the plain cadence: warmup 120, interval 28 -> 120,
   // 148, 176, 204.
-  for (std::size_t i = 0; i < monitor.updates().size(); ++i)
-    EXPECT_EQ(monitor.updates()[i].day, 120 + 28 * static_cast<int>(i));
+  for (std::size_t i = 0; i < engine.checks().size(); ++i)
+    EXPECT_EQ(engine.checks()[i].day, 120 + 28 * static_cast<int>(i));
 }
 
 TEST(FleetMonitor, RejectsBadDriftCooldown) {
-  MonitorOptions opt = drift_monitor();
+  EngineOptions opt = drift_monitor();
   opt.drift_cooldown_days = 0;
-  EXPECT_THROW(FleetMonitor(monitor_fleet(), opt), std::invalid_argument);
+  EXPECT_THROW(make_engine(opt), std::invalid_argument);
 }
 
 }  // namespace
-}  // namespace wefr::core
+}  // namespace wefr::daemon
