@@ -5,11 +5,26 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 #include "data/cache.h"
 
 namespace wefr::daemon {
+
+namespace {
+
+/// recv() that retries without sleeping until `spin_until`, then blocks.
+ssize_t recv_spin_then_block(int fd, char* buf, std::size_t len,
+                             std::chrono::steady_clock::time_point spin_until) {
+  while (std::chrono::steady_clock::now() < spin_until) {
+    const ssize_t n = ::recv(fd, buf, len, MSG_DONTWAIT);
+    if (n >= 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) return n;
+  }
+  return ::recv(fd, buf, len, 0);
+}
+
+}  // namespace
 
 Client::Client(Options options) : opt_(std::move(options)) {}
 
@@ -60,6 +75,9 @@ bool Client::send_all(const std::string& bytes) {
 }
 
 bool Client::recv_frame(std::uint32_t& seq, std::string& payload, std::string* why) {
+  // Called right after the request went out: a quick reply arrives
+  // while this thread is still awake.
+  const auto spin_until = std::chrono::steady_clock::now() + spin_window();
   for (;;) {
     std::size_t total = 0;
     const auto peek = data::peek_daemon_frame(recv_buf_, total, why);
@@ -72,7 +90,7 @@ bool Client::recv_frame(std::uint32_t& seq, std::string& payload, std::string* w
       return ok;
     }
     char buf[65536];
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+    const ssize_t n = recv_spin_then_block(fd_, buf, sizeof(buf), spin_until);
     if (n == 0) {
       if (why != nullptr) *why = "connection closed by server";
       return false;

@@ -21,6 +21,10 @@ namespace wefr::daemon {
 ///
 /// A loopback client (adopt_fd) has no address to redial, so transport
 /// failures are terminal for it.
+///
+/// After each send the client polls for the reply without sleeping for
+/// up to spin_window(), then blocks (the server spins on its side too):
+/// a reply served within the window costs no thread wakeup.
 class Client {
  public:
   struct Options {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
@@ -159,6 +158,7 @@ AppendResult Engine::append_day(const std::string& drive_id, int day,
   }
 
   AppendResult res = resident_.append_day(drive_id, day, values, fail_day);
+  dirty_ = true;
   if (res.new_drive) score_states_.emplace_back();
   if (res.went_nonfinite) {
     // The non-finite value retroactively rewrites this drive's feature
@@ -185,6 +185,7 @@ void Engine::close_judgement() {
 
 void Engine::install_predictor(core::WefrPredictor predictor) {
   predictor_ = std::move(predictor);
+  dirty_ = true;
   for (auto& ss : score_states_) {
     ss.scored_until = -1;
     ss.full_dirty = false;  // rescore re-derives the cheapest valid path
@@ -213,82 +214,100 @@ std::size_t Engine::dirty_count() const {
   return n;
 }
 
-void Engine::score_drive_incremental(std::size_t di, ScoreState& ss, std::size_t& rows) {
-  const data::DriveSeries& drive = fleet().drives[di];
-  const data::Matrix& tail = resident_.feature_tail(di);
-  const std::size_t n = tail.rows();
-  const int tail_first = resident_.tail_first_day(di);
+std::size_t Engine::score_tails(std::span<const std::size_t> drives) {
   const core::WefrPredictor& pred = *predictor_;
   const bool routed = pred.wear_threshold.has_value() && pred.mwi_col >= 0;
   const std::size_t factor = resident_.expansion_factor();
 
-  if (ss.scores.empty()) ss.first_day = drive.first_day;
-  const auto base = static_cast<std::size_t>(tail_first - ss.first_day);
-  ss.scores.resize(base + n, 0.0);
-
-  // Gather the tail rows listed in `tr` into the bundle's expanded
-  // layout: expansion is per-column independent, so a subset expansion
-  // is a column gather of the full one (bit-identical to what the
-  // batch oracle's expand_for(bundle) produces for the same days).
-  const auto gather = [&](const core::PredictorBundle& b,
-                          const std::vector<std::size_t>& tr) {
-    data::Matrix g = data::Matrix::uninitialized(tr.size(), b.base_cols.size() * factor);
-    for (std::size_t i = 0; i < tr.size(); ++i) {
-      const auto src = tail.row(tr[i]);
-      const auto dst = g.row(i);
-      for (std::size_t bi = 0; bi < b.base_cols.size(); ++bi) {
-        const std::size_t from = b.base_cols[bi] * factor;
-        for (std::size_t o = 0; o < factor; ++o) dst[bi * factor + o] = src[from + o];
+  // Route every pending tail row to its bundle — score_fleet's rules:
+  // NaN MWI_N goes to the whole-model bundle, otherwise the wear
+  // threshold picks the group bundle when it exists. Each entry names
+  // the tail row to read and the score slot to fill.
+  struct Pending {
+    const double* row;
+    double* score;
+  };
+  std::vector<Pending> to_all, to_low, to_high;
+  std::size_t rows = 0;
+  for (std::size_t di : drives) {
+    ScoreState& ss = score_states_[di];
+    const data::DriveSeries& drive = fleet().drives[di];
+    const data::Matrix& tail = resident_.feature_tail(di);
+    const int tail_first = resident_.tail_first_day(di);
+    if (ss.scores.empty()) ss.first_day = drive.first_day;
+    const auto base = static_cast<std::size_t>(tail_first - ss.first_day);
+    ss.scores.resize(base + tail.rows(), 0.0);
+    for (std::size_t i = 0; i < tail.rows(); ++i) {
+      const Pending p{tail.row(i).data(), &ss.scores[base + i]};
+      if (!routed) {
+        to_all.push_back(p);
+        continue;
       }
-    }
-    return g;
-  };
-  std::vector<double> batch;
-  const auto score_bundle = [&](const core::PredictorBundle& b,
-                                const std::vector<std::size_t>& tr) {
-    if (tr.empty()) return;
-    const data::Matrix g = gather(b, tr);
-    std::vector<std::size_t> iota_rows(tr.size());
-    std::iota(iota_rows.begin(), iota_rows.end(), std::size_t{0});
-    batch.assign(tr.size(), 0.0);
-    b.forest.predict_proba(g, iota_rows, batch);
-    for (std::size_t i = 0; i < tr.size(); ++i) ss.scores[base + tr[i]] = batch[i];
-  };
-
-  if (!routed) {
-    std::vector<std::size_t> all_rows(n);
-    std::iota(all_rows.begin(), all_rows.end(), std::size_t{0});
-    score_bundle(pred.all, all_rows);
-  } else {
-    // Per-day routing on the drive's MWI_N — score_fleet's rules: NaN
-    // reroutes to the whole-model bundle, otherwise the wear threshold
-    // picks the group bundle when it exists.
-    std::vector<std::size_t> rows_all, rows_low, rows_high;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto local = static_cast<std::size_t>(tail_first + static_cast<int>(i) -
-                                                  drive.first_day);
+      const auto local =
+          static_cast<std::size_t>(tail_first + static_cast<int>(i) - drive.first_day);
       const double mwi = drive.values(local, static_cast<std::size_t>(pred.mwi_col));
       if (std::isnan(mwi)) {
-        rows_all.push_back(i);
+        to_all.push_back(p);
         continue;
       }
       const bool is_low = mwi <= *pred.wear_threshold;
       if (is_low && pred.low.has_value()) {
-        rows_low.push_back(i);
+        to_low.push_back(p);
       } else if (!is_low && pred.high.has_value()) {
-        rows_high.push_back(i);
+        to_high.push_back(p);
       } else {
-        rows_all.push_back(i);
+        to_all.push_back(p);
       }
     }
-    score_bundle(pred.all, rows_all);
-    if (pred.low.has_value()) score_bundle(*pred.low, rows_low);
-    if (pred.high.has_value()) score_bundle(*pred.high, rows_high);
+    ss.scored_until = tail_first + static_cast<int>(tail.rows()) - 1;
+    rows += tail.rows();
   }
 
-  ss.scored_until = tail_first + static_cast<int>(n) - 1;
-  rows += n;
-  resident_.drop_feature_tail(di);
+  // Cut each bundle's rows into blocks and score every block of every
+  // bundle as one job list. A job gathers its rows into the bundle's
+  // expanded layout and scores them in one forest call; small blocks
+  // keep the gathered rows in cache while the forest stages them.
+  // Expansion is per-column independent, so a subset expansion is a
+  // column gather of the full one (bit-identical to what the batch
+  // oracle's expand_for(bundle) produces for the same days), and the
+  // flattened engine scores a row the same bits in any batch, on any
+  // thread.
+  constexpr std::size_t kBlockRows = 256;
+  struct Block {
+    const core::PredictorBundle* bundle;
+    std::span<const Pending> rows;
+  };
+  std::vector<Block> blocks;
+  const auto cut = [&](const core::PredictorBundle& b, std::span<const Pending> pending) {
+    for (std::size_t lo = 0; lo < pending.size(); lo += kBlockRows)
+      blocks.push_back(Block{&b, pending.subspan(lo, std::min(kBlockRows, pending.size() - lo))});
+  };
+  cut(pred.all, to_all);
+  if (pred.low.has_value()) cut(*pred.low, to_low);
+  if (pred.high.has_value()) cut(*pred.high, to_high);
+  const auto score_block = [&](std::size_t k) {
+    const Block& blk = blocks[k];
+    const auto& cols = blk.bundle->base_cols;
+    data::Matrix g = data::Matrix::uninitialized(blk.rows.size(), cols.size() * factor);
+    for (std::size_t i = 0; i < blk.rows.size(); ++i) {
+      double* dst = g.row(i).data();
+      for (std::size_t bi = 0; bi < cols.size(); ++bi)
+        std::memcpy(dst + bi * factor, blk.rows[i].row + cols[bi] * factor,
+                    factor * sizeof(double));
+    }
+    const std::vector<double> p = blk.bundle->forest.predict_proba(g);
+    for (std::size_t i = 0; i < blk.rows.size(); ++i) *blk.rows[i].score = p[i];
+  };
+  const std::size_t threads = std::min(opt_.experiment.num_threads, blocks.size());
+  if (threads > 1) {
+    util::ThreadPool pool(threads);
+    pool.parallel_for(blocks.size(), score_block);
+  } else {
+    for (std::size_t k = 0; k < blocks.size(); ++k) score_block(k);
+  }
+
+  for (std::size_t di : drives) resident_.drop_feature_tail(di);
+  return rows;
 }
 
 RescoreStats Engine::rescore() {
@@ -297,6 +316,14 @@ RescoreStats Engine::rescore() {
     // Nothing to score with: release the pending feature rows (the first
     // predictor scores this history through the batch oracle).
     for (std::size_t di = 0; di < score_states_.size(); ++di) resident_.drop_feature_tail(di);
+    dirty_ = false;
+    last_rescore_ = stats;
+    return stats;
+  }
+  if (!dirty_ && !opt_.oracle_check) {
+    // Nothing appended, installed or restored since the last pass: the
+    // dirty set is empty, so a read pays no walk over the drives.
+    obs::add_counter(obs_, "wefr_daemon_rescores_total");
     last_rescore_ = stats;
     return stats;
   }
@@ -335,23 +362,9 @@ RescoreStats Engine::rescore() {
     }
   }
 
-  if (!incr.empty()) {
-    constexpr std::size_t kDriveChunk = 16;
-    std::vector<std::size_t> rows_per(incr.size(), 0);
-    const auto work = [&](std::size_t slot) {
-      const std::size_t di = incr[slot];
-      score_drive_incremental(di, score_states_[di], rows_per[slot]);
-    };
-    if (opt_.experiment.num_threads > 1 && incr.size() >= 2 * kDriveChunk) {
-      util::ThreadPool pool(opt_.experiment.num_threads);
-      pool.parallel_for_chunked(incr.size(), kDriveChunk, work);
-    } else {
-      for (std::size_t slot = 0; slot < incr.size(); ++slot) work(slot);
-    }
-    for (std::size_t r : rows_per) stats.rows_scored += r;
-  }
+  if (!incr.empty()) stats.rows_scored += score_tails(incr);
 
-  // Judge only after the pool has drained: alarms are shared state.
+  // Judge on this thread, after scoring: alarms are shared state.
   const auto first_new = static_cast<std::ptrdiff_t>(alarms_.size());
   for (std::size_t di : full) judge(di);
   for (std::size_t di : incr) judge(di);
@@ -362,6 +375,7 @@ RescoreStats Engine::rescore() {
   stats.drives_full = full.size();
   stats.drives_incremental = incr.size();
   stats.drives_rescored = full.size() + incr.size();
+  dirty_ = false;
 
   if (opt_.oracle_check) {
     stats.oracle_checked = true;
@@ -418,6 +432,7 @@ bool Engine::latest_score(const std::string& drive_id, int& day, double& score) 
 bool Engine::load_snapshot(std::string_view payload, std::string* why) {
   if (!resident_.load_snapshot(payload, why)) return false;
   score_states_.assign(resident_.num_drives(), ScoreState{});
+  dirty_ = true;
   // Restored days were judged (or not) by the previous process.
   for (std::size_t di = 0; di < score_states_.size(); ++di)
     score_states_[di].judged_until = fleet().drives[di].last_day();

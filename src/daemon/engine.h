@@ -115,10 +115,15 @@ struct CheckEvent {
 /// regardless of how appends were ordered across drives, where the
 /// stream was cut by reconnects, or the configured thread count. Days
 /// already scored under the current predictor are never re-scored; only
-/// drives whose windows changed (the dirty set) run inference, through
-/// the resident feature tails when the drive is streaming and through
-/// the batch oracle (score_fleet on the drive subset) when it is not.
-/// Installing a new predictor dirties every drive.
+/// drives whose windows changed (the dirty set) run inference. Streaming
+/// drives are scored from their resident feature tails in one pass over
+/// the whole dirty set: every pending tail row is routed to its bundle,
+/// and each bundle's rows are gathered and scored in batched blocks of
+/// one job list — no per-drive inference. Other drives go through the
+/// batch oracle (score_fleet on the drive subset). Installing a new
+/// predictor dirties every drive. A rescore() with nothing appended,
+/// installed or restored since the last pass returns at once, without
+/// walking the drives (unless `oracle_check` is on).
 ///
 /// Alarm contract: each drive-day is judged once, by the predictor and
 /// threshold in force when it was appended, and a drive alarms at most
@@ -140,7 +145,8 @@ class Engine {
 
   /// Scores every dirty drive's unscored days and judges the new ones
   /// for alarms. Without a predictor it only releases the pending
-  /// feature rows. Returns what was done.
+  /// feature rows. Returns what was done: zero stats, in O(1), when
+  /// the engine is clean and `oracle_check` is off.
   RescoreStats rescore();
 
   /// All scores under the current predictor, in score_fleet's output
@@ -200,7 +206,7 @@ class Engine {
   void install_predictor(core::WefrPredictor predictor);
   void judge(std::size_t di);
   double active_mean_mwi(int day) const;
-  void score_drive_incremental(std::size_t di, ScoreState& ss, std::size_t& rows);
+  std::size_t score_tails(std::span<const std::size_t> drives);
 
   EngineOptions opt_;
   ResidentFleet resident_;
@@ -210,6 +216,9 @@ class Engine {
   std::optional<core::WefrResult> selection_;
   std::optional<core::WefrPredictor> predictor_;
   std::vector<ScoreState> score_states_;
+  /// Set by every append, predictor install and snapshot load; cleared
+  /// by a completed rescore. False means the dirty set is empty.
+  bool dirty_ = false;
   RescoreStats last_rescore_;
   double threshold_ = 0.5;
   std::vector<Alarm> alarms_;

@@ -1,6 +1,7 @@
 #include "daemon/protocol.h"
 
 #include <cstring>
+#include <thread>
 
 #include "data/serialize.h"
 
@@ -176,6 +177,12 @@ Msg make_error(std::string message) {
   m.type = MsgType::kError;
   m.text = std::move(message);
   return m;
+}
+
+std::chrono::microseconds spin_window() {
+  static const std::chrono::microseconds window =
+      std::thread::hardware_concurrency() >= 2 ? kSpinWindow : std::chrono::microseconds{0};
+  return window;
 }
 
 }  // namespace wefr::daemon

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -74,5 +75,18 @@ bool decode_message(std::string_view payload, Msg& m, std::string* why = nullptr
 
 /// Convenience: an error reply carrying `message`.
 Msg make_error(std::string message);
+
+/// Spin-then-block transport: the server after an iteration that
+/// handled an event, and the client after sending a request, poll
+/// without sleeping for up to this long before they block. A closed-
+/// loop client's next request (or the reply to an append, ~10 µs of
+/// service) then lands while its peer is still awake, saving two thread
+/// wakeups per round trip; a day close (ms) or a check (~1 s) still
+/// blocks.
+inline constexpr std::chrono::microseconds kSpinWindow{50};
+
+/// kSpinWindow, or zero on a single hardware thread, where a spinning
+/// side only delays its peer.
+std::chrono::microseconds spin_window();
 
 }  // namespace wefr::daemon

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
 
@@ -247,21 +248,28 @@ bool Server::run_once(int timeout_ms) {
     }
   }
 
-  std::vector<pollfd> fds;
+  fds_.clear();
   if (listen_fd_ >= 0 && !stopping())
-    fds.push_back(pollfd{listen_fd_, POLLIN, 0});
-  const std::size_t conn_base = fds.size();
+    fds_.push_back(pollfd{listen_fd_, POLLIN, 0});
+  const std::size_t conn_base = fds_.size();
   for (const auto& conn : conns_) {
     if (conn.fd < 0) continue;
     short events = POLLIN;
     if (!conn.outbuf.empty()) events |= POLLOUT;
-    fds.push_back(pollfd{conn.fd, events, 0});
+    fds_.push_back(pollfd{conn.fd, events, 0});
   }
-  const int rc = ::poll(fds.data(), fds.size(), timeout_ms);
+  int rc = 0;
+  if (served_) {
+    const auto spin_until = std::chrono::steady_clock::now() + spin_window();
+    while (rc == 0 && std::chrono::steady_clock::now() < spin_until)
+      rc = ::poll(fds_.data(), fds_.size(), 0);
+  }
+  if (rc == 0) rc = ::poll(fds_.data(), fds_.size(), timeout_ms);
+  served_ = rc > 0;
   if (rc < 0 && errno != EINTR) return !stopping();
   if (rc <= 0) return true;
 
-  if (conn_base == 1 && (fds[0].revents & POLLIN) != 0) {
+  if (conn_base == 1 && (fds_[0].revents & POLLIN) != 0) {
     for (;;) {
       const int cfd = ::accept(listen_fd_, nullptr, nullptr);
       if (cfd < 0) break;
@@ -280,9 +288,9 @@ bool Server::run_once(int timeout_ms) {
   for (auto& conn : conns_) {
     if (conn.fd < 0) continue;
     // Map this connection back to its pollfd (same construction order).
-    while (poll_i < fds.size() && fds[poll_i].fd != conn.fd) ++poll_i;
-    if (poll_i >= fds.size()) break;
-    const short rev = fds[poll_i].revents;
+    while (poll_i < fds_.size() && fds_[poll_i].fd != conn.fd) ++poll_i;
+    if (poll_i >= fds_.size()) break;
+    const short rev = fds_[poll_i].revents;
     ++poll_i;
     if ((rev & (POLLIN | POLLHUP | POLLERR)) != 0) {
       char buf[65536];
@@ -290,6 +298,9 @@ bool Server::run_once(int timeout_ms) {
         const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
         if (n > 0) {
           conn.inbuf.append(buf, static_cast<std::size_t>(n));
+          // A short read took everything queued; only a full buffer
+          // may have left more behind.
+          if (static_cast<std::size_t>(n) < sizeof(buf)) break;
           continue;
         }
         if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <poll.h>
+
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -36,10 +38,17 @@ struct ServerOptions {
 /// sense that a duplicate contiguity violation is refused with an
 /// error, not applied twice).
 ///
-/// The loop is intentionally single-threaded: the engine's scoring
-/// fan-out already parallelizes inside rescore(), and one thread owning
+/// The loop is intentionally single-threaded: the engine's forest
+/// passes already parallelize inside rescore(), and one thread owning
 /// all state keeps the protocol layer free of synchronization (TSan
 /// runs it under the loopback transport, see connect_loopback).
+///
+/// Spin-then-block: after an iteration that handled an event, the next
+/// one polls its fds without a timeout for up to spin_window() before
+/// it blocks, so a closed-loop client's next request finds the loop
+/// awake. An idle loop blocks on its first pass. A readable connection
+/// is read once, and again only while reads fill the buffer; EOF shows
+/// up at the next poll.
 class Server {
  public:
   Server(Engine& engine, ServerOptions options, obs::Logger* log = nullptr);
@@ -58,8 +67,10 @@ class Server {
   /// loop, no filesystem socket. Returns -1 on failure.
   int connect_loopback();
 
-  /// One poll iteration: accepts, reads, dispatches, writes. Returns
-  /// false once stopped and all connections have drained or closed.
+  /// One poll iteration: accepts, reads, dispatches, writes. Blocks up
+  /// to `timeout_ms` for an event (after first spinning, when the last
+  /// iteration handled one). Returns false once stopped and all
+  /// connections have drained or closed.
   bool run_once(int timeout_ms = 100);
 
   /// Runs until request_stop() (or a shutdown message) stops the loop.
@@ -94,6 +105,8 @@ class Server {
   obs::Logger* log_ = nullptr;
   int listen_fd_ = -1;
   std::vector<Conn> conns_;
+  std::vector<pollfd> fds_;  ///< rebuilt each pass, kept to reuse its storage
+  bool served_ = false;      ///< the last pass handled an event
   std::atomic<bool> stop_{false};
   std::uint64_t connections_accepted_ = 0;
   std::uint64_t frames_ok_ = 0;

@@ -24,8 +24,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <ctime>
 #include <numeric>
 #include <random>
 #include <string>
@@ -41,6 +44,7 @@
 #include "data/cache.h"
 #include "data/preprocess.h"
 #include "data/window_features.h"
+#include "obs/context.h"
 #include "smartsim/generator.h"
 #include "smartsim/mixed_fleet.h"
 
@@ -629,6 +633,153 @@ TEST(Engine, OracleCheckModeSelfVerifies) {
   EXPECT_TRUE(stats.oracle_match);
 }
 
+TEST(Engine, OneBatchedPassScoresAMixedDirtySet) {
+  const auto fleet = mc1_fleet(61, 60, 110);
+  const auto mwi_col = static_cast<std::size_t>(fleet.feature_index("MWI_N"));
+  const double threshold = 88.0;  // routed_predictor's wear threshold
+  const auto mwi = [&](const data::DriveSeries& d, int day) {
+    return d.values(static_cast<std::size_t>(day - d.first_day), mwi_col);
+  };
+
+  // A drive whose MWI_N crosses the threshold at day `cross`: its
+  // pending days [cross - 2, cross + 1] route to both group bundles.
+  const std::size_t newcomer = fleet.drives.size() - 1;
+  std::size_t straddler = newcomer;
+  int cross = -1;
+  for (std::size_t di = 0; di < newcomer && cross < 0; ++di) {
+    const auto& d = fleet.drives[di];
+    for (int day = d.first_day + 4; day < d.last_day(); ++day) {
+      if (mwi(d, day - 1) > threshold && mwi(d, day) <= threshold) {
+        straddler = di;
+        cross = day;
+        break;
+      }
+    }
+  }
+  ASSERT_GE(cross, 0) << "no drive crosses the wear threshold";
+
+  const auto pred = routed_predictor(fleet, 59, light_cfg(0));
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
+    const auto cfg = light_cfg(threads);
+    Engine engine = make_engine(fleet, pred, threads);
+    const auto append = [&](const data::DriveSeries& d, int lo, int hi) {
+      std::size_t n = 0;
+      for (int day = std::max(lo, d.first_day); day <= std::min(hi, d.last_day()); ++day, ++n)
+        engine.append_day(d.drive_id, day,
+                          d.values.row(static_cast<std::size_t>(day - d.first_day)),
+                          d.fail_day);
+      return n;
+    };
+
+    // First pass: every drive but the newcomer, most up to day 80 (a
+    // pass of several thousand rows), the straddler just short of its
+    // crossing.
+    constexpr int kCut = 80;
+    for (std::size_t di = 0; di < newcomer; ++di)
+      append(fleet.drives[di], 0, di == straddler ? cross - 3 : kCut);
+    engine.rescore();
+    expect_same_scores(engine.scores(), core::score_fleet(engine.fleet(), pred, 0,
+                                                          engine.resident().max_day(), cfg));
+
+    // Second pass: 1-day tails, 5-day tails, untouched drives, the
+    // straddler's crossing and the newcomer's first ten days.
+    std::size_t pending_rows = 0, dirty = 0;
+    for (std::size_t di = 0; di < newcomer; ++di) {
+      const auto& d = fleet.drives[di];
+      std::size_t n = 0;
+      if (di == straddler) {
+        n = append(d, cross - 2, cross + 1);
+      } else if (di % 3 == 0) {
+        n = append(d, kCut + 1, kCut + 1);
+      } else if (di % 3 == 1) {
+        n = append(d, kCut + 1, kCut + 5);
+      }
+      pending_rows += n;
+      dirty += n > 0 ? 1 : 0;
+    }
+    const auto& fresh = fleet.drives[newcomer];
+    pending_rows += append(fresh, fresh.first_day, fresh.first_day + 9);
+    ++dirty;
+    ASSERT_LT(dirty, fleet.drives.size());  // some drives stay clean
+
+    const auto stats = engine.rescore();
+    EXPECT_EQ(0u, stats.drives_full);
+    EXPECT_EQ(dirty, stats.drives_incremental) << "threads " << threads;
+    EXPECT_EQ(dirty, stats.drives_rescored);
+    EXPECT_EQ(pending_rows, stats.rows_scored) << "threads " << threads;
+    expect_same_scores(engine.scores(), core::score_fleet(engine.fleet(), pred, 0,
+                                                          engine.resident().max_day(), cfg));
+  }
+}
+
+TEST(Engine, CleanPassIsFreeUntilSomethingChanges) {
+  const auto fleet = mc1_fleet(67, 20, 60);
+  const auto cfg = light_cfg(0);
+  const auto pred = routed_predictor(fleet, 39, cfg);
+  obs::Tracer tracer;
+  obs::Registry metrics;
+  const obs::Context ctx{&tracer, &metrics};
+  EngineOptions eopt;
+  eopt.experiment = cfg;
+  eopt.auto_check = false;
+  Engine engine(eopt, eopt.experiment.windows, &ctx);
+  engine.resident().set_schema(fleet.model_name, fleet.feature_names);
+  engine.set_predictor(pred);
+  append_fleet(engine, fleet, 0, 49, Order::kDayMajor);
+  EXPECT_EQ(fleet.drives.size(), engine.rescore().drives_rescored);
+
+  // Clean: zero stats and no rescore span, but the call still counts.
+  const std::size_t spans = tracer.size();
+  const auto clean = engine.rescore();
+  EXPECT_EQ(0u, clean.drives_rescored);
+  EXPECT_EQ(0u, clean.drives_incremental);
+  EXPECT_EQ(0u, clean.drives_full);
+  EXPECT_EQ(0u, clean.rows_scored);
+  EXPECT_FALSE(clean.oracle_checked);
+  EXPECT_EQ(spans, tracer.size());
+  EXPECT_EQ(2u, metrics.counter("wefr_daemon_rescores_total").value());
+
+  // One appended day on one drive: the next pass scores exactly that row.
+  const auto& d = *std::find_if(fleet.drives.begin(), fleet.drives.end(),
+                                [](const data::DriveSeries& s) { return s.last_day() >= 50; });
+  engine.append_day(d.drive_id, 50, d.values.row(static_cast<std::size_t>(50 - d.first_day)),
+                    d.fail_day);
+  const auto one = engine.rescore();
+  EXPECT_EQ(1u, one.rows_scored);
+  EXPECT_EQ(1u, one.drives_incremental);
+  EXPECT_EQ(0u, engine.rescore().rows_scored);
+  expect_same_scores(engine.scores(),
+                     core::score_fleet(engine.fleet(), pred, 0, 50, cfg));
+
+  // With the oracle check on, a clean pass still verifies itself.
+  Engine checked = make_engine(fleet, pred, 0, /*oracle_check=*/true);
+  append_fleet(checked, fleet, 0, 49, Order::kDayMajor);
+  checked.rescore();
+  const auto verified = checked.rescore();
+  EXPECT_EQ(0u, verified.rows_scored);
+  EXPECT_TRUE(verified.oracle_checked);
+  EXPECT_TRUE(verified.oracle_match);
+
+  // A restore followed by set_predictor, or a restore into an engine
+  // whose last pass was clean: the next pass rescores every drive.
+  const std::string snapshot = engine.save_snapshot();
+  std::string why;
+  Engine restored(eopt, eopt.experiment.windows);
+  ASSERT_TRUE(restored.load_snapshot(snapshot, &why)) << why;
+  restored.set_predictor(pred);
+  const auto all = restored.rescore();
+  EXPECT_EQ(fleet.drives.size(), all.drives_rescored);
+  EXPECT_EQ(engine.fleet().total_drive_days(), all.rows_scored);
+  expect_same_scores(restored.scores(), engine.scores());
+
+  Engine reloaded(eopt, eopt.experiment.windows);
+  reloaded.set_predictor(pred);
+  EXPECT_EQ(0u, reloaded.rescore().drives_rescored);
+  ASSERT_TRUE(reloaded.load_snapshot(snapshot, &why)) << why;
+  EXPECT_EQ(fleet.drives.size(), reloaded.rescore().drives_rescored);
+  expect_same_scores(reloaded.scores(), engine.scores());
+}
+
 TEST(Engine, NewPredictorDirtiesEverythingAndStillMatches) {
   const auto fleet = mc1_fleet(37, 30, 80);
   const auto cfg = light_cfg(0);
@@ -954,6 +1105,80 @@ TEST(DaemonLoopback, TamperedFrameGetsErrorReplyThenDisconnect) {
   server.request_stop();
   loop.join();
   EXPECT_EQ(1u, server.frames_rejected());
+}
+
+double thread_cpu_ms() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
+Client::Options tiny_schema_client() {
+  Client::Options copt;
+  copt.model_name = "T";
+  copt.feature_names = {"x"};
+  return copt;
+}
+
+TEST(DaemonLoopback, IdleLoopBlocksAfterABoundedSpin) {
+  EngineOptions eopt;
+  eopt.experiment = light_cfg(0);
+  eopt.auto_check = false;
+  Engine engine(eopt, eopt.experiment.windows);
+  Server server(engine, ServerOptions{});
+  const int fd = server.connect_loopback();
+  ASSERT_GE(fd, 0);
+
+  // Serve the hello on this thread, so the measured pass follows one
+  // that handled an event and starts by spinning.
+  Client client(tiny_schema_client());
+  std::string err;
+  bool hello_ok = false;
+  std::thread hello([&] { hello_ok = client.adopt_fd(fd, &err); });
+  for (int i = 0; i < 500 && server.frames_ok() == 0; ++i) server.run_once(10);
+  hello.join();
+  ASSERT_TRUE(hello_ok) << err;
+
+  // The client is connected and silent: the spin must give up and the
+  // loop sleep out its timeout.
+  const auto t0 = std::chrono::steady_clock::now();
+  const double cpu0 = thread_cpu_ms();
+  EXPECT_TRUE(server.run_once(100));
+  const double cpu_ms = thread_cpu_ms() - cpu0;
+  const std::chrono::duration<double, std::milli> wall = std::chrono::steady_clock::now() - t0;
+  EXPECT_GE(wall.count(), 100.0);
+  EXPECT_LT(cpu_ms, 20.0);
+}
+
+TEST(DaemonLoopback, ClientBlocksWhileTheReplyIsHeldBack) {
+  EngineOptions eopt;
+  eopt.experiment = light_cfg(0);
+  eopt.auto_check = false;
+  Engine engine(eopt, eopt.experiment.windows);
+  Server server(engine, ServerOptions{});
+  const int fd = server.connect_loopback();
+  ASSERT_GE(fd, 0);
+  std::thread loop([&server] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    server.run();
+  });
+
+  // The hello's reply comes ~50 ms after the send: far past the spin
+  // window, so the client must block rather than burn the wait.
+  Client client(tiny_schema_client());
+  std::string err;
+  const double cpu0 = thread_cpu_ms();
+  const bool ok = client.adopt_fd(fd, &err);
+  const double cpu_ms = thread_cpu_ms() - cpu0;
+  EXPECT_TRUE(ok) << err;
+  EXPECT_EQ(MsgType::kHelloOk, client.hello_reply().type);
+  EXPECT_EQ("wefrd", client.hello_reply().server_name);
+  EXPECT_LT(cpu_ms, 20.0);
+
+  Msg reply;
+  client.shutdown_server(reply, &err);
+  server.request_stop();
+  loop.join();
 }
 
 // ------------------------------------------------- one deployment loop
