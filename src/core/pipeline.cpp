@@ -202,49 +202,26 @@ std::vector<DriveDayScores> score_fleet(const data::FleetData& fleet,
       }
     }
 
-    // Expand the drive's full history once per needed bundle. The
-    // streaming kernels make that O(1) per day, and full-history
-    // expansion keeps scores bit-identical no matter how the scored
-    // range is chunked (running sums would otherwise drift ~1e-15
-    // relative depending on where a slice started — enough to flip a
-    // discrete alarm near a threshold).
-    auto expand_for = [&](const PredictorBundle& b) {
-      return cfg.expand_windows
-                 ? data::expand_series(drive.values, b.base_cols, cfg.windows, obs)
-                 : drive.values.select_columns(b.base_cols);
-    };
-
-    const data::Matrix all_feats = expand_for(predictor.all);
-    data::Matrix low_feats, high_feats;
-    if (routed && predictor.low.has_value()) low_feats = expand_for(*predictor.low);
-    if (routed && predictor.high.has_value()) high_feats = expand_for(*predictor.high);
-
     DriveDayScores& ds = out[slot];
     ds.drive_index = di;
     ds.first_day = lo;
     const std::size_t num_days = static_cast<std::size_t>(hi - lo + 1);
     ds.scores.assign(num_days, 0.0);
 
-    // Batch the drive's scored days through the flattened engine: one
-    // contiguous batch when unrouted, otherwise one batch per bundle
-    // with the per-day routing decision (NaN wear indicator -> the
-    // whole-model bundle, as before) deciding which list a day joins.
-    // Scores are scattered back by day position, and each probability
-    // is bit-identical to the historical per-day recursive walk.
-    // Workers pass obs = nullptr: inference rows are tallied once after
-    // the fan-out so tracing adds no work to the scoring hot path.
-    if (!routed) {
-      std::vector<std::size_t> rows(num_days);
-      std::iota(rows.begin(), rows.end(), static_cast<std::size_t>(lo - drive.first_day));
-      predictor.all.forest.predict_proba(all_feats, rows, ds.scores);
-      return;
-    }
-
+    // Route first: each scored day joins exactly one bundle's list (all
+    // of them the whole-model bundle's when unrouted; a NaN wear
+    // indicator -> the whole-model bundle, as before). `rows_*` are the
+    // drive's local days, `pos_*` their positions in ds.scores.
     std::vector<std::size_t> rows_all, rows_low, rows_high;
     std::vector<std::size_t> pos_all, pos_low, pos_high;
     for (int day = lo; day <= hi; ++day) {
       const std::size_t local = static_cast<std::size_t>(day - drive.first_day);
       const std::size_t pos = static_cast<std::size_t>(day - lo);
+      if (!routed) {
+        rows_all.push_back(local);
+        pos_all.push_back(pos);
+        continue;
+      }
       const double mwi = drive.values(local, static_cast<std::size_t>(predictor.mwi_col));
       if (std::isnan(mwi)) {
         // Unroutable wear indicator: score with the whole-model bundle
@@ -267,19 +244,31 @@ std::vector<DriveDayScores> score_fleet(const data::FleetData& fleet,
       }
     }
 
-    std::vector<double> batch;
-    auto score_bundle = [&](const PredictorBundle& bundle, const data::Matrix& feats,
+    // Then each bundle expands only its own days and scores them as one
+    // batch through the flattened engine; scores are scattered back by
+    // day position. The day-list kernel folds the drive's full history
+    // from day 0, so scores stay bit-identical no matter how the scored
+    // range is chunked (running sums would otherwise drift ~1e-15
+    // relative depending on where a slice started — enough to flip a
+    // discrete alarm near a threshold), and each probability is
+    // bit-identical to the historical per-day recursive walk.
+    // Workers pass obs = nullptr to the forest: inference rows are
+    // tallied once after the fan-out so tracing adds no work to the
+    // scoring hot path.
+    auto score_bundle = [&](const PredictorBundle& bundle,
                             const std::vector<std::size_t>& rows,
                             const std::vector<std::size_t>& pos) {
       if (rows.empty()) return;
-      batch.assign(rows.size(), 0.0);
-      bundle.forest.predict_proba(feats, rows, batch);
+      const data::Matrix feats =
+          cfg.expand_windows
+              ? data::expand_series(drive.values, bundle.base_cols, rows, cfg.windows, obs)
+              : drive.values.select_rows(rows).select_columns(bundle.base_cols);
+      const std::vector<double> batch = bundle.forest.predict_proba(feats);
       for (std::size_t i = 0; i < pos.size(); ++i) ds.scores[pos[i]] = batch[i];
     };
-    score_bundle(predictor.all, all_feats, rows_all, pos_all);
-    if (predictor.low.has_value()) score_bundle(*predictor.low, low_feats, rows_low, pos_low);
-    if (predictor.high.has_value())
-      score_bundle(*predictor.high, high_feats, rows_high, pos_high);
+    score_bundle(predictor.all, rows_all, pos_all);
+    if (predictor.low.has_value()) score_bundle(*predictor.low, rows_low, pos_low);
+    if (predictor.high.has_value()) score_bundle(*predictor.high, rows_high, pos_high);
   };
 
   // One task per drive drowned the pool in atomic traffic and task

@@ -92,8 +92,10 @@ struct DriveDayScores {
 /// the window are omitted). Routing between wear-group bundles happens
 /// per day on the drive's MWI_N value; a day whose MWI_N is NaN cannot
 /// be routed and scores against the whole-model bundle instead (tallied
-/// as `score_days_rerouted` in `diag` when given). Per-drive work is
-/// independent, so `cfg.num_threads > 1` fans drives out over a
+/// as `score_days_rerouted` in `diag` when given). Each bundle's window
+/// features are expanded only for the days routed to it, each row
+/// bit-identical to the drive's whole-history expansion. Per-drive work
+/// is independent, so `cfg.num_threads > 1` fans drives out over a
 /// ThreadPool; output order and values are identical to the sequential
 /// run.
 ///

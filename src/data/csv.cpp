@@ -1,9 +1,12 @@
 #include "data/csv.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -21,7 +24,10 @@ namespace {
 constexpr int kMetaCols = 4;  // drive_id, day, failed, fail_day
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
+/// "nan" in any case, with at most one leading '-': write_fleet_csv
+/// streams a sign-bit NaN (the x86 result of 0.0/0.0) as "-nan".
 bool is_nan_token(std::string_view s) {
+  if (!s.empty() && s[0] == '-') s.remove_prefix(1);
   if (s.size() != 3) return false;
   auto lower = [](char c) { return static_cast<char>(c | 0x20); };
   return lower(s[0]) == 'n' && lower(s[1]) == 'a' && lower(s[2]) == 'n';
@@ -62,7 +68,7 @@ struct RawRow {
   std::string_view id;            ///< first field of the (line-trimmed) row
   std::size_t line_no = 0;        ///< 1-based file line (header = line 1)
   bool fields_ok = false;         ///< exactly kMetaCols + nf fields
-  bool meta_ok = false;           ///< day/failed/fail_day all parsed
+  bool meta_ok = false;           ///< day/failed/fail_day parsed, day/fail_day fit int
   int day = 0;                    ///< valid iff meta_ok
   int fail_day = 0;               ///< valid iff meta_ok
   std::size_t values_off = 0;     ///< nf doubles in the side buffer, iff fields_ok
@@ -71,73 +77,100 @@ struct RawRow {
   std::uint32_t padded_cells = 0;   ///< NaN-padded tail (pad_missing_columns)
 };
 
+/// Parses one feature cell with exactly util::trim + util::parse_double
+/// semantics (a finite double spanning the whole trimmed cell), but
+/// trims once (a no-op unless an end byte is blank) and runs
+/// std::from_chars once, straight on the input bytes. A rejected cell becomes NaN; the return
+/// value says whether it counts as missing (empty or a NaN token) or bad.
+enum class CellKind { kValue, kMissing, kBad };
+
+CellKind parse_cell(std::string_view cell, double& out) {
+  cell = util::trim(cell);
+  if (!cell.empty()) {
+    const char* end = cell.data() + cell.size();
+    const auto [ptr, ec] = std::from_chars(cell.data(), end, out);
+    if (ec == std::errc{} && ptr == end && std::isfinite(out)) return CellKind::kValue;
+  }
+  out = kNaN;
+  return cell.empty() || is_nan_token(cell) ? CellKind::kMissing : CellKind::kBad;
+}
+
+/// True when `v` (finite) truncates to a value of type int, so the
+/// static_cast below is defined.
+bool fits_int(double v) { return v > -2147483649.0 && v < 2147483648.0; }
+
 /// Tokenizes one non-empty, line-trimmed data row. Splits on ',' with
 /// util::split semantics (empty fields kept) but without allocating,
-/// and parses every numeric through util::parse_double — the shared
-/// std::from_chars fast path — so the bits of every accepted value are
-/// identical to the historical istream parser's. Feature values (NaN
-/// holes included) are appended to `values` only when the field count
-/// is exactly right; a malformed count rolls the appends back. With
-/// `pad_missing` (ReadOptions::pad_missing_columns) a row whose meta
-/// fields are complete but whose feature tail is short is accepted
-/// instead: the missing cells become NaN and are counted in
-/// `row.padded_cells` (schema tolerance, distinct from the
-/// missing/bad-cell corruption tallies).
+/// finding each field's end with memchr. The row's nf feature values
+/// (NaN holes included) are written in place to `values[0, nf)`, which
+/// the caller sizes; they are meaningful only when the field count is
+/// exactly right (`row.fields_ok`). With `pad_missing`
+/// (ReadOptions::pad_missing_columns) a row whose meta fields are
+/// complete but whose feature tail is short is accepted instead: the
+/// missing cells become NaN and are counted in `row.padded_cells`
+/// (schema tolerance, distinct from the missing/bad-cell corruption
+/// tallies). A day or fail_day outside int range makes the meta
+/// fields bad, like an unparseable one.
 void tokenize_row(std::string_view row_text, std::size_t nf, bool pad_missing,
-                  std::vector<double>& values, RawRow& row) {
-  const std::size_t values_off = values.size();
+                  double* values, RawRow& row) {
+  const char* p = row_text.data();
+  const char* const end = p + row_text.size();
+  bool more = true;  // another field starts at p
+  auto next_field = [&] {
+    const auto* comma = static_cast<const char*>(
+        p == end ? nullptr : std::memchr(p, ',', static_cast<std::size_t>(end - p)));
+    const char* field_end = comma != nullptr ? comma : end;
+    const std::string_view field(p, static_cast<std::size_t>(field_end - p));
+    more = comma != nullptr;
+    p = more ? comma + 1 : end;
+    return field;
+  };
+
   std::string_view meta[kMetaCols];
-  std::size_t field_index = 0;
-  std::uint32_t missing = 0, bad = 0;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= row_text.size(); ++i) {
-    if (i != row_text.size() && row_text[i] != ',') continue;
-    const std::string_view field = row_text.substr(start, i - start);
-    start = i + 1;
-    if (field_index < kMetaCols) {
-      meta[field_index] = field;
-    } else if (field_index - kMetaCols < nf) {
-      const std::string_view cell = util::trim(field);
-      double v = 0.0;
-      if (util::parse_double(cell, v)) {
-        values.push_back(v);
-      } else {
-        values.push_back(kNaN);
-        if (cell.empty() || is_nan_token(cell)) {
-          ++missing;
-        } else {
-          ++bad;
-        }
-      }
-    }
-    ++field_index;
-  }
+  std::size_t num_meta = 0;
+  while (more && num_meta < kMetaCols) meta[num_meta++] = next_field();
   row.id = meta[0];
-  row.fields_ok = field_index == kMetaCols + nf;
-  if (!row.fields_ok && pad_missing && field_index >= kMetaCols &&
-      field_index < kMetaCols + nf) {
-    const std::size_t pad = kMetaCols + nf - field_index;
-    values.insert(values.end(), pad, kNaN);
-    row.padded_cells = static_cast<std::uint32_t>(pad);
-    row.fields_ok = true;
+  if (num_meta < kMetaCols) return;  // too few fields even to pad
+
+  std::uint32_t missing = 0, bad = 0;
+  std::size_t f = 0;
+  for (; more && f < nf; ++f) {
+    switch (parse_cell(next_field(), values[f])) {
+      case CellKind::kValue: break;
+      case CellKind::kMissing: ++missing; break;
+      case CellKind::kBad: ++bad; break;
+    }
   }
-  if (!row.fields_ok) {
-    values.resize(values_off);  // reclaim a partial row
-    return;
+  if (more) return;  // a field past the last feature column
+  if (f < nf) {
+    if (!pad_missing) return;
+    std::fill(values + f, values + nf, kNaN);
+    row.padded_cells = static_cast<std::uint32_t>(nf - f);
   }
-  row.values_off = values_off;
+  row.fields_ok = true;
   row.missing_cells = missing;
   row.bad_cells = bad;
   double day_d = 0.0, failed_d = 0.0, fail_day_d = 0.0;
   // fail_day may be -1 for healthy drives.
   row.meta_ok = util::parse_double(meta[1], day_d) &&
                 util::parse_double(meta[2], failed_d) &&
-                util::parse_double(meta[3], fail_day_d);
+                util::parse_double(meta[3], fail_day_d) && fits_int(day_d) &&
+                fits_int(fail_day_d);
   if (row.meta_ok) {
     row.day = static_cast<int>(day_d);
     row.fail_day = static_cast<int>(fail_day_d);
   }
 }
+
+/// Drive-id set probed by string_view, so a row's id becomes a
+/// std::string only when a drive starts or a row is quarantined.
+struct IdHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+using IdSet = std::unordered_set<std::string, IdHash, std::equal_to<>>;
 
 /// The order-dependent half of the parser: drive grouping, day
 /// contiguity, ParsePolicy strict/recover/skip-drive semantics, and
@@ -190,12 +223,15 @@ class RowAssembler {
   std::size_t nf() const { return nf_; }
 
   /// Consumes one tokenized row; `vals` points at its nf feature
-  /// doubles (only dereferenced when row.fields_ok).
-  void consume(const RawRow& row, const double* vals) {
+  /// doubles (only dereferenced when row.fields_ok). `ahead` holds the
+  /// rows that follow it in its chunk: a drive starting here reserves
+  /// its matrix for the run of them that carry its id (a capacity hint
+  /// only; a drive split across chunks grows once).
+  void consume(const RawRow& row, const double* vals, std::span<const RawRow> ahead) {
     ++rep_.rows_total;
-    const std::string row_id(row.id);
+    const std::string_view row_id = row.id;
 
-    if (!row_id.empty() && poisoned_ids_.count(row_id) > 0) {
+    if (!poisoned_ids_.empty() && !row_id.empty() && poisoned_ids_.count(row_id) > 0) {
       ++rep_.rows_quarantined;  // rest of an already-poisoned drive
       return;
     }
@@ -220,12 +256,12 @@ class RowAssembler {
         // A drive restarting after other drives: its rows are no longer
         // contiguous, so its series cannot be trusted.
         if (strict_)
-          throw std::runtime_error("read_fleet_csv: drive " + row_id +
+          throw std::runtime_error("read_fleet_csv: drive " + std::string(row_id) +
                                    " reappears at line " + std::to_string(row.line_no));
         quarantine_row(RowError::kReappearingDrive, row_id);
         return;
       }
-      seen_ids_.insert(row_id);
+      seen_ids_.emplace(row_id);
       fleet_.drives.emplace_back();
       ok_rows_per_drive_.push_back(0);
       current_ = &fleet_.drives.back();
@@ -233,10 +269,14 @@ class RowAssembler {
       current_->first_day = day;
       current_->fail_day = row.fail_day;
       current_->values = Matrix(0, nf_);
+      std::size_t run = 1;
+      while (run <= ahead.size() && ahead[run - 1].id == row_id) ++run;
+      current_->values.reserve_rows(run);
     } else if (day != current_->last_day() + 1) {
       if (strict_)
         throw std::runtime_error("read_fleet_csv: non-contiguous days for drive " +
-                                 row_id + " at line " + std::to_string(row.line_no));
+                                 std::string(row_id) + " at line " +
+                                 std::to_string(row.line_no));
       const int gap = day - current_->last_day() - 1;
       if (gap > 0 && gap <= opt_.max_gap_days) {
         // A short observation gap: bridge it with all-NaN days so the
@@ -307,20 +347,20 @@ class RowAssembler {
   }
 
  private:
-  void flag_drive(const std::string& id) {
+  void flag_drive(std::string_view id) {
     if (id.empty() || flagged_ids_.count(id) > 0) return;
-    flagged_ids_.insert(id);
+    flagged_ids_.emplace(id);
     if (rep_.quarantined_drive_ids.size() < opt_.max_quarantined_ids)
-      rep_.quarantined_drive_ids.push_back(id);
+      rep_.quarantined_drive_ids.emplace_back(id);
   }
 
   /// Quarantines one row; in kSkipDrive mode the whole drive goes with
   /// it (rows already parsed are reclaimed during the final sweep).
-  void quarantine_row(RowError e, const std::string& id) {
+  void quarantine_row(RowError e, std::string_view id) {
     ++rep_.error_counts[static_cast<std::size_t>(e)];
     ++rep_.rows_quarantined;
     flag_drive(id);
-    if (skip_drive_ && !id.empty()) poisoned_ids_.insert(id);
+    if (skip_drive_ && !id.empty()) poisoned_ids_.emplace(id);
   }
 
   const ReadOptions& opt_;
@@ -331,13 +371,18 @@ class RowAssembler {
   FleetData fleet_;
   std::size_t nf_ = 0;
   std::vector<double> nan_row_;
-  std::unordered_set<std::string> seen_ids_;      // every drive id started
-  std::unordered_set<std::string> poisoned_ids_;  // kSkipDrive casualties
-  std::unordered_set<std::string> flagged_ids_;   // ids in quarantined_drive_ids
-  std::vector<std::size_t> ok_rows_per_drive_;    // parallel to fleet_.drives
+  IdSet seen_ids_;                              // every drive id started
+  IdSet poisoned_ids_;                          // kSkipDrive casualties
+  IdSet flagged_ids_;                           // ids in quarantined_drive_ids
+  std::vector<std::size_t> ok_rows_per_drive_;  // parallel to fleet_.drives
   DriveSeries* current_ = nullptr;
   int max_day_ = -1;
 };
+
+/// Workers for the parallel parse and fill (ReadOptions::num_threads).
+std::size_t worker_count(const ReadOptions& opt) {
+  return opt.num_threads == 0 ? util::default_thread_count() : opt.num_threads;
+}
 
 /// Serial reference parser behind the istream overloads: getline +
 /// tokenize + assemble, one row at a time. This is the equivalence
@@ -352,17 +397,16 @@ FleetData parse_fleet_csv(std::istream& is, const std::string& model_name,
   }
   if (!assembler.header(line)) return assembler.abandon();
 
-  std::vector<double> scratch;
+  std::vector<double> scratch(assembler.nf());
   std::size_t line_no = 1;
   while (std::getline(is, line)) {
     ++line_no;
     const auto trimmed = util::trim(line);
     if (trimmed.empty()) continue;
-    scratch.clear();
     RawRow row;
     row.line_no = line_no;
-    tokenize_row(trimmed, assembler.nf(), opt.pad_missing_columns, scratch, row);
-    assembler.consume(row, scratch.data());
+    tokenize_row(trimmed, assembler.nf(), opt.pad_missing_columns, scratch.data(), row);
+    assembler.consume(row, scratch.data(), {});
   }
   if (is.bad()) assembler.io_failure();
   return assembler.finish();
@@ -370,15 +414,25 @@ FleetData parse_fleet_csv(std::istream& is, const std::string& model_name,
 
 /// One newline-aligned slice of the data region, tokenized by one
 /// worker. `lines` counts every line in the slice (blank ones
-/// included) so global line numbers rebase by prefix sum.
+/// included) so global line numbers rebase by prefix sum. `values` is
+/// sized up front and left uninitialized; accepted rows fill it in
+/// order.
 struct ParsedChunk {
   std::size_t lines = 0;
   std::vector<RawRow> rows;
-  std::vector<double> values;
+  std::vector<double, detail::DefaultInitAllocator<double>> values;
 };
 
 void tokenize_chunk(std::string_view data, std::size_t nf, bool pad_missing,
                     ParsedChunk& out) {
+  // A row is a line, so the newline count bounds both buffers: size
+  // them once and write each row's values in place, so no worker
+  // reallocates mid-chunk.
+  const std::size_t max_rows =
+      static_cast<std::size_t>(std::count(data.begin(), data.end(), '\n')) + 1;
+  out.rows.reserve(max_rows);
+  out.values.resize(max_rows * nf);
+  std::size_t values_used = 0;
   std::size_t pos = 0;
   std::size_t line_index = 0;
   while (pos < data.size()) {
@@ -389,10 +443,13 @@ void tokenize_chunk(std::string_view data, std::size_t nf, bool pad_missing,
     ++line_index;
     const std::string_view trimmed = util::trim(line);
     if (trimmed.empty()) continue;
-    RawRow row;
+    RawRow& row = out.rows.emplace_back();
     row.line_no = line_index;  // chunk-relative; rebased during merge
-    tokenize_row(trimmed, nf, pad_missing, out.values, row);
-    out.rows.push_back(row);
+    tokenize_row(trimmed, nf, pad_missing, out.values.data() + values_used, row);
+    if (row.fields_ok) {
+      row.values_off = values_used;
+      values_used += nf;
+    }
   }
   out.lines = line_index;
 }
@@ -418,8 +475,7 @@ FleetData parse_fleet_buffer(std::string_view text, const std::string& model_nam
       header_eol == std::string_view::npos ? std::string_view{}
                                            : text.substr(header_eol + 1);
 
-  const std::size_t threads =
-      opt.num_threads == 0 ? util::default_thread_count() : opt.num_threads;
+  const std::size_t threads = worker_count(opt);
   const std::size_t chunk_bytes = std::max<std::size_t>(1, opt.parallel_chunk_bytes);
   // Enough chunks to fill the pool with headroom for stragglers, but
   // never smaller than the target chunk size.
@@ -456,11 +512,14 @@ FleetData parse_fleet_buffer(std::string_view text, const std::string& model_nam
   obs::Span merge_span(obs, "ingest:merge");
   std::size_t line_base = 1;  // the header is line 1
   for (auto& chunk : chunks) {
-    for (auto& row : chunk.rows) {
+    const std::span<const RawRow> rows = chunk.rows;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      RawRow& row = chunk.rows[i];
       row.line_no += line_base;
-      assembler.consume(row, chunk.values.data() + row.values_off);
+      assembler.consume(row, chunk.values.data() + row.values_off, rows.subspan(i + 1));
     }
     line_base += chunk.lines;
+    chunk = ParsedChunk{};  // its rows now live in the fleet
   }
   return assembler.finish();
 }
@@ -549,7 +608,18 @@ FleetData load_fleet_csv(const std::string& path, const std::string& model_name,
   FleetData fleet = read_fleet_csv(path, model_name, opt, &rep, obs);
   if (!rep.fatal) {
     obs::Span fill_span(obs, "ingest:forward_fill");
-    forward_fill(fleet, 0.0, &rep.fill);
+    // Drives fill independently on the pool; their tallies are integer
+    // sums, merged in drive order, so they equal a serial fill's.
+    std::vector<FillStats> stats(fleet.drives.size());
+    auto fill_drive = [&](std::size_t i) { forward_fill(fleet.drives[i], 0.0, &stats[i]); };
+    const std::size_t threads = worker_count(opt);
+    if (threads > 1 && fleet.drives.size() > 1) {
+      util::ThreadPool pool(std::min(threads, fleet.drives.size()));
+      pool.parallel_for_chunked(fleet.drives.size(), 16, fill_drive);
+    } else {
+      for (std::size_t i = 0; i < fleet.drives.size(); ++i) fill_drive(i);
+    }
+    for (const FillStats& s : stats) rep.fill.merge(s);
     fill_span.finish();
     obs::add_counter(obs, "wefr_ingest_cells_filled_total", rep.fill.cells_filled);
   }

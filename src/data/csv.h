@@ -18,9 +18,10 @@ namespace wefr::data {
 ///   drive_id, day, failed_within_dataset, fail_day, <feature...>
 ///
 /// The format round-trips exactly through write/read (modulo double
-/// formatting at 17 significant digits). NaN cells serialize as "nan";
-/// reading those back requires ParsePolicy::kRecover (strict mode only
-/// accepts finite values).
+/// formatting at 17 significant digits). NaN cells serialize as "nan"
+/// ("-nan" for a sign-bit NaN); reading either back requires
+/// ParsePolicy::kRecover, which counts it as a missing value (strict
+/// mode only accepts finite values).
 void write_fleet_csv(const FleetData& fleet, std::ostream& os);
 void write_fleet_csv(const FleetData& fleet, const std::string& path);
 

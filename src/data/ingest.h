@@ -59,7 +59,8 @@ struct ReadOptions {
   /// quarantine the row instead.
   int max_gap_days = 30;
   /// Worker threads for the mmap/buffer parse fast path (path- and
-  /// buffer-based overloads only; istream parsing is always serial).
+  /// buffer-based overloads only; istream parsing is always serial)
+  /// and for load_fleet_csv's per-drive forward fill.
   /// 0 = one per hardware thread. Results are byte-identical to the
   /// serial parser at every thread count — chunk partials merge in
   /// file order through the same row-assembly state machine.

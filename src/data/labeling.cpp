@@ -67,20 +67,28 @@ Dataset build_samples(const FleetData& fleet, std::span<const std::size_t> base_
   // Pass 2: only drives with a kept row compute features, each into its
   // own slice of the output, so any thread count writes the same bytes.
   out.x = Matrix::uninitialized(out.y.size(), out.feature_names.size());
+  const std::size_t width = out.x.cols();
   auto fill_slice = [&](std::size_t k) {
     const DriveSlice& slice = slices[k];
     const DriveSeries& drive = fleet.drives[slice.drive];
-    // Expand the whole series: the streaming kernels make this O(1) per
-    // day, and full-history expansion keeps every sampled sub-range
-    // bit-identical to the whole-history features (running sums would
-    // otherwise drift ~1e-15 relative depending on where a slice
-    // started).
-    const Matrix features = opt.expand_windows
-                                ? expand_series(drive.values, base_cols, opt.window_config, obs)
-                                : drive.values.select_columns(base_cols);
-    for (std::size_t r = slice.begin; r < slice.end; ++r) {
-      const auto local = static_cast<std::size_t>(out.day[r] - drive.first_day);
-      std::ranges::copy(features.row(local), out.x.row(r).begin());
+    std::vector<std::size_t> local(slice.end - slice.begin);
+    for (std::size_t r = slice.begin; r < slice.end; ++r)
+      local[r - slice.begin] = static_cast<std::size_t>(out.day[r] - drive.first_day);
+    const std::span<double> block =
+        out.x.raw().subspan(slice.begin * width, local.size() * width);
+    if (opt.expand_windows) {
+      // Only the kept days are expanded, straight into the slice. The
+      // kernel still folds every column from day 0, so each row is
+      // bit-identical to the whole-history features (running sums would
+      // otherwise drift ~1e-15 relative depending on where a slice
+      // started).
+      expand_series_into(drive.values, base_cols, local, opt.window_config, block, obs);
+      return;
+    }
+    for (std::size_t i = 0; i < local.size(); ++i) {
+      const auto src = drive.values.row(local[i]);
+      double* dst = block.data() + i * width;
+      for (std::size_t j = 0; j < base_cols.size(); ++j) dst[j] = src[base_cols[j]];
     }
   };
   if (opt.num_threads > 1 && slices.size() > 1) {

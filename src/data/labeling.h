@@ -44,8 +44,9 @@ struct SamplingOptions {
 ///
 /// Runs in two passes: one serial pass applies `keep`, labels each
 /// (drive, day) and makes the Rng draws, in drive-then-day order; then
-/// only drives with at least one kept row compute their features
-/// (over `opt.num_threads` workers) and copy their rows into place.
+/// only drives with at least one kept row compute the features of their
+/// kept days (over `opt.num_threads` workers), straight into their rows
+/// of the output.
 ///
 /// `obs` (nullable) wraps the pass in a "build_samples" span, forwards
 /// to expand_series, and tallies wefr_samples_total /

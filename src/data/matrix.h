@@ -98,6 +98,10 @@ class Matrix {
     ++rows_;
   }
 
+  /// Reserves storage for `rows` rows of the current width, so that
+  /// many push_row calls append without regrowth.
+  void reserve_rows(std::size_t rows) { data_.reserve(rows * cols_); }
+
   /// Returns a new matrix keeping only the columns in `cols` (in order).
   Matrix select_columns(std::span<const std::size_t> cols) const {
     Matrix out(rows_, cols.size());
@@ -134,6 +138,7 @@ class Matrix {
 
   /// Raw contiguous storage (row-major).
   std::span<const double> raw() const { return data_; }
+  std::span<double> raw() { return data_; }
 
  private:
   struct UninitTag {};

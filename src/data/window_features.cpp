@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 // The steady-state kernels below are straight-line element-wise loops
@@ -46,11 +47,12 @@ void check_inputs(const Matrix& series, std::span<const std::size_t> base_cols,
 }
 
 /// Naive rolling stats for one contiguous column: rescans the window for
-/// every day. `stage` is column-major scratch, stage[o * days + d].
-void expand_column_naive(std::span<const double> colbuf, const WindowFeatureConfig& cfg,
-                         std::span<double> stage) {
+/// every day in [first, colbuf.size()). `stage` is column-major scratch,
+/// stage[o * days + d].
+void expand_column_naive(std::span<const double> colbuf, std::size_t first,
+                         const WindowFeatureConfig& cfg, std::span<double> stage) {
   const std::size_t days = colbuf.size();
-  for (std::size_t d = 0; d < days; ++d) {
+  for (std::size_t d = first; d < days; ++d) {
     std::size_t o = 0;
     stage[o++ * days + d] = colbuf[d];
     for (int w : cfg.windows) {
@@ -132,8 +134,9 @@ void build_sparse_levels(const double* __restrict x, double* __restrict lvmax,
   }
 }
 
-/// Steady-state (d >= w) rolling stats for one window: branchless
-/// element-wise passes over the shared per-column tables.
+/// Steady-state (d >= w) rolling stats for one window over the days
+/// [begin, end): branchless element-wise passes over the shared
+/// per-column tables. Requires begin >= w.
 ///
 ///  - max/min: the window [d-w+1, d] is covered by two overlapping
 ///    spans of length 2^k = bit_floor(w), ending at d and at d - shift
@@ -142,14 +145,14 @@ void build_sparse_levels(const double* __restrict x, double* __restrict lvmax,
 ///    just double(i) — a table load instead of a size_t->double convert,
 ///    which x86 cannot vectorize without AVX-512.
 WEFR_SIMD_CLONES
-void steady_pass(std::size_t w, std::size_t days, std::size_t shift,
+void steady_pass(std::size_t w, std::size_t begin, std::size_t end, std::size_t shift,
                  const double* __restrict hi, const double* __restrict lo,
                  const double* __restrict prefix, const double* __restrict prefix2,
                  const double* __restrict wprefix, const double* __restrict dayf,
                  double* __restrict mx_out, double* __restrict mn_out,
                  double* __restrict mean_out, double* __restrict std_out,
                  double* __restrict range_out, double* __restrict wma_out) {
-  for (std::size_t d = w; d < days; ++d) {
+  for (std::size_t d = begin; d < end; ++d) {
     const double mx = std::max(hi[d], hi[d - shift]);
     const double mn = std::min(lo[d], lo[d - shift]);
     mx_out[d] = mx;
@@ -159,7 +162,7 @@ void steady_pass(std::size_t w, std::size_t days, std::size_t shift,
   const double wd = static_cast<double>(w);
   const double inv_w = 1.0 / wd;
   const double inv_den = 2.0 / (wd * (wd + 1.0));
-  for (std::size_t d = w; d < days; ++d) {
+  for (std::size_t d = begin; d < end; ++d) {
     const std::size_t s = d - w + 1;  // window is [s, d]
     const double sum = prefix[d + 1] - prefix[s];
     const double mean = sum * inv_w;
@@ -171,47 +174,59 @@ void steady_pass(std::size_t w, std::size_t days, std::size_t shift,
   }
 }
 
-/// Interleaves the column-major staging block (stage[o * days + d]) into
-/// the row-major output: dst0 points at out(0, base_off), row_stride is
-/// the full output width. The compile-time-factor variants exist so the
-/// inner loop fully unrolls and SLP-vectorizes — with a runtime trip
-/// count the 19-wide gather/scatter stays scalar and costs ~2x.
+/// Gathers the listed days of the column-major staging block
+/// (stage[o * stage_stride + d]) into row-major output: output row i,
+/// at dst0 + i * row_stride, receives day days[i]; dst0 points at this
+/// base column's first cell of row 0. The compile-time-factor variants
+/// exist so the inner loop fully unrolls — with a runtime trip count
+/// the 19-wide gather/scatter stays scalar and costs ~2x.
 template <std::size_t kFactor>
 WEFR_SIMD_CLONES void interleave_stage_fixed(const double* __restrict stage,
-                                             double* __restrict dst0, std::size_t days,
+                                             std::size_t stage_stride,
+                                             const std::size_t* __restrict days,
+                                             std::size_t n, double* __restrict dst0,
                                              std::size_t row_stride) {
-  for (std::size_t d = 0; d < days; ++d) {
-    double* __restrict dst = dst0 + d * row_stride;
-    for (std::size_t o = 0; o < kFactor; ++o) dst[o] = stage[o * days + d];
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* __restrict src = stage + days[i];
+    double* __restrict dst = dst0 + i * row_stride;
+    for (std::size_t o = 0; o < kFactor; ++o) dst[o] = src[o * stage_stride];
   }
 }
 
 WEFR_SIMD_CLONES
-void interleave_stage_generic(const double* __restrict stage, double* __restrict dst0,
-                              std::size_t days, std::size_t factor,
+void interleave_stage_generic(const double* __restrict stage, std::size_t stage_stride,
+                              const std::size_t* __restrict days, std::size_t n,
+                              double* __restrict dst0, std::size_t factor,
                               std::size_t row_stride) {
-  for (std::size_t d = 0; d < days; ++d) {
-    double* __restrict dst = dst0 + d * row_stride;
-    for (std::size_t o = 0; o < factor; ++o) dst[o] = stage[o * days + d];
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* __restrict src = stage + days[i];
+    double* __restrict dst = dst0 + i * row_stride;
+    for (std::size_t o = 0; o < factor; ++o) dst[o] = src[o * stage_stride];
   }
 }
 
-void interleave_stage(const double* stage, double* dst0, std::size_t days,
-                      std::size_t factor, std::size_t row_stride) {
+void interleave_stage(const double* stage, std::size_t stage_stride,
+                      std::span<const std::size_t> days, double* dst0, std::size_t factor,
+                      std::size_t row_stride) {
+  const std::size_t n = days.size();
   switch (factor) {
     case 7:  // one window
-      return interleave_stage_fixed<7>(stage, dst0, days, row_stride);
+      return interleave_stage_fixed<7>(stage, stage_stride, days.data(), n, dst0, row_stride);
     case 13:  // two windows (the paper's default {3, 7})
-      return interleave_stage_fixed<13>(stage, dst0, days, row_stride);
+      return interleave_stage_fixed<13>(stage, stage_stride, days.data(), n, dst0,
+                                        row_stride);
     case 19:  // three windows (the bench's {7, 14, 30})
-      return interleave_stage_fixed<19>(stage, dst0, days, row_stride);
+      return interleave_stage_fixed<19>(stage, stage_stride, days.data(), n, dst0,
+                                        row_stride);
     default:
-      return interleave_stage_generic(stage, dst0, days, factor, row_stride);
+      return interleave_stage_generic(stage, stage_stride, days.data(), n, dst0, factor,
+                                      row_stride);
   }
 }
 
 /// Streaming rolling stats for one window over one contiguous column,
-/// O(1) per day. Requires every value in `colbuf` to be finite.
+/// O(1) per day, for the days [first, colbuf.size()). Requires every
+/// value in `colbuf` to be finite.
 ///
 /// Inputs shared across windows, computed once per column by the caller:
 /// prefix/prefix2/wprefix are the inclusive prefix sums of x, x*x and
@@ -231,8 +246,8 @@ void interleave_stage(const double* stage, double* dst0, std::size_t days,
 /// share, and the wma numerator (wprefix[d+1]-wprefix[s]) -
 /// s*(prefix[d+1]-prefix[s]) cancels terms of magnitude ~days^2 * scale,
 /// so its absolute error is ~eps * days^2 * scale).
-void expand_column_streaming(std::span<const double> colbuf, int w_signed,
-                             std::span<const double> prefix,
+void expand_column_streaming(std::span<const double> colbuf, std::size_t first,
+                             int w_signed, std::span<const double> prefix,
                              std::span<const double> prefix2,
                              std::span<const double> wprefix,
                              std::span<const double> dayf, const double* lvmax,
@@ -246,7 +261,7 @@ void expand_column_streaming(std::span<const double> colbuf, int w_signed,
     // Degenerate window: every stat collapses to the day's value (the
     // naive kernel produces exactly these, including std = sqrt(max(0,
     // x*x/1 - x*x)) = 0).
-    for (std::size_t d = 0; d < days; ++d) {
+    for (std::size_t d = first; d < days; ++d) {
       const double x = colbuf[d];
       mx_out[d] = mn_out[d] = mean_out[d] = wma_out[d] = x;
       std_out[d] = range_out[d] = 0.0;
@@ -254,7 +269,8 @@ void expand_column_streaming(std::span<const double> colbuf, int w_signed,
     return;
   }
 
-  // Growing phase: replay the naive folds exactly (bit-identical).
+  // Growing phase: replay the naive folds exactly (bit-identical). The
+  // running extrema fold from day 0 even when `first` is later.
   const std::size_t grow_end = std::min(days, w);  // days [0, grow_end) still grow
   double rmx = -INFINITY, rmn = INFINITY;
   for (std::size_t d = 0; d < grow_end; ++d) {
@@ -276,10 +292,10 @@ void expand_column_streaming(std::span<const double> colbuf, int w_signed,
 
   const std::size_t k = static_cast<std::size_t>(std::bit_width(w)) - 1;  // 2^k = bit_floor(w)
   const std::size_t shift = w - (std::size_t{1} << k);
-  steady_pass(w, days, shift, lvmax + (k - 1) * days, lvmin + (k - 1) * days,
-              prefix.data(), prefix2.data(), wprefix.data(), dayf.data(), mx_out.data(),
-              mn_out.data(), mean_out.data(), std_out.data(), range_out.data(),
-              wma_out.data());
+  steady_pass(w, std::max(w, first), days, shift, lvmax + (k - 1) * days,
+              lvmin + (k - 1) * days, prefix.data(), prefix2.data(), wprefix.data(),
+              dayf.data(), mx_out.data(), mn_out.data(), mean_out.data(), std_out.data(),
+              range_out.data(), wma_out.data());
 }
 
 }  // namespace
@@ -304,64 +320,78 @@ std::vector<std::string> expanded_feature_names(std::span<const std::string> bas
   return out;
 }
 
-Matrix expand_series(const Matrix& series, std::span<const std::size_t> base_cols,
-                     const WindowFeatureConfig& cfg, const obs::Context* obs) {
+void expand_series_into(const Matrix& series, std::span<const std::size_t> base_cols,
+                        std::span<const std::size_t> days, const WindowFeatureConfig& cfg,
+                        std::span<double> out, const obs::Context* obs) {
   check_inputs(series, base_cols, cfg);
-  const std::size_t days = series.rows();
+  const std::size_t history = series.rows();
   const std::size_t factor = expansion_factor(cfg);
-  if (obs != nullptr) {
-    obs::add_counter(obs, "wefr_featuregen_rows_total", days);
-    obs::add_counter(obs, "wefr_featuregen_cells_total",
-                     days * base_cols.size() * factor);
+  const std::size_t width = base_cols.size() * factor;
+  if (out.size() != days.size() * width)
+    throw std::invalid_argument("expand_series: output size");
+  std::size_t first = history, last = 0;
+  for (std::size_t d : days) {
+    if (d >= history) throw std::out_of_range("expand_series: day");
+    first = std::min(first, d);
+    last = std::max(last, d);
   }
-  // Every cell is written below (identity + all stats for all windows),
-  // so skip the zero fill — it is ~1 MB of pure write traffic per drive.
-  Matrix out = Matrix::uninitialized(days, base_cols.size() * factor);
-  if (days == 0 || base_cols.empty()) return out;
+  if (obs != nullptr) {
+    obs::add_counter(obs, "wefr_featuregen_rows_total", days.size());
+    obs::add_counter(obs, "wefr_featuregen_cells_total", days.size() * width);
+  }
+  if (days.empty() || base_cols.empty()) return;
 
   // Sparse-table depth: level k is needed by any window w with
-  // bit_floor(w) = 2^k that actually reaches steady state (w < days).
+  // bit_floor(w) = 2^k that actually reaches steady state (w < history).
+  // Decided on the whole history, so a listed day's extrema come from
+  // the same level construction as in the all-days call.
   std::size_t kmax = 0;
   bool need_level1 = false;
   for (int w : cfg.windows) {
     const std::size_t wu = static_cast<std::size_t>(w);
-    if (wu >= 2 && wu < days) {
+    if (wu >= 2 && wu < history) {
       const auto k = static_cast<std::size_t>(std::bit_width(wu)) - 1;
       kmax = std::max(kmax, k);
       need_level1 = need_level1 || k == 1;
     }
   }
 
+  // Days past the last listed one feed no output: the per-column
+  // passes run over [0, len), and the stats only over [first, len).
+  const std::size_t len = last + 1;
+
   // Contiguous scratch, reused across base columns: the input column,
   // its prefix sums and sparse-table levels (shared by every window),
-  // and one column-major staging block (stage[o * days + d]) that the
-  // final pass interleaves into the row-major output.
-  std::vector<double> colbuf(days);
-  std::vector<double> prefix(days + 1), prefix2(days + 1), wprefix(days + 1);
-  std::vector<double> dayf(days + 1);
-  for (std::size_t i = 0; i <= days; ++i) dayf[i] = static_cast<double>(i);
-  std::vector<double> lvmax(kmax * days), lvmin(kmax * days);
-  std::vector<double> stage(days * factor);
+  // and one column-major staging block (stage[o * len + d]) from which
+  // the final pass gathers the listed days into the row-major output.
+  std::vector<double> colbuf(len);
+  std::vector<double> prefix(len + 1), prefix2(len + 1), wprefix(len + 1);
+  std::vector<double> dayf(len + 1);
+  for (std::size_t i = 0; i <= len; ++i) dayf[i] = static_cast<double>(i);
+  std::vector<double> lvmax(kmax * len), lvmin(kmax * len);
+  std::vector<double> stage(len * factor);
 
   for (std::size_t b = 0; b < base_cols.size(); ++b) {
     const std::size_t col = base_cols[b];
     bool finite = true;
-    for (std::size_t d = 0; d < days; ++d) {
+    for (std::size_t d = 0; d < len; ++d) {
       colbuf[d] = series(d, col);
       finite = finite && std::isfinite(colbuf[d]);
     }
+    // The kernel is chosen per column over the whole history.
+    for (std::size_t d = len; finite && d < history; ++d) finite = std::isfinite(series(d, col));
 
     if (!finite) {
       // NaN holes (recover-mode ingestion) poison running sums and
       // break max/min comparisons; the naive kernel's semantics are the
       // contract, so keep them exactly.
-      expand_column_naive(colbuf, cfg, stage);
+      expand_column_naive(colbuf, first, cfg, stage);
     } else {
       // Left-to-right prefix sums: prefix[d+1] / wprefix[d+1] are
       // bit-identical to the naive kernel's growing-window folds.
       double s = 0.0, s2 = 0.0, sw = 0.0;
       prefix[0] = prefix2[0] = wprefix[0] = 0.0;
-      for (std::size_t d = 0; d < days; ++d) {
+      for (std::size_t d = 0; d < len; ++d) {
         const double x = colbuf[d];
         s += x;
         s2 += x * x;
@@ -372,26 +402,40 @@ Matrix expand_series(const Matrix& series, std::span<const std::size_t> base_col
       }
       if (kmax > 0) {
         build_sparse_levels(colbuf.data(), lvmax.data(), lvmin.data(), need_level1, kmax,
-                            days);
+                            len);
       }
       std::copy(colbuf.begin(), colbuf.end(), stage.begin());  // identity column
       std::size_t o = 1;
       for (int w : cfg.windows) {
         auto stat = [&](std::size_t i) {
-          return std::span<double>(stage.data() + (o + i) * days, days);
+          return std::span<double>(stage.data() + (o + i) * len, len);
         };
-        expand_column_streaming(colbuf, w, prefix, prefix2, wprefix, dayf, lvmax.data(),
-                                lvmin.data(), stat(0), stat(1), stat(2), stat(3), stat(4),
-                                stat(5));
+        expand_column_streaming(colbuf, first, w, prefix, prefix2, wprefix, dayf,
+                                lvmax.data(), lvmin.data(), stat(0), stat(1), stat(2),
+                                stat(3), stat(4), stat(5));
         o += kStatsPerWindow;
       }
     }
 
-    // The column offset b * factor is invariant across the day loop.
-    interleave_stage(stage.data(), &out(0, b * factor), days, factor,
-                     base_cols.size() * factor);
+    interleave_stage(stage.data(), len, days, out.data() + b * factor, factor, width);
   }
+}
+
+Matrix expand_series(const Matrix& series, std::span<const std::size_t> base_cols,
+                     std::span<const std::size_t> days, const WindowFeatureConfig& cfg,
+                     const obs::Context* obs) {
+  // Every cell is written by the kernel, so skip the zero fill — it is
+  // ~1 MB of pure write traffic per drive.
+  Matrix out = Matrix::uninitialized(days.size(), base_cols.size() * expansion_factor(cfg));
+  expand_series_into(series, base_cols, days, cfg, out.raw(), obs);
   return out;
+}
+
+Matrix expand_series(const Matrix& series, std::span<const std::size_t> base_cols,
+                     const WindowFeatureConfig& cfg, const obs::Context* obs) {
+  std::vector<std::size_t> days(series.rows());
+  std::iota(days.begin(), days.end(), std::size_t{0});
+  return expand_series(series, base_cols, days, cfg, obs);
 }
 
 Matrix expand_series_naive(const Matrix& series, std::span<const std::size_t> base_cols,

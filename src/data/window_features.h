@@ -39,6 +39,17 @@ std::size_t expansion_factor(const WindowFeatureConfig& cfg = {});
 /// day-major expanded matrix (rows = days, cols = base_cols.size() *
 /// expansion_factor()).
 ///
+/// `days`, when given, lists the days to emit (row indices into
+/// `series`, any order, repeats allowed; one out of range throws
+/// std::out_of_range): output row i is day days[i], bit-identical to
+/// row days[i] of the all-days call. Prefix sums and sparse levels fold
+/// from day 0 up to the last listed day (the furthest any listed row
+/// reads), and the kernel and level plan are chosen over the whole
+/// history, exactly as in the all-days call; the rolling stats and the
+/// interleave cover only the listed days' span. Callers pass the
+/// days they consume: core::score_fleet the days routed to each bundle,
+/// data::build_samples each drive's kept days.
+///
 /// Streaming implementation, O(1) per day per window stat, organized as
 /// branchless element-wise passes (auto-vectorized, with AVX2 clones on
 /// x86-64):
@@ -64,11 +75,22 @@ std::size_t expansion_factor(const WindowFeatureConfig& cfg = {});
 /// back to the naive kernel for that column, preserving its exact
 /// semantics.
 ///
-/// `obs` (nullable) tallies wefr_featuregen_rows/cells counters; the
-/// kernel is too hot for per-call spans, so callers wrap it instead.
+/// `obs` (nullable) tallies wefr_featuregen_rows/cells counters for
+/// the emitted rows; the kernel is too hot for per-call spans, so
+/// callers wrap it instead.
 Matrix expand_series(const Matrix& series, std::span<const std::size_t> base_cols,
                      const WindowFeatureConfig& cfg = {},
                      const obs::Context* obs = nullptr);
+Matrix expand_series(const Matrix& series, std::span<const std::size_t> base_cols,
+                     std::span<const std::size_t> days, const WindowFeatureConfig& cfg = {},
+                     const obs::Context* obs = nullptr);
+
+/// The day-list expansion written straight into a caller's row block:
+/// `out` holds days.size() rows of base_cols.size() * expansion_factor()
+/// doubles (any other size throws std::invalid_argument).
+void expand_series_into(const Matrix& series, std::span<const std::size_t> base_cols,
+                        std::span<const std::size_t> days, const WindowFeatureConfig& cfg,
+                        std::span<double> out, const obs::Context* obs = nullptr);
 
 /// The original O(days * window) reference implementation, retained as
 /// the equivalence oracle for `expand_series` (see tests/test_perf_kernels

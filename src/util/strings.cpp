@@ -18,14 +18,6 @@ std::vector<std::string> split(std::string_view s, char delim) {
   return out;
 }
 
-std::string_view trim(std::string_view s) {
-  const char* ws = " \t\r\n\f\v";
-  const auto b = s.find_first_not_of(ws);
-  if (b == std::string_view::npos) return {};
-  const auto e = s.find_last_not_of(ws);
-  return s.substr(b, e - b + 1);
-}
-
 std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   std::string out;
   for (std::size_t i = 0; i < parts.size(); ++i) {

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -133,6 +134,69 @@ TEST(Ingest, NanTokenCountsAsMissingNotBad) {
   EXPECT_EQ(rep.errors(RowError::kMissingValue), 2u);
   EXPECT_EQ(rep.errors(RowError::kBadValue), 0u);
   EXPECT_EQ(rep.cells_recovered, 2u);
+
+  // A sign-bit NaN streams as "-nan"; it is just as missing.
+  const std::string signed_text = csv_with("c,0,0,-1,-nan,-NaN\n");
+  expect_strict_throws(signed_text);
+  IngestReport signed_rep;
+  const FleetData signed_fleet = parse(signed_text, recover(), signed_rep);
+  ASSERT_EQ(signed_fleet.drives.size(), 3u);
+  EXPECT_EQ(signed_rep.errors(RowError::kMissingValue), 2u);
+  EXPECT_EQ(signed_rep.errors(RowError::kBadValue), 0u);
+  EXPECT_EQ(signed_rep.cells_recovered, 2u);
+}
+
+TEST(Ingest, WrittenNanHolesReadBackAsMissing) {
+  volatile double zero = 0.0;
+  const double div_nan = zero / zero;  // sign bit set on x86-64
+  FleetData fleet;
+  fleet.model_name = "M";
+  fleet.feature_names = {"f0", "f1", "f2"};
+  fleet.num_days = 1;
+  DriveSeries drive;
+  drive.drive_id = "a";
+  drive.values = Matrix(1, 3);
+  drive.values(0, 0) = div_nan;
+  drive.values(0, 1) = std::numeric_limits<double>::quiet_NaN();
+  drive.values(0, 2) = 7.5;
+  fleet.drives.push_back(drive);
+  std::ostringstream os;
+  write_fleet_csv(fleet, os);
+  if (std::signbit(div_nan)) {
+    EXPECT_NE(os.str().find("-nan"), std::string::npos) << os.str();
+  }
+
+  IngestReport rep;
+  const FleetData back = parse(os.str(), recover(), rep);
+  ASSERT_EQ(back.drives.size(), 1u);
+  EXPECT_EQ(rep.errors(RowError::kMissingValue), 2u);
+  EXPECT_EQ(rep.errors(RowError::kBadValue), 0u);
+  EXPECT_TRUE(std::isnan(back.drives[0].values(0, 0)));
+  EXPECT_TRUE(std::isnan(back.drives[0].values(0, 1)));
+  EXPECT_EQ(back.drives[0].values(0, 2), 7.5);
+}
+
+TEST(Ingest, OutOfRangeDayIsBadMetaField) {
+  // day / fail_day values no int can hold: rejected like unparseable
+  // ones, never cast (the cast would be undefined behaviour).
+  for (const std::string row : {"c,1e10,0,-1,6,60\n", "c,-1e300,0,-1,6,60\n",
+                                "c,0,1,3e9,6,60\n"}) {
+    SCOPED_TRACE(row);
+    const std::string text = csv_with(row);
+    std::istringstream is(text);
+    try {
+      read_fleet_csv(is, "M");
+      ADD_FAILURE() << "expected strict throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "read_fleet_csv: bad day/failed/fail_day at line 7");
+    }
+    IngestReport rep;
+    const FleetData fleet = parse(text, recover(), rep);
+    EXPECT_EQ(fleet.drives.size(), 2u);
+    EXPECT_EQ(rep.errors(RowError::kBadMetaField), 1u);
+    EXPECT_EQ(rep.rows_quarantined, 1u);
+    EXPECT_EQ(rep.rows_ok, 5u);
+  }
 }
 
 TEST(Ingest, DuplicateDayQuarantined) {

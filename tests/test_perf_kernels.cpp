@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "core/auto_select.h"
@@ -92,6 +93,48 @@ void expect_expansion_equivalent(const data::Matrix& series,
   }
 }
 
+/// Checks the day-list expansion against the all-days one: output row i
+/// must equal row days[i] of the full expansion bit for bit, both from
+/// the Matrix entry and written into the middle of a caller's block.
+void expect_day_list_matches_full(const data::Matrix& series,
+                                  const std::vector<std::size_t>& base_cols,
+                                  const data::WindowFeatureConfig& cfg,
+                                  const std::vector<std::size_t>& days) {
+  const data::Matrix full = data::expand_series(series, base_cols, cfg);
+  const data::Matrix listed = data::expand_series(series, base_cols, days, cfg);
+  ASSERT_EQ(listed.rows(), days.size());
+  ASSERT_EQ(listed.cols(), full.cols());
+  const std::size_t width = full.cols();
+  // Two guard rows on each side of the block must stay untouched.
+  std::vector<double> block((days.size() + 4) * width, -7.25);
+  data::expand_series_into(series, base_cols, days, cfg,
+                           std::span<double>(block).subspan(2 * width, days.size() * width));
+  for (std::size_t i = 0; i < days.size(); ++i)
+    for (std::size_t c = 0; c < width; ++c) {
+      EXPECT_TRUE(bit_equal(listed(i, c), full(days[i], c)))
+          << "row " << i << " (day " << days[i] << ") col " << c;
+      EXPECT_TRUE(bit_equal(block[(i + 2) * width + c], full(days[i], c)))
+          << "block row " << i << " (day " << days[i] << ") col " << c;
+    }
+  for (std::size_t g = 0; g < 2 * width; ++g) {
+    EXPECT_EQ(block[g], -7.25);
+    EXPECT_EQ(block[block.size() - 1 - g], -7.25);
+  }
+}
+
+/// A spread of day lists over a series of `days` rows: empty, one day,
+/// the tail, a non-contiguous stride, and a shuffled list with repeats.
+std::vector<std::vector<std::size_t>> day_lists(std::size_t days) {
+  std::vector<std::vector<std::size_t>> lists = {{}, {days - 1}, {0}};
+  std::vector<std::size_t> tail, stride;
+  for (std::size_t d = days / 2; d < days; ++d) tail.push_back(d);
+  for (std::size_t d = 1; d < days; d += 3) stride.push_back(d);
+  lists.push_back(tail);
+  lists.push_back(stride);
+  lists.push_back({days - 1, days / 3, days / 3, 0});
+  return lists;
+}
+
 // --- streaming rolling-window kernels ------------------------------------
 
 TEST(PerfKernels, StreamingExpansionMatchesNaiveAcrossWindowSizes) {
@@ -109,8 +152,42 @@ TEST(PerfKernels, StreamingExpansionMatchesNaiveAcrossWindowSizes) {
       SCOPED_TRACE("days=" + std::to_string(days) +
                    " first_window=" + std::to_string(windows[0]));
       expect_expansion_equivalent(series, base_cols, cfg);
+      for (const auto& list : day_lists(days))
+        expect_day_list_matches_full(series, base_cols, cfg, list);
     }
   }
+}
+
+TEST(PerfKernels, DayListExpansionMatchesFullRowsBitwise) {
+  util::Rng rng(4711);
+  for (const std::vector<int>& windows : {std::vector<int>{3, 7}, std::vector<int>{7, 14, 30}}) {
+    data::WindowFeatureConfig cfg;
+    cfg.windows = windows;
+    // 1 day, shorter than the longest window, and long enough to slide.
+    for (const std::size_t days : {1u, 5u, 29u, 90u}) {
+      data::Matrix series = random_series(rng, days, 4);
+      // Column 1 holds a NaN (naive kernel for the whole column) — after
+      // the listed days too, so the kernel choice must see past them.
+      series(days - 1, 1) = std::numeric_limits<double>::quiet_NaN();
+      SCOPED_TRACE("days=" + std::to_string(days) + " windows=" + std::to_string(windows.size()));
+      for (const auto& list : day_lists(days))
+        expect_day_list_matches_full(series, {0, 1, 3}, cfg, list);
+    }
+  }
+}
+
+TEST(PerfKernels, DayListExpansionRejectsBadInput) {
+  util::Rng rng(3);
+  const data::Matrix series = random_series(rng, 10, 2);
+  const std::vector<std::size_t> base_cols = {0, 1};
+  const std::vector<std::size_t> out_of_range = {2, 10};
+  EXPECT_THROW(data::expand_series(series, base_cols, out_of_range), std::out_of_range);
+  const std::vector<std::size_t> days = {1, 2};
+  std::vector<double> small(2 * 2 * data::expansion_factor() - 1);
+  EXPECT_THROW(data::expand_series_into(series, base_cols, days, {}, small),
+               std::invalid_argument);
+  const std::vector<std::size_t> none;
+  EXPECT_EQ(data::expand_series(series, base_cols, none).rows(), 0u);
 }
 
 TEST(PerfKernels, StreamingExpansionConstantAndAdversarialColumns) {
