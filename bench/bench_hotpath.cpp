@@ -5,9 +5,9 @@
 // merge-sort vs pair-scan Kendall ranking kernel, CSV ingestion:
 // serial istream parse vs the parallel mmap parse (bit-identical
 // required) and cold vs warm columnar fleet cache, forest
-// inference: the scalar recursive walk vs the flattened SoA engine
-// (baseline / AVX2 / quantized arms, bit-identical required, >=5x
-// single-core gate on the baseline arm).
+// inference: the scalar recursive walk vs the flattened engine
+// (baseline / AVX2 arms, bit-identical required, >=5x single-core gate
+// on the baseline arm).
 //
 // Also gates the wefr::obs zero-overhead contract: scoring with tracing
 // and metrics enabled must stay within 5% of the disabled run, or the
@@ -465,17 +465,16 @@ int main() {
               obs_gate_pass ? "PASS" : "FAIL");
 
   // --- 8. Forest inference: the scalar per-row recursive walk vs the
-  // flattened SoA engine (baseline kernel, AVX2 kernel, and the uint8
-  // quantized-threshold path), single-core, on the production-config
-  // histogram forest. Every arm must be bit-identical to the recursive
-  // oracle — including re-batching the same rows at sizes 1/7/256/n and
-  // re-running the Matrix entry at 1 and hw threads — and the flattened
-  // baseline must clear >=5x over the scalar walk (the inference gate).
+  // flattened engine (baseline kernel and AVX2 kernel), single-core, on
+  // the production-config histogram forest. Every arm must be
+  // bit-identical to the recursive oracle — including re-batching the
+  // same rows at sizes 1/7/256/n and re-running the Matrix entry at 1
+  // and hw threads — and the flattened baseline must clear >=5x over the
+  // scalar walk (the inference gate).
   const ml::RandomForest& inf_forest = forest_hist;
   const data::Matrix& inf_x = ds.x;
   const std::size_t inf_rows = inf_x.rows();
   const ml::FlatForest& inf_flat = *inf_forest.flat();
-  const double inf_trees = static_cast<double>(inf_forest.num_trees());
 
   auto time_once = [&](auto&& fn) {
     sw.reset();
@@ -483,17 +482,15 @@ int main() {
     return sw.seconds();
   };
 
-  // The four arms are timed interleaved — one rep of each per round,
+  // The three arms are timed interleaved — one rep of each per round,
   // min over rounds — rather than arm-by-arm, so a transient slowdown
   // (another tenant, frequency dip) that lands mid-section biases every
   // arm alike instead of whichever arm happened to be running; the
   // speedup ratios stay paired measurements.
   std::vector<double> inf_oracle(inf_rows);
-  std::vector<double> inf_base, inf_vec, inf_acc(inf_rows);
+  std::vector<double> inf_base, inf_vec;
   const bool inf_avx2 = ml::FlatForest::avx2_available();
-  const bool inf_quantized = inf_flat.quantized();
-  double inf_scalar_s = 1e300, inf_flat_s = 1e300, inf_avx2_s = 1e300,
-         inf_quant_s = 1e300;
+  double inf_scalar_s = 1e300, inf_flat_s = 1e300, inf_avx2_s = 1e300;
   for (int round = 0; round < 6; ++round) {
     inf_scalar_s = std::min(inf_scalar_s, time_once([&] {
       for (std::size_t r = 0; r < inf_rows; ++r)
@@ -505,14 +502,8 @@ int main() {
     ml::FlatForest::set_avx2_enabled(true);
     inf_avx2_s = std::min(inf_avx2_s,
                           time_once([&] { inf_vec = inf_forest.predict_proba(inf_x); }));
-    inf_quant_s = std::min(inf_quant_s, time_once([&] {
-      std::fill(inf_acc.begin(), inf_acc.end(), 0.0);
-      inf_flat.accumulate(inf_x, 0, inf_rows, inf_acc, ml::InferencePath::kQuantized);
-      for (double& v : inf_acc) v /= inf_trees;
-    }));
   }
-  bool inf_identical =
-      inf_base == inf_oracle && inf_vec == inf_oracle && inf_acc == inf_oracle;
+  bool inf_identical = inf_base == inf_oracle && inf_vec == inf_oracle;
 
   // Re-batching equivalence: the same rows pushed through the selected-
   // rows entry in batches of 1, 7, 256, and all must splice into the
@@ -540,25 +531,19 @@ int main() {
   };
   const double inf_flat_speedup = inf_flat_s > 0.0 ? inf_scalar_s / inf_flat_s : 0.0;
   const double inf_avx2_speedup = inf_avx2_s > 0.0 ? inf_scalar_s / inf_avx2_s : 0.0;
-  const double inf_quant_speedup = inf_quant_s > 0.0 ? inf_scalar_s / inf_quant_s : 0.0;
   const bool inf_gate_pass = inf_identical && inf_flat_speedup >= 5.0;
   std::printf("forest inference, %zu rows x %zu features, %zu trees depth<=%d, 1 core:\n"
               "  scalar recursive walk: %8.4f s   (%8.2fk rows/s)\n"
               "  flattened (baseline):  %8.4f s   (%8.2fk rows/s, speedup %.2fx)\n"
               "  flattened (avx2%s):     %8.4f s   (%8.2fk rows/s, speedup %.2fx)\n"
-              "  flattened (quantized%s):%8.4f s   (%8.2fk rows/s, speedup %.2fx)\n"
               "  scores %s; inference gate (>=5x, bit-identical) %s\n\n",
               inf_rows, inf_x.cols(), inf_forest.num_trees(), inf_flat.max_depth(),
               inf_scalar_s, rows_per_sec(inf_scalar_s) / 1e3, inf_flat_s,
               rows_per_sec(inf_flat_s) / 1e3, inf_flat_speedup,
               inf_avx2 ? "" : "*", inf_avx2_s, rows_per_sec(inf_avx2_s) / 1e3,
-              inf_avx2_speedup, inf_quantized ? "" : "*", inf_quant_s,
-              rows_per_sec(inf_quant_s) / 1e3, inf_quant_speedup,
-              inf_identical ? "bit-identical" : "DIFFER",
+              inf_avx2_speedup, inf_identical ? "bit-identical" : "DIFFER",
               inf_gate_pass ? "PASS" : "FAIL");
   if (!inf_avx2) std::printf("  (* no AVX2 on this host: arm ran the baseline kernel)\n");
-  if (!inf_quantized)
-    std::printf("  (* codec over uint8 budget: quantized arm fell back to double)\n");
   std::fflush(stdout);
 
   // --- machine-readable summary.
@@ -615,18 +600,15 @@ int main() {
     w.key("inference").begin_object();
     w.field("rows", inf_rows).field("features", inf_x.cols());
     w.field("trees", inf_forest.num_trees()).field("max_depth", inf_flat.max_depth());
-    w.field("avx2", inf_avx2).field("quantized", inf_quantized);
+    w.field("avx2", inf_avx2);
     w.field("scalar_seconds", inf_scalar_s);
     w.field("flat_seconds", inf_flat_s);
     w.field("flat_avx2_seconds", inf_avx2_s);
-    w.field("flat_quantized_seconds", inf_quant_s);
     w.field("scalar_rows_per_sec", rows_per_sec(inf_scalar_s));
     w.field("flat_rows_per_sec", rows_per_sec(inf_flat_s));
     w.field("flat_avx2_rows_per_sec", rows_per_sec(inf_avx2_s));
-    w.field("flat_quantized_rows_per_sec", rows_per_sec(inf_quant_s));
     w.field("flat_speedup", inf_flat_speedup);
     w.field("flat_avx2_speedup", inf_avx2_speedup);
-    w.field("flat_quantized_speedup", inf_quant_speedup);
     w.field("min_speedup", 5.0);
     w.field("outputs_identical", inf_identical);
     w.field("gate_pass", inf_gate_pass).end_object();

@@ -32,7 +32,6 @@
 
 #include "bench_common.h"
 #include "core/pipeline.h"
-#include "core/transfer.h"
 #include "core/wefr.h"
 #include "daemon/engine.h"
 #include "data/preprocess.h"

@@ -49,115 +49,22 @@ constexpr std::size_t kBlockRows = 512;
 /// so a 16-row group walking ~30 active features contends for ~4 sets'
 /// worth of ways. One extra cache line of padding per column makes the
 /// column->set mapping coprime with the set count and spreads the
-/// group's working set across all 64 sets. Baked into FlatNode::slot_off
-/// at build time, so the kernels never see the distinction.
+/// group's working set across all 64 sets. Baked into the packed child
+/// references at build time, so the kernels never see the distinction.
 constexpr std::size_t kSlotStride = kBlockRows + 8;
 
 /// Everything one block traversal reads, gathered so the kernel clones
 /// share a single signature.
 struct BlockArgs {
-  const double* stage = nullptr;        ///< [slot][kSlotStride] raw values
-  const std::uint8_t* codes = nullptr;  ///< [slot][kSlotStride] codec ranks
-  std::size_t rows = 0;                 ///< occupied rows in the block
-  const FlatNode* node = nullptr;       ///< packed nodes, BFS order
-  const WideNode* wide = nullptr;       ///< raw-path nodes with packed child refs
+  const double* stage = nullptr;  ///< [slot][kSlotStride] raw values
+  std::size_t rows = 0;           ///< occupied rows in the block
+  const WideNode* wide = nullptr;  ///< nodes, BFS order, packed child refs
   const std::uint64_t* root_packed = nullptr;  ///< per-tree packed root ref
-  const std::uint8_t* cut = nullptr;    ///< per node: codec threshold rank
-  const std::int32_t* tree_first = nullptr;
   const std::int32_t* tree_depth = nullptr;
   std::size_t tree_begin = 0;
   std::size_t tree_end = 0;
   double* acc = nullptr;  ///< [rows] per-row leaf-value accumulator
 };
-
-/// Batched traversal: a group of rows advances through one tree in
-/// lockstep, one level per pass; leaves self-loop (-inf stage column,
-/// payload in the threshold field, child == self), so no per-row
-/// termination test exists, and the `code > cut` outcome feeds straight
-/// into `child + go_right` — no branch for the predictor to miss. The
-/// raw comparison is false for NaN, which routes NaN right — exactly
-/// the recursive walk's behaviour. The end-of-tree accumulate reads the
-/// payload off the leaf record itself, which the last level visit just
-/// pulled into L1.
-///
-/// Each step of a chain is a load dependency (node -> slot -> staged
-/// value -> child), so one chain is latency-bound; kGroup independent
-/// chains in flight turn the walk throughput-bound. Written as an
-/// explicit inner group (indices in registers, level loop outside the
-/// group loop) so the compiler cannot interchange the loops back into
-/// one long serial chain per row — GCC does exactly that to a plain
-/// `for (level) for (row in 0..64)` nest. Walks groups of exactly
-/// kGroup rows through one tree, starting at `r` and advancing it past
-/// every full group consumed; the driver cascades group sizes (24,
-/// then 8, then single rows) so almost no row falls through to the
-/// serial walk.
-template <bool kQuantized, std::size_t kGroup>
-[[gnu::always_inline]] inline void walk_groups(const BlockArgs& a, std::int32_t root,
-                                               std::int32_t depth, std::size_t& r) {
-  const std::uint8_t* const codes = a.codes;
-  const FlatNode* const node = a.node;
-  const std::uint8_t* const cut = a.cut;
-  const std::size_t n = a.rows;
-  for (; r + kGroup <= n; r += kGroup) {
-    // Hoisting the block-row base into the stage pointer lets the
-    // lane index j below fold into the load's constant displacement:
-    // without it GCC materializes the per-lane r+j offsets on the
-    // stack and reloads one per step, an extra load on a port-bound
-    // loop.
-    const double* const gstage = a.stage + r;
-    const std::uint8_t* const gcodes = codes + r;
-    std::int32_t idx[kGroup];
-    if (depth > 0) {
-      // Level 0 specialised: every lane is at the root, so its fields
-      // load once for the whole group instead of once per lane.
-      const FlatNode rn = node[static_cast<std::size_t>(root)];
-      const std::size_t rslot = static_cast<std::size_t>(rn.slot_off);
-#pragma GCC unroll 32
-      for (std::size_t j = 0; j < kGroup; ++j) {
-        std::int32_t go_right;
-        if constexpr (kQuantized) {
-          go_right = gcodes[rslot + j] > cut[static_cast<std::size_t>(root)] ? 1 : 0;
-        } else {
-          go_right = gstage[rslot + j] <= rn.threshold ? 0 : 1;
-        }
-        idx[j] = rn.child + go_right;
-      }
-    } else {
-      for (std::size_t j = 0; j < kGroup; ++j) idx[j] = root;
-    }
-    auto one_step = [&](std::int32_t cur, std::size_t j) {
-      const std::size_t i = static_cast<std::size_t>(cur);
-      const FlatNode& nd = node[i];
-      const std::size_t slot = static_cast<std::size_t>(nd.slot_off);
-      const std::int32_t child = nd.child;
-      const double thr = nd.threshold;
-      std::int32_t go_right;
-      if constexpr (kQuantized) {
-        go_right = gcodes[slot + j] > cut[i] ? 1 : 0;
-      } else {
-        go_right = gstage[slot + j] <= thr ? 0 : 1;
-      }
-      return child + go_right;
-    };
-    for (std::int32_t level = 1; level < depth; ++level) {
-      std::int32_t moved = 0;
-#pragma GCC unroll 32
-      for (std::size_t j = 0; j < kGroup; ++j) {
-        const std::int32_t next = one_step(idx[j], j);
-        moved |= next ^ idx[j];
-        idx[j] = next;
-      }
-      // All chains parked on leaf self-loops: the remaining levels are
-      // no-ops. Real forests are unbalanced, so the deepest leaf is
-      // far deeper than the typical one — without this check every
-      // row would pay for the deepest path in the tree.
-      if (moved == 0) break;
-    }
-    for (std::size_t j = 0; j < kGroup; ++j) {
-      a.acc[r + j] += node[static_cast<std::size_t>(idx[j])].threshold;
-    }
-  }
-}
 
 /// `v <= thr ? l : r`, with NaN `v` selecting `r` — the split rule of
 /// the recursive walk. On x86-64 this is pinned to comisd + cmovae by
@@ -182,25 +89,40 @@ template <bool kQuantized, std::size_t kGroup>
 #endif
 }
 
-/// Raw-threshold walk over WideNode records (see forest_infer.h): the
-/// packed child word carries the destination's stage byte offset, so a
-/// step's staged-value load depends only on the previous packed word,
-/// never on this step's node-record load — the two cache accesses issue
-/// in parallel and the per-level chain shrinks from
+/// Lanes per walking group. Each step of a chain is a load dependency,
+/// so one chain is latency-bound; independent chains in flight turn the
+/// walk throughput-bound. 16 lanes beat 8/10/12/20/24: enough chains to
+/// cover the ~18-cycle per-step chain and the L2 latency of stage/node
+/// lines, while the lane state still fits registers without heavy
+/// spilling.
+constexpr std::size_t kGroup = 16;
+
+/// Batched traversal over WideNode records (see forest_infer.h): a
+/// group of kGroup rows advances through one tree in lockstep, one
+/// level per pass, starting at `r` and advancing it past every full
+/// group consumed. Leaves self-loop on the -inf stage column, so no
+/// per-row termination test exists, and the end-of-tree accumulate
+/// reads the payload off the leaf record the last level visit just
+/// pulled into L1. The raw comparison is false for NaN, which routes
+/// NaN right — exactly the recursive walk's behaviour.
+///
+/// The packed child word carries the destination's stage byte offset,
+/// so a step's staged-value load depends only on the previous packed
+/// word, never on this step's node-record load — the two cache accesses
+/// issue in parallel and the per-level chain shrinks from
 /// node -> slot -> stage -> compare to max(node, stage) -> compare.
 /// Both child words load unconditionally and the compare selects with a
-/// cmov, so there is still no data-dependent branch.
+/// cmov, so there is no data-dependent branch. The lanes are an
+/// explicit inner loop (state in registers, level loop outside the lane
+/// loop) so the compiler cannot interchange the loops back into one
+/// long serial chain per row, as GCC does to a plain
+/// `for (level) for (row)` nest.
 ///
 /// The group walks the full tree depth with no parked-lane bookkeeping:
 /// with 16 chains in flight a group's deepest lane is usually near the
 /// tree's own depth, so an early-exit check costs more in per-step
 /// tracking (xor/or per lane per level, measured ~15% on this loop)
-/// than the few spare levels it skips — the opposite trade from the
-/// quantized kernel's 24-lane walk below. 16 lanes beat 8/10/12/20/24
-/// here: enough independent chains to cover the ~18-cycle per-step
-/// chain and the L2 latency of stage/node lines, while the lane state
-/// still fits registers without heavy spilling.
-template <std::size_t kGroup>
+/// than the few spare levels it skips.
 [[gnu::always_inline]] inline void walk_wide(const BlockArgs& a, std::uint64_t root_pk,
                                              std::int32_t depth, std::size_t& r) {
   const char* const nbase = reinterpret_cast<const char*>(a.wide);
@@ -245,15 +167,14 @@ template <std::size_t kGroup>
   }
 }
 
-template <std::size_t kGroup>
-[[gnu::always_inline]] inline void run_trees_wide(const BlockArgs& a) {
+[[gnu::always_inline]] inline void run_trees(const BlockArgs& a) {
   const char* const nbase = reinterpret_cast<const char*>(a.wide);
   const std::size_t n = a.rows;
   for (std::size_t t = a.tree_begin; t < a.tree_end; ++t) {
     const std::uint64_t root_pk = a.root_packed[t];
     const std::int32_t depth = a.tree_depth[t];
     std::size_t r = 0;
-    walk_wide<kGroup>(a, root_pk, depth, r);
+    walk_wide(a, root_pk, depth, r);
     for (; r < n; ++r) {  // last rows walk one chain at a time
       const char* const sb = reinterpret_cast<const char*>(a.stage + r);
       std::uint64_t p = root_pk;
@@ -273,51 +194,10 @@ template <std::size_t kGroup>
   }
 }
 
-template <bool kQuantized, std::size_t kGroup>
-[[gnu::always_inline]] inline void run_trees_impl(const BlockArgs& a) {
-  const std::uint8_t* const codes = a.codes;
-  const FlatNode* const node = a.node;
-  const std::uint8_t* const cut = a.cut;
-  const std::size_t n = a.rows;
-  for (std::size_t t = a.tree_begin; t < a.tree_end; ++t) {
-    const std::int32_t root = a.tree_first[t];
-    const std::int32_t depth = a.tree_depth[t];
-    std::size_t r = 0;
-    walk_groups<kQuantized, kGroup>(a, root, depth, r);
-    // A 512-row block is not a multiple of 24; mop up with a group
-    // size that divides the remainder (512 = 21*24 + 1*8) instead of
-    // dropping up to 23 rows onto the serial walk below.
-    if constexpr (kGroup > 8) walk_groups<kQuantized, 8>(a, root, depth, r);
-    for (; r < n; ++r) {  // last rows walk one chain at a time
-      std::size_t i = static_cast<std::size_t>(root);
-      for (std::int32_t level = 0; level < depth; ++level) {
-        const FlatNode& nd = node[i];
-        const std::size_t col = static_cast<std::size_t>(nd.slot_off) + r;
-        std::int32_t go_right;
-        if constexpr (kQuantized) {
-          go_right = codes[col] > cut[i] ? 1 : 0;
-        } else {
-          go_right = a.stage[col] <= nd.threshold ? 0 : 1;
-        }
-        const std::size_t next = static_cast<std::size_t>(nd.child + go_right);
-        if (next == i) break;  // parked on a leaf self-loop
-        i = next;
-      }
-      a.acc[r] += node[i].threshold;
-    }
-  }
-}
-
-void run_trees_double_base(const BlockArgs& a) { run_trees_wide<16>(a); }
-void run_trees_quant_base(const BlockArgs& a) { run_trees_impl<true, 24>(a); }
+void run_trees_base(const BlockArgs& a) { run_trees(a); }
 
 #if WEFR_INFER_AVX2
-[[gnu::target("avx2")]] void run_trees_double_avx2(const BlockArgs& a) {
-  run_trees_wide<16>(a);
-}
-[[gnu::target("avx2")]] void run_trees_quant_avx2(const BlockArgs& a) {
-  run_trees_impl<true, 24>(a);
-}
+[[gnu::target("avx2")]] void run_trees_avx2(const BlockArgs& a) { run_trees(a); }
 bool cpu_has_avx2() { return __builtin_cpu_supports("avx2") != 0; }
 #else
 bool cpu_has_avx2() { return false; }
@@ -334,27 +214,17 @@ struct RawNode {
   double value = 0.0;  // leaf payload
 };
 
-/// Codec rank of `v` among the sorted thresholds [first, first + len):
-/// the number of thresholds strictly below v, so that `v <= thrs[i]`
-/// iff `rank(v) <= i` for every i. NaN maps past the last rank (always
-/// routes right), mirroring the raw comparison; the isnan test is the
-/// only branch — a `std::lower_bound` here costs ~8 mispredicts per
-/// value on real data and dominated the whole quantized path, so the
-/// search is a branchless cmov ladder instead.
-std::uint8_t code_of(const double* first, std::size_t len, double v) {
-  if (std::isnan(v)) [[unlikely]]
-    return static_cast<std::uint8_t>(len);
-  const double* base = first;
-  std::size_t n = len;
-  while (n > 1) {
-    const std::size_t half = n / 2;
-    base = base[half] < v ? base + half : base;  // compiles to cmov
-    n -= half;
-  }
-  const std::size_t rank =
-      static_cast<std::size_t>(base - first) + (len != 0 && *base < v ? 1 : 0);
-  return static_cast<std::uint8_t>(rank);
-}
+/// Builder-side node form: one tree's nodes renumbered in BFS order,
+/// which makes every interior node's children adjacent, so only the
+/// left child's global id is stored (the right one is `child + 1`).
+/// Leaves store `child == self` and slot_off 0. The WideNode array is
+/// emitted from it once every node's staged column is known.
+struct FlatNode {
+  double threshold;       ///< split threshold; the leaf payload on leaves
+  std::int32_t slot_off;  ///< staged column of the split feature,
+                          ///< pre-scaled by kSlotStride; 0 on leaves
+  std::int32_t child;     ///< global id of the left child; self on leaves
+};
 
 }  // namespace
 
@@ -364,7 +234,7 @@ void FlatForest::set_avx2_enabled(bool on) {
 bool FlatForest::avx2_enabled() { return g_avx2_enabled.load(std::memory_order_relaxed); }
 bool FlatForest::avx2_available() { return cpu_has_avx2(); }
 
-/// Friend of FlatForest (see forest_infer.h): fills the SoA arrays from
+/// Friend of FlatForest (see forest_infer.h): fills the node arrays from
 /// the neutral node form both learners lower into.
 struct FlatBuilder {
   static FlatForest build(std::span<const std::vector<RawNode>> trees,
@@ -417,9 +287,8 @@ FlatForest FlatBuilder::build(std::span<const std::vector<RawNode>> trees,
   FlatForest flat;
   flat.num_features_ = num_features;
 
-  // Pass 1: which columns are split on, and every distinct threshold
-  // per column (the codec).
-  std::vector<std::vector<double>> per_feature(num_features);
+  // Pass 1: which columns are split on. Only those get a stage column.
+  std::vector<bool> split_on(num_features, false);
   std::size_t total_nodes = 0;
   for (const auto& tree : trees) {
     total_nodes += tree.size();
@@ -427,42 +296,28 @@ FlatForest FlatBuilder::build(std::span<const std::vector<RawNode>> trees,
       if (nd.feature < 0) continue;
       if (static_cast<std::size_t>(nd.feature) >= num_features)
         throw std::logic_error("FlatForest: split feature out of range");
-      per_feature[static_cast<std::size_t>(nd.feature)].push_back(nd.threshold);
+      split_on[static_cast<std::size_t>(nd.feature)] = true;
     }
   }
-
   flat.feature_slot_.assign(num_features, -1);
-  flat.quantized_ = true;
-  flat.codec_first_.push_back(0);
   for (std::size_t f = 0; f < num_features; ++f) {
-    auto& thrs = per_feature[f];
-    if (thrs.empty()) continue;
-    std::sort(thrs.begin(), thrs.end());
-    thrs.erase(std::unique(thrs.begin(), thrs.end()), thrs.end());
+    if (!split_on[f]) continue;
     flat.feature_slot_[f] = static_cast<std::int32_t>(flat.active_.size());
     flat.active_.push_back(static_cast<std::int32_t>(f));
-    flat.codec_values_.insert(flat.codec_values_.end(), thrs.begin(), thrs.end());
-    flat.codec_first_.push_back(static_cast<std::int32_t>(flat.codec_values_.size()));
-    // Codec ranks run [0, count] (count = "above every threshold"), so
-    // uint8 coverage needs count <= 255.
-    if (thrs.size() > 255) flat.quantized_ = false;
   }
 
-  // Pass 2: emit the packed nodes, one contiguous BFS run per tree.
-  // BFS order makes every interior node's children adjacent (the
-  // traversal steps with `child + go_right`) and keeps each level's
-  // nodes on neighbouring cache lines — the top of a tree, which every
-  // row visits, packs into a handful of lines.
-  flat.node_.reserve(total_nodes);
-  flat.cut_.reserve(total_nodes);
-  flat.tree_first_.reserve(trees.size());
+  // Pass 2: emit the nodes, one contiguous BFS run per tree.
+  std::vector<FlatNode> node;
+  node.reserve(total_nodes);
+  std::vector<std::int32_t> tree_first;  // root node id per tree
+  tree_first.reserve(trees.size());
   flat.tree_depth_.reserve(trees.size());
 
   std::vector<std::int32_t> order;  // original ids, BFS
   for (const auto& tree : trees) {
     if (tree.empty()) throw std::logic_error("FlatForest: empty tree");
-    const std::int32_t base = static_cast<std::int32_t>(flat.node_.size());
-    flat.tree_first_.push_back(base);
+    const std::int32_t base = static_cast<std::int32_t>(node.size());
+    tree_first.push_back(base);
     const auto n_local = static_cast<std::int32_t>(tree.size());
 
     order.assign(1, 0);
@@ -486,28 +341,22 @@ FlatForest FlatBuilder::build(std::span<const std::vector<RawNode>> trees,
       const std::int32_t me = base + static_cast<std::int32_t>(q);
       if (nd.feature < 0) {
         // Leaf: payload overlays the threshold field, parked on the
-        // -inf stage column (-inf <= any finite payload, and code 0 is
-        // never > cut 255), so go_right stays 0 and child == self. A
-        // NaN payload would compare false and walk the row off the
-        // leaf, so reject it here (training never produces one).
+        // -inf stage column (-inf <= any finite payload), so the walk
+        // keeps selecting the leaf itself. A NaN payload would compare
+        // false and walk the row off the leaf, so reject it here
+        // (training never produces one).
         if (std::isnan(nd.value))
           throw std::logic_error("FlatForest: NaN leaf payload");
-        flat.node_.push_back(FlatNode{nd.value, 0, me});
-        flat.cut_.push_back(255);
+        node.push_back(FlatNode{nd.value, 0, me});
         continue;
       }
       const std::int32_t s = flat.feature_slot_[static_cast<std::size_t>(nd.feature)];
       const std::int32_t left = base + newid[static_cast<std::size_t>(nd.left)];
-      flat.node_.push_back(FlatNode{
+      node.push_back(FlatNode{
           nd.threshold, (s + 1) * static_cast<std::int32_t>(kSlotStride), left});
       // BFS pushes the two children back to back.
       if (base + newid[static_cast<std::size_t>(nd.right)] != left + 1)
         throw std::logic_error("FlatForest: BFS children not adjacent");
-      // Exact rank lookup: the threshold came from this list.
-      const double* first = flat.codec_values_.data() + flat.codec_first_[s];
-      const double* last = flat.codec_values_.data() + flat.codec_first_[s + 1];
-      const double* pos = std::lower_bound(first, last, nd.threshold);
-      flat.cut_.push_back(static_cast<std::uint8_t>(std::min<std::ptrdiff_t>(pos - first, 255)));
     }
 
     // Tree depth = deepest leaf, via an explicit (node, depth) stack.
@@ -528,26 +377,26 @@ FlatForest FlatBuilder::build(std::span<const std::vector<RawNode>> trees,
     flat.max_depth_ = std::max(flat.max_depth_, static_cast<int>(depth));
   }
 
-  // WideNode mirror for the raw-threshold batch kernel (see
-  // forest_infer.h): each child reference packs the child's node byte
-  // offset with the byte offset of the child's own staged column.
-  const auto packed = [&flat](std::int32_t k) {
+  // Pass 3: the WideNode records (see forest_infer.h). Each child
+  // reference packs the child's node byte offset with the byte offset
+  // of the child's own staged column.
+  const auto packed = [&node](std::int32_t k) {
     const auto i = static_cast<std::uint64_t>(static_cast<std::uint32_t>(k));
     const auto slot =
-        static_cast<std::uint64_t>(static_cast<std::uint32_t>(flat.node_[i].slot_off));
+        static_cast<std::uint64_t>(static_cast<std::uint32_t>(node[i].slot_off));
     return i * sizeof(WideNode) | (slot * sizeof(double)) << 32;
   };
-  flat.wide_.resize(flat.node_.size());
-  for (std::size_t i = 0; i < flat.node_.size(); ++i) {
-    const FlatNode& nd = flat.node_[i];
+  flat.wide_.resize(node.size());
+  for (std::size_t i = 0; i < node.size(); ++i) {
+    const FlatNode& nd = node[i];
     WideNode& w = flat.wide_[i];
     w.thr = nd.threshold;
     const bool leaf = nd.child == static_cast<std::int32_t>(i);
     w.left = packed(leaf ? static_cast<std::int32_t>(i) : nd.child);
     w.right = packed(leaf ? static_cast<std::int32_t>(i) : nd.child + 1);
   }
-  flat.root_packed_.reserve(flat.tree_first_.size());
-  for (const std::int32_t rt : flat.tree_first_) flat.root_packed_.push_back(packed(rt));
+  flat.root_packed_.reserve(tree_first.size());
+  for (const std::int32_t rt : tree_first) flat.root_packed_.push_back(packed(rt));
 
   if (obs != nullptr) {
     obs::add_counter(obs, "wefr_forest_flattened_total", 1);
@@ -557,100 +406,61 @@ FlatForest FlatBuilder::build(std::span<const std::vector<RawNode>> trees,
 }
 
 void FlatForest::accumulate(const data::Matrix& x, std::span<const std::size_t> rows,
-                            std::span<double> out, const ColumnOverride* override_col,
-                            InferencePath path) const {
+                            std::span<double> out, const ColumnOverride* override_col) const {
   if (out.size() != rows.size())
     throw std::invalid_argument("FlatForest::accumulate: out/rows size mismatch");
-  accumulate_range(x, rows.data(), 0, rows.size(), out, 0, tree_first_.size(),
-                   override_col, path);
+  accumulate_range(x, rows.data(), 0, rows.size(), out, 0, num_trees(), override_col);
 }
 
 void FlatForest::accumulate(const data::Matrix& x, std::size_t row_begin,
-                            std::size_t row_end, std::span<double> out,
-                            InferencePath path) const {
+                            std::size_t row_end, std::span<double> out) const {
   if (row_begin > row_end || row_end > x.rows())
     throw std::invalid_argument("FlatForest::accumulate: bad row range");
   if (out.size() != row_end - row_begin)
     throw std::invalid_argument("FlatForest::accumulate: out/range size mismatch");
-  accumulate_range(x, nullptr, row_begin, row_end - row_begin, out, 0,
-                   tree_first_.size(), nullptr, path);
+  accumulate_range(x, nullptr, row_begin, row_end - row_begin, out, 0, num_trees(), nullptr);
 }
 
 void FlatForest::accumulate_tree(std::size_t tree, const data::Matrix& x,
                                  std::span<const std::size_t> rows, std::span<double> out,
                                  const ColumnOverride* override_col) const {
-  if (tree >= tree_first_.size())
+  if (tree >= num_trees())
     throw std::invalid_argument("FlatForest::accumulate_tree: tree out of range");
   if (out.size() != rows.size())
     throw std::invalid_argument("FlatForest::accumulate_tree: out/rows size mismatch");
-  accumulate_range(x, rows.data(), 0, rows.size(), out, tree, tree + 1, override_col,
-                   InferencePath::kAuto);
+  accumulate_range(x, rows.data(), 0, rows.size(), out, tree, tree + 1, override_col);
 }
 
 void FlatForest::accumulate_range(const data::Matrix& x, const std::size_t* rows,
                                   std::size_t row_begin, std::size_t n,
                                   std::span<double> out, std::size_t tree_begin,
                                   std::size_t tree_end,
-                                  const ColumnOverride* override_col,
-                                  InferencePath path) const {
+                                  const ColumnOverride* override_col) const {
   if (empty()) throw std::logic_error("FlatForest::accumulate: empty forest");
   if (x.cols() != num_features_)
     throw std::invalid_argument("FlatForest::accumulate: feature count mismatch");
   if (override_col != nullptr && override_col->feature >= num_features_)
     throw std::invalid_argument("FlatForest::accumulate: override feature out of range");
 
-  // kAuto picks by measured staging economics: a double stages as one
-  // plain strided load, a code as a ~log2(K) cmov ladder on top of it,
-  // and in-cache traversal reads byte vs double equally fast — so the
-  // codes only pay for themselves once the double stage outgrows L2
-  // (hundreds of active features). kQuantized stays an explicit knob so
-  // the bench and the equivalence tests can pin that path directly.
-  constexpr std::size_t kQuantAutoStageBytes = 256 * 1024;
-  const bool use_quantized =
-      path == InferencePath::kDouble
-          ? false
-          : quantized_ && (path == InferencePath::kQuantized ||
-                           active_.size() * kSlotStride * sizeof(double) >
-                               kQuantAutoStageBytes);
-  // Column 0 of the stage is the reserved parking column leaves point
-  // at (see FlatNode): -inf on the double path (-inf <= any finite
-  // leaf payload), value-initialized zero codes on the quantized path
-  // (0 is never > cut 255). Active feature `s` stages at column
-  // `s + 1`.
-  const std::size_t slots = active_.size() + 1;
-
-  std::vector<double> stage;
-  std::vector<std::uint8_t> codes;
-  if (use_quantized) {
-    codes.resize(slots * kSlotStride);
-  } else {
-    stage.resize(slots * kSlotStride);
-    std::fill(stage.begin(), stage.begin() + kBlockRows,
-              -std::numeric_limits<double>::infinity());
-  }
+  // Column 0 of the stage is the reserved -inf column leaves park on
+  // (see WideNode); active feature `s` stages at column `s + 1`.
+  std::vector<double> stage((active_.size() + 1) * kSlotStride);
+  std::fill(stage.begin(), stage.begin() + kBlockRows,
+            -std::numeric_limits<double>::infinity());
 
   BlockArgs args;
   args.stage = stage.data();
-  args.codes = codes.data();
-  args.node = node_.data();
   args.wide = wide_.data();
   args.root_packed = root_packed_.data();
-  args.cut = cut_.data();
-  args.tree_first = tree_first_.data();
   args.tree_depth = tree_depth_.data();
   args.tree_begin = tree_begin;
   args.tree_end = tree_end;
 
   using Kernel = void (*)(const BlockArgs&);
-  Kernel kernel;
+  Kernel kernel = run_trees_base;
 #if WEFR_INFER_AVX2
-  if (g_avx2_enabled.load(std::memory_order_relaxed)) {
-    kernel = use_quantized ? run_trees_quant_avx2 : run_trees_double_avx2;
-  } else
+  if (g_avx2_enabled.load(std::memory_order_relaxed)) kernel = run_trees_avx2;
 #endif
-  {
-    kernel = use_quantized ? run_trees_quant_base : run_trees_double_base;
-  }
 
   const std::int32_t override_slot =
       override_col != nullptr ? feature_slot_[override_col->feature] : -1;
@@ -662,34 +472,17 @@ void FlatForest::accumulate_range(const data::Matrix& x, const std::size_t* rows
     };
     // Stage the block column-major: one contiguous kBlockRows run per
     // active feature, so every tree's gathers hit the same hot scratch.
-    if (use_quantized) {
-      for (std::size_t s = 0; s < active_.size(); ++s) {
-        const std::size_t f = static_cast<std::size_t>(active_[s]);
-        const bool overridden = static_cast<std::int32_t>(s) == override_slot;
-        const double* first = codec_values_.data() + codec_first_[s];
-        const std::size_t len =
-            static_cast<std::size_t>(codec_first_[s + 1] - codec_first_[s]);
-        std::uint8_t* dst = codes.data() + (s + 1) * kSlotStride;
-        for (std::size_t r = 0; r < count; ++r) {
-          const double v = overridden ? override_col->values[begin + r]
-                                      : x(src_row(r), f);
-          dst[r] = code_of(first, len, v);
-        }
-      }
-    } else {
-      // Feature-outer: sequential stores into each column run, short
-      // strided reads across the block's rows. (The row-outer
-      // transpose — sequential reads, strided stores — measured no
-      // faster even with the padded stride, and 3x slower at a 2 KB
-      // power-of-two stride where every store landed in the same few
-      // L1 sets.)
-      for (std::size_t s = 0; s < active_.size(); ++s) {
-        const std::size_t f = static_cast<std::size_t>(active_[s]);
-        const bool overridden = static_cast<std::int32_t>(s) == override_slot;
-        double* dst = stage.data() + (s + 1) * kSlotStride;
-        for (std::size_t r = 0; r < count; ++r) {
-          dst[r] = overridden ? override_col->values[begin + r] : x(src_row(r), f);
-        }
+    // Feature-outer: sequential stores into each column run, short
+    // strided reads across the block's rows. (The row-outer transpose —
+    // sequential reads, strided stores — measured no faster even with
+    // the padded stride, and 3x slower at a 2 KB power-of-two stride
+    // where every store landed in the same few L1 sets.)
+    for (std::size_t s = 0; s < active_.size(); ++s) {
+      const std::size_t f = static_cast<std::size_t>(active_[s]);
+      const bool overridden = static_cast<std::int32_t>(s) == override_slot;
+      double* dst = stage.data() + (s + 1) * kSlotStride;
+      for (std::size_t r = 0; r < count; ++r) {
+        dst[r] = overridden ? override_col->values[begin + r] : x(src_row(r), f);
       }
     }
     args.rows = count;

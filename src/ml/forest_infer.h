@@ -24,50 +24,27 @@ struct ColumnOverride {
   std::span<const double> values;
 };
 
-/// Which comparison representation a batch traversal uses. The two
-/// paths land on the same leaves bit-for-bit; the knob exists so the
-/// bench can time them separately.
-enum class InferencePath {
-  kAuto,       ///< raw while the double stage is cache-resident,
-               ///< quantized once it would outgrow L2 (and the codec fits)
-  kDouble,     ///< raw `double` threshold comparisons
-  kQuantized,  ///< uint8 code comparisons (falls back to kDouble when
-               ///< the forest's thresholds exceed the uint8 budget)
-};
-
-/// One flattened tree node, packed into a single 16-byte record so a
-/// node visit touches one cache line (the recursive walk's 40-byte
-/// nodes plus the earlier parallel-array layout touched three). Trees
-/// are emitted in BFS order, which makes every interior node's children
-/// adjacent — so only the left child id is stored and the traversal
-/// steps with `child + go_right`. Leaves overlay the payload on the
-/// threshold field: they store `child == self` and point `slot_off` at
-/// a reserved stage column holding -inf (zero codes on the quantized
-/// path, against cut 255), and since `-inf <= v` holds for every
-/// finite leaf value the parked row keeps re-selecting itself with no
-/// termination test — and the end-of-tree accumulate reads the payload
-/// from the very line the last level visit just touched, instead of
-/// missing into a separate value array.
-struct alignas(16) FlatNode {
-  double threshold;       ///< split threshold; the leaf payload on leaves
-  std::int32_t slot_off;  ///< staged column of the split feature,
-                          ///< pre-scaled by the block width; 0 (the
-                          ///< -inf column) on leaves
-  std::int32_t child;     ///< global id of the left child (right is
-                          ///< child + 1); self on leaves
-};
-
-/// The raw-threshold traversal's node form. Each child reference packs
-/// the child's *node byte offset* (low 32) with the byte offset of the
-/// child's own staged split column (high 32). Carrying the destination's
-/// stage offset inside the pointer is what makes the batch walk fast:
-/// the step's stage load needs only the packed word from the previous
-/// step — it issues in parallel with the node-record load instead of
-/// serially after it, cutting the per-level dependency chain from
-/// node-load -> stage-load -> compare to max(node-load, stage-load) ->
-/// compare. Leaves pack both children as themselves with stage offset 0
-/// (the reserved -inf column), so parked rows keep re-selecting the
-/// leaf and its payload sits in `thr` on the line the walk just read.
+/// One flattened tree node: a 32-byte aligned record, so a node visit
+/// touches one cache line. Trees are emitted in BFS order, which keeps
+/// each level's nodes on neighbouring lines, so the top of a tree —
+/// which every row visits — packs into a handful of them.
+///
+/// Each child reference packs the child's *node byte offset* (low 32)
+/// with the byte offset of the child's own staged split column (high
+/// 32). Carrying the destination's stage offset inside the pointer is
+/// what makes the batch walk fast: the step's stage load needs only the
+/// packed word from the previous step — it issues in parallel with the
+/// node-record load instead of serially after it, cutting the per-level
+/// dependency chain from node-load -> stage-load -> compare to
+/// max(node-load, stage-load) -> compare.
+///
+/// Leaves pack both children as themselves with stage offset 0, a
+/// reserved stage column holding -inf, and overlay the payload on the
+/// threshold. Since `-inf <= v` holds for every finite payload, a
+/// parked row keeps re-selecting its leaf with no termination test, and
+/// the end-of-tree accumulate reads the payload from the very line the
+/// last level visit just touched instead of missing into a separate
+/// value array.
 struct alignas(32) WideNode {
   double thr;           ///< split threshold; the leaf payload on leaves
   std::uint64_t left;   ///< left child: node byte off | stage byte off << 32
@@ -88,24 +65,14 @@ struct alignas(32) WideNode {
 /// columns for the block are staged into a small column-major scratch
 /// that stays cache-resident across all trees, and rows walk in
 /// register-resident groups of sixteen independent chains so the
-/// per-step load dependencies overlap; on the raw path each WideNode
-/// child reference additionally carries the destination's staged-column
-/// byte offset, letting every step's value load issue in parallel with
-/// its node-record load.
-///
-/// On top of the raw-threshold path sits a quantized one: the distinct
-/// split thresholds of each feature are collected and sorted, and when
-/// every feature needs at most 255 of them each block value is encoded
-/// once as the uint8 rank of its position among the thresholds
-/// (generalizing the `ml::QuantizedDataset` bin-code idea from the fit
-/// path to inference — exact for *any* input by construction, because
-/// `v <= thr[i]` iff `code(v) <= i`). Traversal then compares one-byte
-/// codes, and the staged block shrinks 8x.
+/// per-step load dependencies overlap; each WideNode child reference
+/// carries the destination's staged-column byte offset, letting every
+/// step's value load issue in parallel with its node-record load.
 ///
 /// Equivalence contract, pinned by tests/test_forest_infer.cpp and the
-/// bench_hotpath inference gate: every path (double / quantized, AVX2 /
-/// default kernel) lands on exactly the leaf the recursive walk lands
-/// on, and leaf values are accumulated in tree order — so batch scores
+/// bench_hotpath inference gate: both kernel clones (AVX2 / default)
+/// land on exactly the leaf the recursive walk lands on, and leaf
+/// values are accumulated in tree order — so batch scores
 /// are bit-identical to the per-row walk at any batch size, batch
 /// composition, and thread count. NaN feature values route right at
 /// every split, exactly like the recursive `v <= thr ? left : right`.
@@ -121,27 +88,23 @@ class FlatForest {
   /// (callers add the base score and apply the link function).
   static FlatForest from(const Gbdt& model, const obs::Context* obs = nullptr);
 
-  bool empty() const { return tree_first_.empty(); }
-  std::size_t num_trees() const { return tree_first_.size(); }
+  bool empty() const { return root_packed_.empty(); }
+  std::size_t num_trees() const { return root_packed_.size(); }
   std::size_t num_features() const { return num_features_; }
-  std::size_t num_nodes() const { return node_.size(); }
   /// Depth of the deepest tree (0 = all single-leaf trees).
   int max_depth() const { return max_depth_; }
-  /// True when the uint8 threshold codec covers every feature.
-  bool quantized() const { return quantized_; }
 
   /// Adds each tree's leaf value (in tree order) for row `rows[i]` of
   /// `x` into `out[i]`. `out.size()` must equal `rows.size()`; callers
   /// pre-fill `out` with the ensemble's additive base (0 for a forest,
   /// the log-odds prior for a GBDT).
   void accumulate(const data::Matrix& x, std::span<const std::size_t> rows,
-                  std::span<double> out, const ColumnOverride* override_col = nullptr,
-                  InferencePath path = InferencePath::kAuto) const;
+                  std::span<double> out, const ColumnOverride* override_col = nullptr) const;
 
   /// Contiguous-range convenience: rows [row_begin, row_end) of `x`,
   /// out[i] accumulates row `row_begin + i`.
   void accumulate(const data::Matrix& x, std::size_t row_begin, std::size_t row_end,
-                  std::span<double> out, InferencePath path = InferencePath::kAuto) const;
+                  std::span<double> out) const;
 
   /// Single-tree accumulate (OOB importance scores each tree on its own
   /// out-of-bag rows): adds tree `tree`'s leaf value per row into `out`.
@@ -160,40 +123,29 @@ class FlatForest {
 
  private:
   /// Implementation detail of the two from() overloads (defined in
-  /// forest_infer.cpp): builds the SoA arrays from a neutral node form.
+  /// forest_infer.cpp): builds the node arrays from a neutral node form.
   friend struct FlatBuilder;
 
   void accumulate_range(const data::Matrix& x, const std::size_t* rows,
                         std::size_t row_begin, std::size_t n, std::span<double> out,
                         std::size_t tree_begin, std::size_t tree_end,
-                        const ColumnOverride* override_col, InferencePath path) const;
+                        const ColumnOverride* override_col) const;
 
   std::size_t num_features_ = 0;
   int max_depth_ = 0;
-  bool quantized_ = false;
 
-  // Packed nodes, all trees concatenated in BFS order (see FlatNode).
-  // The codec rank of each threshold lives in a parallel array: `cut_`
-  // is only read by the quantized kernel, so keeping it out of the
-  // 16-byte record keeps the per-level line traffic at one line per
-  // visit. Leaves: slot_off 0, threshold = payload, cut 255,
-  // child == self. `wide_` mirrors node_ in 32-byte WideNode form for
-  // the raw batch kernel; `root_packed_` holds each tree's root in the
-  // same packed-ref encoding so the walk starts without a lookup.
-  std::vector<FlatNode> node_;
-  std::vector<WideNode> wide_;          ///< raw-path mirror (see WideNode)
+  // Nodes, all trees concatenated in BFS order (see WideNode);
+  // `root_packed_` holds each tree's root in the same packed-ref
+  // encoding so the walk starts without a lookup.
+  std::vector<WideNode> wide_;
   std::vector<std::uint64_t> root_packed_;  ///< per-tree packed root ref
-  std::vector<std::uint8_t> cut_;       ///< codec rank of the threshold
-  std::vector<std::int32_t> tree_first_;  ///< root node id per tree
-  std::vector<std::int32_t> tree_depth_;  ///< deepest leaf per tree
+  std::vector<std::int32_t> tree_depth_;    ///< deepest leaf per tree
 
-  // Active features (split on at least once) and the threshold codec,
-  // both indexed by active position `s`; the staged column for `s` is
-  // `s + 1` (column 0 is the reserved -inf column leaves park on).
+  // Active features (split on at least once), indexed by active
+  // position `s`; the staged column for `s` is `s + 1` (column 0 is the
+  // reserved -inf column leaves park on).
   std::vector<std::int32_t> active_;        ///< s -> original column
   std::vector<std::int32_t> feature_slot_;  ///< column -> s, -1 if unused
-  std::vector<double> codec_values_;        ///< per-slot sorted thresholds
-  std::vector<std::int32_t> codec_first_;   ///< slot -> offset into codec_values_
 };
 
 }  // namespace wefr::ml

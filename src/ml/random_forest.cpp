@@ -319,12 +319,19 @@ void RandomForest::load(std::istream& is) {
   if (!(is >> magic >> version >> n_trees >> n_features) || magic != "wefr-random-forest" ||
       version != "v1" || n_trees == 0)
     throw std::runtime_error("RandomForest::load: bad header");
-  std::vector<DecisionTree> trees(n_trees);
-  for (auto& tree : trees) tree.load(is);
-  trees_ = std::move(trees);
-  num_features_ = n_features;
-  inbag_.clear();  // OOB information is not serialized
-  flat_ = std::make_shared<const FlatForest>(FlatForest::from(*this));
+  // Build the forest aside and commit only once all of it is valid, so
+  // a failed load leaves this one as it was. The header's tree count
+  // sizes nothing: trees are appended as their records parse.
+  RandomForest loaded;
+  loaded.num_features_ = n_features;
+  for (std::size_t t = 0; t < n_trees; ++t) {
+    DecisionTree& tree = loaded.trees_.emplace_back();
+    tree.load(is);
+    if (tree.impurity_importance().size() != n_features)
+      throw std::runtime_error("RandomForest::load: tree feature count differs from header");
+  }
+  loaded.flat_ = std::make_shared<const FlatForest>(FlatForest::from(loaded));
+  *this = std::move(loaded);  // OOB information is not serialized
 }
 
 }  // namespace wefr::ml

@@ -104,7 +104,8 @@ class RandomForest {
   /// trained or on I/O failure.
   void save(std::ostream& os) const;
   /// Restores a forest written by save(); replaces this object's state.
-  /// Throws std::runtime_error on malformed input.
+  /// Throws std::runtime_error on malformed input, leaving this object
+  /// unchanged.
   void load(std::istream& is);
 
   std::size_t num_trees() const { return trees_.size(); }

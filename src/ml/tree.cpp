@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <numeric>
 #include <ostream>
 #include <stdexcept>
@@ -352,20 +353,45 @@ void DecisionTree::save(std::ostream& os) const {
 void DecisionTree::load(std::istream& is) {
   std::string tag;
   std::size_t n_nodes = 0, n_features = 0;
-  if (!(is >> tag >> n_nodes >> n_features) || tag != "tree" || n_nodes == 0)
+  if (!(is >> tag >> n_nodes >> n_features) || tag != "tree" || n_nodes == 0 ||
+      n_nodes > static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()))
     throw std::runtime_error("DecisionTree::load: bad header");
-  std::vector<Node> nodes(n_nodes);
-  for (auto& nd : nodes) {
+  // The header counts size nothing: records are appended as they parse,
+  // so a count the input cannot back fails at its first missing record.
+  const auto max_node = static_cast<std::int32_t>(n_nodes);
+  std::vector<Node> nodes;
+  for (std::size_t i = 0; i < n_nodes; ++i) {
+    Node& nd = nodes.emplace_back();
     if (!(is >> nd.feature >> nd.threshold >> nd.left >> nd.right >> nd.prob >> nd.depth))
       throw std::runtime_error("DecisionTree::load: truncated node list");
-    const auto max_node = static_cast<std::int32_t>(n_nodes);
-    const bool leaf = nd.feature < 0;
-    if (!leaf && (nd.left < 0 || nd.left >= max_node || nd.right < 0 || nd.right >= max_node))
+    if (nd.feature < 0) continue;
+    if (static_cast<std::size_t>(nd.feature) >= n_features)
+      throw std::runtime_error("DecisionTree::load: split feature out of range");
+    if (nd.left < 0 || nd.left >= max_node || nd.right < 0 || nd.right >= max_node)
       throw std::runtime_error("DecisionTree::load: child index out of range");
   }
-  std::vector<double> importance(n_features);
-  for (auto& v : importance) {
-    if (!(is >> v)) throw std::runtime_error("DecisionTree::load: truncated importance");
+  // The nodes must form one tree rooted at node 0: each reached exactly
+  // once. A cycle or a shared child would send the walk, and the
+  // flattening pass, around without end.
+  std::vector<bool> reached(nodes.size(), false);
+  std::vector<std::int32_t> queue{0};
+  reached[0] = true;
+  for (std::size_t q = 0; q < queue.size(); ++q) {
+    const Node& nd = nodes[static_cast<std::size_t>(queue[q])];
+    if (nd.feature < 0) continue;
+    for (const std::int32_t child : {nd.left, nd.right}) {
+      if (reached[static_cast<std::size_t>(child)])
+        throw std::runtime_error("DecisionTree::load: nodes do not form a tree");
+      reached[static_cast<std::size_t>(child)] = true;
+      queue.push_back(child);
+    }
+  }
+  if (queue.size() != nodes.size())
+    throw std::runtime_error("DecisionTree::load: nodes do not form a tree");
+  std::vector<double> importance;
+  for (std::size_t f = 0; f < n_features; ++f) {
+    if (!(is >> importance.emplace_back()))
+      throw std::runtime_error("DecisionTree::load: truncated importance");
   }
   nodes_ = std::move(nodes);
   importance_ = std::move(importance);

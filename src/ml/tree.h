@@ -89,7 +89,8 @@ class DecisionTree {
   /// Writes the tree as one line per node (see RandomForest::save).
   void save(std::ostream& os) const;
   /// Restores a tree written by save(); throws std::runtime_error on
-  /// malformed input.
+  /// malformed input, including nodes that do not form one tree rooted
+  /// at node 0, leaving this tree unchanged.
   void load(std::istream& is);
 
   /// Buffers reused across every node of one fit (defined in tree.cpp;

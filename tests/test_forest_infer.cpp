@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -15,10 +16,10 @@
 #include "smartsim/generator.h"
 #include "util/rng.h"
 
-// Equivalence suite for the flattened SoA forest-inference engine: the
-// recursive per-row walk is the oracle, and every batched path —
-// double or quantized comparisons, AVX2 or baseline kernel, any batch
-// size or thread count — must land on bit-identical scores.
+// Equivalence suite for the flattened forest-inference engine: the
+// recursive per-row walk is the oracle, and every batched path — AVX2
+// or baseline kernel, any batch size or thread count — must land on
+// bit-identical scores.
 
 namespace wefr::ml {
 namespace {
@@ -58,6 +59,20 @@ std::vector<double> oracle_scores(const RandomForest& forest, const Matrix& x) {
 void expect_bit_identical(const std::vector<double>& a, const std::vector<double>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << "row " << i;
+}
+
+/// Scores every row of `x` through the selected-rows entry, `batch`
+/// consecutive rows per call.
+std::vector<double> scores_in_batches(const RandomForest& forest, const Matrix& x,
+                                      std::size_t batch) {
+  std::vector<double> got(x.rows());
+  for (std::size_t begin = 0; begin < x.rows(); begin += batch) {
+    const std::size_t end = std::min(x.rows(), begin + batch);
+    std::vector<std::size_t> rows(end - begin);
+    std::iota(rows.begin(), rows.end(), begin);
+    forest.predict_proba(x, rows, std::span<double>(got.data() + begin, end - begin));
+  }
+  return got;
 }
 
 TEST(ForestInfer, BitExactAcrossDepths1To13) {
@@ -132,15 +147,7 @@ TEST(ForestInfer, BatchSizeInvariance) {
   const auto expected = oracle_scores(forest, eval);
 
   for (std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{256}, eval.rows()}) {
-    std::vector<double> got(eval.rows());
-    for (std::size_t begin = 0; begin < eval.rows(); begin += batch) {
-      const std::size_t end = std::min(eval.rows(), begin + batch);
-      std::vector<std::size_t> rows(end - begin);
-      std::iota(rows.begin(), rows.end(), begin);
-      std::span<double> out(got.data() + begin, end - begin);
-      forest.predict_proba(eval, rows, out);
-    }
-    expect_bit_identical(got, expected);
+    expect_bit_identical(scores_in_batches(forest, eval, batch), expected);
   }
 }
 
@@ -182,10 +189,12 @@ TEST(ForestInfer, ScatteredRowSelection) {
 
 TEST(ForestInfer, QuantizedPathMatchesDoublePath) {
   // Histogram-only splitting with a small bin budget keeps each
-  // feature's threshold set within the uint8 codec (every histogram
-  // threshold is a midpoint between two of the <= 16 bins, so at most
-  // C(16,2) = 120 distinct values per feature), so the quantized path
-  // engages.
+  // feature's threshold set small (every histogram threshold is a
+  // midpoint between two of the <= 16 bins, so at most C(16,2) = 120
+  // distinct values per feature) — few enough for a one-byte threshold
+  // code, the shape a quantized path would serve. The raw-threshold
+  // walk is the only path and must score it bit-exact through every
+  // entry point.
   util::Rng rng(17);
   Matrix x;
   std::vector<int> y;
@@ -199,26 +208,27 @@ TEST(ForestInfer, QuantizedPathMatchesDoublePath) {
   RandomForest forest;
   forest.fit(x, y, opt, rng);
   ASSERT_NE(forest.flat(), nullptr);
-  EXPECT_TRUE(forest.flat()->quantized());
 
   const Matrix eval = make_eval(333, 4, rng, /*nan_prob=*/0.15);
   const auto expected = oracle_scores(forest, eval);
-  for (InferencePath path :
-       {InferencePath::kAuto, InferencePath::kDouble, InferencePath::kQuantized}) {
-    std::vector<std::size_t> rows(eval.rows());
-    std::iota(rows.begin(), rows.end(), 0);
-    std::vector<double> acc(eval.rows(), 0.0);
-    forest.flat()->accumulate(eval, rows, acc, nullptr, path);
-    for (double& v : acc) v /= static_cast<double>(forest.num_trees());
-    expect_bit_identical(acc, expected);
-  }
+  std::vector<std::size_t> rows(eval.rows());
+  std::iota(rows.begin(), rows.end(), 0);
+  std::vector<double> acc(eval.rows(), 0.0);
+  forest.flat()->accumulate(eval, rows, acc);
+  for (double& v : acc) v /= static_cast<double>(forest.num_trees());
+  expect_bit_identical(acc, expected);
+  acc.assign(eval.rows(), 0.0);
+  forest.flat()->accumulate(eval, 0, eval.rows(), acc);
+  for (double& v : acc) v /= static_cast<double>(forest.num_trees());
+  expect_bit_identical(acc, expected);
+  expect_bit_identical(forest.predict_proba(eval), expected);
 }
 
 TEST(ForestInfer, ExactSplitForestExceedsCodecAndFallsBack) {
   // Exact split search on thousands of distinct values mints far more
-  // than 255 thresholds on the informative feature; the codec must
-  // stand down (quantized() == false) and kQuantized degrade to the
-  // double path, still bit-exact.
+  // than 255 thresholds on the informative feature, more than a
+  // one-byte threshold code can hold; the raw-threshold walk carries
+  // every threshold as a double and stays bit-exact.
   util::Rng rng(18);
   Matrix x;
   std::vector<int> y;
@@ -231,16 +241,75 @@ TEST(ForestInfer, ExactSplitForestExceedsCodecAndFallsBack) {
   RandomForest forest;
   forest.fit(x, y, opt, rng);
   ASSERT_NE(forest.flat(), nullptr);
-  EXPECT_FALSE(forest.flat()->quantized());
+  EXPECT_EQ(forest.flat()->max_depth(), 13);
 
   const Matrix eval = make_eval(250, 2, rng);
   const auto expected = oracle_scores(forest, eval);
   std::vector<std::size_t> rows(eval.rows());
   std::iota(rows.begin(), rows.end(), 0);
   std::vector<double> acc(eval.rows(), 0.0);
-  forest.flat()->accumulate(eval, rows, acc, nullptr, InferencePath::kQuantized);
+  forest.flat()->accumulate(eval, rows, acc);
   for (double& v : acc) v /= static_cast<double>(forest.num_trees());
   expect_bit_identical(acc, expected);
+}
+
+TEST(ForestInfer, WideForestMatchesRecursiveWalk) {
+  // A forest split on at least 100 features, so the 512-row stage
+  // spans over 100 columns (> 400 KB), far more than the small forests
+  // above. Histogram splitting at 16 bins keeps each feature's
+  // thresholds few and shared across trees, the shape of the
+  // predictor's low-wear bundle.
+  constexpr std::size_t kFeatures = 120;
+  util::Rng rng(17);
+  Matrix x;
+  std::vector<int> y;
+  make_blobs(2500, kFeatures, x, y, rng, 2.0);
+  // Spread weak signal over every column so the trees split on most.
+  for (std::size_t i = 0; i < x.rows(); ++i)
+    for (std::size_t f = 1; f < kFeatures; ++f) x(i, f) += 0.3 * y[i];
+  ForestOptions opt;
+  opt.num_trees = 10;
+  opt.tree.max_depth = 11;
+  opt.tree.split_method = SplitMethod::kHistogram;
+  opt.tree.exact_node_cutoff = 0;
+  opt.tree.max_bins = 16;
+  RandomForest forest;
+  forest.fit(x, y, opt, rng);
+  ASSERT_NE(forest.flat(), nullptr);
+  std::size_t split_features = 0;
+  for (double v : forest.impurity_importance()) split_features += v > 0.0 ? 1 : 0;
+  EXPECT_GE(split_features, 100u);
+
+  Matrix eval = make_eval(777, kFeatures, rng, /*nan_prob=*/0.1);
+  const auto expected = oracle_scores(forest, eval);
+
+  // The matrix entry, serial and fanned out.
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    expect_bit_identical(forest.predict_proba(eval, threads), expected);
+  }
+  // Selected rows in batches that split the 512-row stage differently.
+  for (std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{256}, eval.rows()}) {
+    expect_bit_identical(scores_in_batches(forest, eval, batch), expected);
+  }
+  std::vector<std::size_t> all(eval.rows());
+  std::iota(all.begin(), all.end(), 0);
+  // Single trees, summed in tree order, reproduce the forest sum.
+  std::vector<double> acc(eval.rows(), 0.0);
+  for (std::size_t t = 0; t < forest.num_trees(); ++t) {
+    forest.flat()->accumulate_tree(t, eval, all, acc);
+  }
+  for (double& v : acc) v /= static_cast<double>(forest.num_trees());
+  expect_bit_identical(acc, expected);
+  // A column override scores like the materialized copy.
+  const std::size_t f = 0;
+  std::vector<double> replacement(eval.rows());
+  for (double& v : replacement) v = rng.normal(1.0, 3.0);
+  const ColumnOverride override_col{f, replacement};
+  acc.assign(eval.rows(), 0.0);
+  forest.flat()->accumulate(eval, all, acc, &override_col);
+  for (double& v : acc) v /= static_cast<double>(forest.num_trees());
+  for (std::size_t i = 0; i < eval.rows(); ++i) eval(i, f) = replacement[i];
+  expect_bit_identical(acc, oracle_scores(forest, eval));
 }
 
 TEST(ForestInfer, Avx2AndBaselineKernelsAgree) {

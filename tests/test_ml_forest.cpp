@@ -196,13 +196,34 @@ TEST(RandomForest, SaveLoadRoundTrip) {
 }
 
 TEST(RandomForest, LoadRejectsGarbage) {
-  RandomForest forest;
-  std::stringstream empty;
-  EXPECT_THROW(forest.load(empty), std::runtime_error);
-  std::stringstream wrong("not-a-forest v1 2 3\n");
-  EXPECT_THROW(forest.load(wrong), std::runtime_error);
-  std::stringstream truncated("wefr-random-forest v1 1 2\ntree 2 2\n0 1.5 1 2\n");
-  EXPECT_THROW(forest.load(truncated), std::runtime_error);
+  const char* const inputs[] = {
+      "",
+      "not-a-forest v1 2 3\n",
+      "wefr-random-forest v1 1 2\ntree 2 2\n0 1.5 1 2\n",
+      // A node that is its own child: a cycle, not a tree.
+      "wefr-random-forest v1 1 1\ntree 1 1\n0 1.5 0 0 0.5 0\n0\n",
+      // Both children of the root are the same leaf.
+      "wefr-random-forest v1 1 1\ntree 3 1\n0 1.5 1 1 0.5 0\n-1 0 -1 -1 0 1\n"
+      "-1 0 -1 -1 1 1\n0\n",
+      // A tree over one feature in a forest whose header says two.
+      "wefr-random-forest v1 1 2\ntree 1 1\n-1 0 -1 -1 0.5 0\n0\n",
+      // A split on a feature the tree does not have.
+      "wefr-random-forest v1 1 1\ntree 3 1\n5 1.5 1 2 0.5 0\n-1 0 -1 -1 0 1\n"
+      "-1 0 -1 -1 1 1\n0\n",
+      // Counts no input backs: nothing may be sized from them.
+      "wefr-random-forest v1 1000000000000 1\ntree 1 1\n-1 0 -1 -1 0.5 0\n0\n",
+      "wefr-random-forest v1 1 1\ntree 2000000000 1\n-1 0 -1 -1 0.5 0\n",
+      "wefr-random-forest v1 1 1\ntree 3000000000 1\n-1 0 -1 -1 0.5 0\n0\n",
+      "wefr-random-forest v1 1 1000000000000\ntree 1 1000000000000\n-1 0 -1 -1 0.5 0\n0\n",
+      // A valid first tree, then a rejected second one.
+      "wefr-random-forest v1 2 1\ntree 1 1\n-1 0 -1 -1 0.5 0\n0\ntree 1 1\n0 1.5 0 0 0.5 0\n0\n",
+  };
+  for (const char* input : inputs) {
+    RandomForest forest;
+    std::stringstream ss(input);
+    EXPECT_THROW(forest.load(ss), std::runtime_error) << input;
+    EXPECT_FALSE(forest.trained()) << input;
+  }
 }
 
 TEST(RandomForest, SaveBeforeFitThrows) {

@@ -1,8 +1,9 @@
 // Schema-reconciliation suite: canonical feature naming, union /
 // intersect alignment of heterogeneous per-model fleets (with a full
 // SchemaReconciliation ledger), the mixed-CSV pooled loader under
-// every parse policy, and the pad_missing_columns ingestion knob a
-// union-schema CSV relies on.
+// every parse policy, the pad_missing_columns ingestion knob a
+// union-schema CSV relies on, and the score_fleet diagnostic for drives
+// whose model lacks a selected feature column.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "core/pipeline.h"
+#include "core/wefr.h"
 #include "data/csv.h"
 #include "data/ingest.h"
 #include "data/schema.h"
@@ -325,3 +328,59 @@ TEST(MixedLoad, FatalSourceIsSkippedNotFatal) {
 
 }  // namespace
 }  // namespace wefr::data
+
+namespace wefr::core {
+namespace {
+
+TEST(ScoreFleet, TagsDrivesMissingSelectedFeatures) {
+  // Churn-aware degradation: pool an SSD fleet with an HDD-like fleet
+  // WITHOUT zero-filling, so HDD drives carry all-NaN columns for the
+  // NAND features the predictor selects. Scoring must complete for
+  // every drive and tag the gap instead of throwing.
+  ExperimentConfig cfg;
+  cfg.forest.num_trees = 10;
+  cfg.forest.tree.max_depth = 8;
+  cfg.negative_keep_prob = 0.1;
+  smartsim::SimOptions sopt;
+  sopt.num_drives = 220;
+  sopt.num_days = 160;
+  sopt.seed = 61;
+  sopt.afr_scale = 25.0;
+  const auto ssd = generate_fleet(smartsim::profile_by_name("MC1"), sopt);
+  smartsim::SimOptions hopt;
+  hopt.num_drives = 40;
+  hopt.num_days = 160;
+  hopt.seed = 62;
+  hopt.afr_scale = 25.0;
+  const auto hdd = generate_fleet(smartsim::profile_by_name("HDD1"), hopt);
+
+  const auto pooled = data::reconcile_fleets({ssd, hdd}, data::SchemaPolicy::kUnion);
+
+  const int train_end = 119;
+  const auto samples = build_selection_samples(pooled, 0, train_end, cfg);
+  const auto sel = run_wefr(pooled, samples, train_end, WefrOptions{});
+  // The scenario needs a selected feature the HDD schema lacks.
+  bool selected_nand = false;
+  for (const auto& name : sel.all.selected_names)
+    selected_nand = selected_nand || hdd.feature_index(name) < 0;
+  if (!selected_nand) GTEST_SKIP() << "selection fit inside the HDD schema";
+
+  const auto pred = train_predictor(pooled, sel, 0, train_end, cfg);
+  PipelineDiagnostics diag;
+  std::vector<DriveDayScores> scores;
+  ASSERT_NO_THROW(scores = score_fleet(pooled, pred, train_end + 1,
+                                       pooled.num_days - 1, cfg, &diag));
+  EXPECT_FALSE(scores.empty());
+  EXPECT_GT(diag.score_drives_missing_features, 0u);
+  EXPECT_TRUE(diag.has("drives_missing_features"));
+  // Every scored value is still a probability.
+  for (const auto& ds : scores) {
+    for (double s : ds.scores) {
+      EXPECT_GE(s, 0.0);
+      EXPECT_LE(s, 1.0);
+    }
+  }
+}
+
+}  // namespace
+}  // namespace wefr::core
