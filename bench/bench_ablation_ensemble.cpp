@@ -21,9 +21,9 @@ namespace {
 class ReversedRanker final : public core::FeatureRanker {
  public:
   std::string name() const override { return "Adversary"; }
-  std::vector<double> score(const data::Matrix& x,
-                            std::span<const int> y) const override {
-    auto s = core::PearsonRanker{}.score(x, y);
+  std::vector<double> score(const data::Matrix& x, std::span<const int> y,
+                            const ml::QuantizedDataset& coded) const override {
+    auto s = core::PearsonRanker{}.score(x, y, coded);
     for (double& v : s) v = -v;
     return s;
   }

@@ -27,6 +27,7 @@
 #include <string>
 
 #include "bench_common.h"
+#include "kendall_naive.h"
 #include "core/pipeline.h"
 #include "core/wefr.h"
 #include "data/cache.h"
@@ -482,27 +483,39 @@ int main() {
     return sw.seconds();
   };
 
-  // The three arms are timed interleaved — one rep of each per round,
-  // min over rounds — rather than arm-by-arm, so a transient slowdown
-  // (another tenant, frequency dip) that lands mid-section biases every
-  // arm alike instead of whichever arm happened to be running; the
-  // speedup ratios stay paired measurements.
+  // The three arms are timed interleaved, one rep of each per round, and
+  // the gate reads the median over rounds of each round's paired ratio,
+  // walk over flattened — the estimator of the obs gate above. A round's
+  // arms share the host's state of the moment, so slow drift cancels
+  // within the pair, and the median ignores the rounds a scheduler hiccup
+  // lands on; a min per arm can take its two minima from different
+  // rounds. The walk runs first in even rounds and last in odd ones, over
+  // an even number of rounds, so an order effect cannot tip the median.
   std::vector<double> inf_oracle(inf_rows);
   std::vector<double> inf_base, inf_vec;
   const bool inf_avx2 = ml::FlatForest::avx2_available();
-  double inf_scalar_s = 1e300, inf_flat_s = 1e300, inf_avx2_s = 1e300;
-  for (int round = 0; round < 6; ++round) {
-    inf_scalar_s = std::min(inf_scalar_s, time_once([&] {
-      for (std::size_t r = 0; r < inf_rows; ++r)
-        inf_oracle[r] = inf_forest.predict_proba(inf_x.row(r));
-    }));
+  const int inf_rounds = 10;
+  std::vector<double> inf_scalar(inf_rounds), inf_base_t(inf_rounds), inf_avx2_t(inf_rounds);
+  std::vector<double> inf_flat_ratio(inf_rounds), inf_avx2_ratio(inf_rounds);
+  for (int round = 0; round < inf_rounds; ++round) {
+    const auto walk = [&] {
+      inf_scalar[round] = time_once([&] {
+        for (std::size_t r = 0; r < inf_rows; ++r)
+          inf_oracle[r] = inf_forest.predict_proba(inf_x.row(r));
+      });
+    };
+    if (round % 2 == 0) walk();
     ml::FlatForest::set_avx2_enabled(false);
-    inf_flat_s = std::min(inf_flat_s,
-                          time_once([&] { inf_base = inf_forest.predict_proba(inf_x); }));
+    inf_base_t[round] = time_once([&] { inf_base = inf_forest.predict_proba(inf_x); });
     ml::FlatForest::set_avx2_enabled(true);
-    inf_avx2_s = std::min(inf_avx2_s,
-                          time_once([&] { inf_vec = inf_forest.predict_proba(inf_x); }));
+    inf_avx2_t[round] = time_once([&] { inf_vec = inf_forest.predict_proba(inf_x); });
+    if (round % 2 == 1) walk();
+    inf_flat_ratio[round] = inf_base_t[round] > 0.0 ? inf_scalar[round] / inf_base_t[round] : 0.0;
+    inf_avx2_ratio[round] =
+        inf_avx2_t[round] > 0.0 ? inf_scalar[round] / inf_avx2_t[round] : 0.0;
   }
+  const double inf_scalar_s = median(inf_scalar), inf_flat_s = median(inf_base_t),
+               inf_avx2_s = median(inf_avx2_t);
   bool inf_identical = inf_base == inf_oracle && inf_vec == inf_oracle;
 
   // Re-batching equivalence: the same rows pushed through the selected-
@@ -529,15 +542,16 @@ int main() {
   auto rows_per_sec = [&](double s) {
     return s > 0.0 ? static_cast<double>(inf_rows) / s : 0.0;
   };
-  const double inf_flat_speedup = inf_flat_s > 0.0 ? inf_scalar_s / inf_flat_s : 0.0;
-  const double inf_avx2_speedup = inf_avx2_s > 0.0 ? inf_scalar_s / inf_avx2_s : 0.0;
+  const double inf_flat_speedup = median(inf_flat_ratio);
+  const double inf_avx2_speedup = median(inf_avx2_ratio);
   const bool inf_gate_pass = inf_identical && inf_flat_speedup >= 5.0;
-  std::printf("forest inference, %zu rows x %zu features, %zu trees depth<=%d, 1 core:\n"
+  std::printf("forest inference, %zu rows x %zu features, %zu trees depth<=%d, 1 core,\n"
+              "medians of %d interleaved rounds (speedup: median paired ratio):\n"
               "  scalar recursive walk: %8.4f s   (%8.2fk rows/s)\n"
               "  flattened (baseline):  %8.4f s   (%8.2fk rows/s, speedup %.2fx)\n"
               "  flattened (avx2%s):     %8.4f s   (%8.2fk rows/s, speedup %.2fx)\n"
               "  scores %s; inference gate (>=5x, bit-identical) %s\n\n",
-              inf_rows, inf_x.cols(), inf_forest.num_trees(), inf_flat.max_depth(),
+              inf_rows, inf_x.cols(), inf_forest.num_trees(), inf_flat.max_depth(), inf_rounds,
               inf_scalar_s, rows_per_sec(inf_scalar_s) / 1e3, inf_flat_s,
               rows_per_sec(inf_flat_s) / 1e3, inf_flat_speedup,
               inf_avx2 ? "" : "*", inf_avx2_s, rows_per_sec(inf_avx2_s) / 1e3,
@@ -601,6 +615,7 @@ int main() {
     w.field("rows", inf_rows).field("features", inf_x.cols());
     w.field("trees", inf_forest.num_trees()).field("max_depth", inf_flat.max_depth());
     w.field("avx2", inf_avx2);
+    w.field("rounds", inf_rounds).field("estimator", "median_paired_ratio");
     w.field("scalar_seconds", inf_scalar_s);
     w.field("flat_seconds", inf_flat_s);
     w.field("flat_avx2_seconds", inf_avx2_s);

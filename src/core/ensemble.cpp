@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <stdexcept>
 
+#include "ml/quantize.h"
 #include "obs/context.h"
 #include "obs/trace.h"
 #include "stats/descriptive.h"
@@ -43,6 +44,28 @@ std::vector<RankerScores> score_rankers(std::span<const std::unique_ptr<FeatureR
     return populations[a.population].x->rows() > populations[b.population].x->rows();
   });
 
+  // One coding per population, shared by every ranker that reads it
+  // (see FeatureRanker::score), built as per-column jobs ahead of the
+  // ranker jobs.
+  struct Column {
+    std::size_t population;
+    std::size_t column;
+  };
+  std::vector<ml::QuantizedDataset> coded(populations.size());
+  std::vector<Column> columns;
+  const bool any_reads = std::any_of(rankers.begin(), rankers.end(),
+                                     [](const auto& r) { return r->reads_coding(); });
+  for (std::size_t p = 0; any_reads && p < populations.size(); ++p) {
+    const data::Matrix& x = *populations[p].x;
+    if (x.rows() == 0 || x.cols() == 0) continue;  // nothing to code
+    coded[p].prepare(x, kRankerBins);
+    for (std::size_t c = 0; c < x.cols(); ++c) columns.push_back({p, c});
+  }
+  auto code_one = [&](std::size_t i) {
+    const Column col = columns[i];
+    coded[col.population].build_feature(*populations[col.population].x, col.column);
+  };
+
   // Ranker spans are parented on their population's span explicitly:
   // pool workers have no open-span stack of their own, so implicit
   // (thread-local) parentage would orphan them.
@@ -54,7 +77,7 @@ std::vector<RankerScores> score_rankers(std::span<const std::unique_ptr<FeatureR
     const std::size_t nf = pop.x->cols();
     obs::Span ranker_span(obs, ("ranker:" + out.names[i]).c_str(), pop.parent_span);
     try {
-      out.scores[i] = rankers[i]->score(*pop.x, pop.y);
+      out.scores[i] = rankers[i]->score(*pop.x, pop.y, coded[job.population]);
       if (out.scores[i].size() != nf)
         throw std::runtime_error("returned " + std::to_string(out.scores[i].size()) +
                                  " scores for " + std::to_string(nf) + " features");
@@ -71,8 +94,10 @@ std::vector<RankerScores> score_rankers(std::span<const std::unique_ptr<FeatureR
   const bool pool_can_win = util::default_thread_count() > 1 && cells >= 4096;
   if (num_threads > 1 && jobs.size() > 1 && pool_can_win) {
     util::ThreadPool pool(std::min(num_threads, jobs.size()));
+    pool.parallel_for(columns.size(), code_one);
     pool.parallel_for(jobs.size(), run_one);
   } else {
+    for (std::size_t i = 0; i < columns.size(); ++i) code_one(i);
     for (std::size_t j = 0; j < jobs.size(); ++j) run_one(j);
   }
   return raw;

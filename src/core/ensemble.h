@@ -76,6 +76,12 @@ struct RankingPopulation {
 /// Each ranker runs single-threaded inside its job (no nested pools).
 /// A ranker that throws is recorded as failed with zero scores.
 ///
+/// Before the ranker jobs, each population's columns are coded once
+/// (ml::QuantizedDataset at kRankerBins bins), one job per column on the
+/// same pool, and that one coding goes to every ranker (see
+/// FeatureRanker::score); scores equal each ranker's own-coding scores
+/// bit for bit.
+///
 /// The pool starts only when it can win: more than one job, more than
 /// one hardware thread, and at least 4096 sample-matrix cells in total;
 /// otherwise the jobs run in order on the calling thread. Scores are

@@ -1,6 +1,7 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <functional>
 #include <numeric>
@@ -52,23 +53,50 @@ data::Dataset build_selection_samples(const data::FleetData& fleet, int day_lo, 
   return data::build_samples(fleet, opt, &rng, obs);
 }
 
+WefrPredictor::Route WefrPredictor::route(double mwi) const {
+  if (!wear_threshold.has_value() || std::isnan(mwi)) return Route::kAll;
+  if (mwi <= *wear_threshold) return low.has_value() ? Route::kLow : Route::kAll;
+  return high.has_value() ? Route::kHigh : Route::kAll;
+}
+
+namespace {
+
+/// A bundle's training set and the rng its forest forks its trees from,
+/// left as sampling left it.
+struct TrainingSet {
+  data::Dataset samples;
+  util::Rng rng;
+};
+
+/// The training set train_bundle fits on.
+TrainingSet bundle_training_set(const data::FleetData& fleet,
+                                std::span<const std::size_t> base_cols, int day_lo,
+                                int day_hi, const ExperimentConfig& cfg,
+                                const std::function<bool(std::size_t, int)>& sample_filter,
+                                const obs::Context* obs) {
+  if (base_cols.empty()) throw std::invalid_argument("train_bundle: no base features");
+  TrainingSet set{{}, util::Rng(cfg.seed ^ (0x9e3779b9ULL + base_cols.size() * 131 +
+                                            base_cols[0]))};
+  data::SamplingOptions opt = sampling_for(cfg, day_lo, day_hi, /*downsample=*/true);
+  opt.keep = sample_filter;
+  set.samples = data::build_samples(fleet, base_cols, opt, &set.rng, obs);
+  if (set.samples.size() == 0) throw std::runtime_error("train_bundle: no training samples");
+  return set;
+}
+
+}  // namespace
+
 PredictorBundle train_bundle(const data::FleetData& fleet,
                              std::span<const std::size_t> base_cols, int day_lo, int day_hi,
                              const ExperimentConfig& cfg,
                              const std::function<bool(std::size_t, int)>& sample_filter,
                              const obs::Context* obs) {
   obs::Span span(obs, "train_bundle");
-  if (base_cols.empty()) throw std::invalid_argument("train_bundle: no base features");
-  util::Rng rng(cfg.seed ^ (0x9e3779b9ULL + base_cols.size() * 131 + base_cols[0]));
-
-  data::SamplingOptions opt = sampling_for(cfg, day_lo, day_hi, /*downsample=*/true);
-  opt.keep = sample_filter;
-  data::Dataset train = data::build_samples(fleet, base_cols, opt, &rng, obs);
-  if (train.size() == 0) throw std::runtime_error("train_bundle: no training samples");
-
+  TrainingSet set =
+      bundle_training_set(fleet, base_cols, day_lo, day_hi, cfg, sample_filter, obs);
   PredictorBundle bundle;
   bundle.base_cols.assign(base_cols.begin(), base_cols.end());
-  bundle.forest.fit(train.x, train.y, forest_options_for(cfg), rng, obs);
+  bundle.forest.fit(set.samples.x, set.samples.y, forest_options_for(cfg), set.rng, obs);
   return bundle;
 }
 
@@ -88,58 +116,76 @@ WefrPredictor train_predictor(const data::FleetData& fleet, const WefrResult& se
   obs::Span span(obs, "train_predictor");
   WefrPredictor pred;
   pred.mwi_col = fleet.feature_index("MWI_N");
-  pred.all = train_bundle(fleet, sel.all.selected, day_lo, day_hi, cfg, {}, obs);
+  pred.all.base_cols = sel.all.selected;
+  // Every bundle's training set first, then all three forests as one
+  // fit job list (RandomForest::fit_all): each bundle samples with its
+  // own rng and its forest forks its trees off that rng, so a forest is
+  // the one a bundle-at-a-time fit gives.
+  TrainingSet all_set =
+      bundle_training_set(fleet, sel.all.selected, day_lo, day_hi, cfg, {}, obs);
+  std::optional<TrainingSet> low_set, high_set;
 
-  if (!sel.change_point.has_value() || !sel.low.has_value() || !sel.high.has_value() ||
-      pred.mwi_col < 0) {
-    return pred;
-  }
-  const double thr = sel.change_point->mwi_threshold;
-  const std::size_t mwi = static_cast<std::size_t>(pred.mwi_col);
+  if (sel.change_point.has_value() && sel.low.has_value() && sel.high.has_value() &&
+      pred.mwi_col >= 0) {
+    const double thr = sel.change_point->mwi_threshold;
+    const std::size_t mwi = static_cast<std::size_t>(pred.mwi_col);
 
-  auto group_filter = [&fleet, mwi, thr](bool want_low) {
-    return [&fleet, mwi, thr, want_low](std::size_t drive_index, int day) {
-      const auto& drive = fleet.drives[drive_index];
-      const std::size_t local = static_cast<std::size_t>(day - drive.first_day);
-      const double v = drive.values(local, mwi);
-      // A NaN wear indicator belongs to neither group (it would land in
-      // "high" via NaN <= thr == false); such days train only the
-      // whole-model bundle.
-      if (std::isnan(v)) return false;
-      return (v <= thr) == want_low;
+    auto group_filter = [&fleet, mwi, thr](bool want_low) {
+      return [&fleet, mwi, thr, want_low](std::size_t drive_index, int day) {
+        const auto& drive = fleet.drives[drive_index];
+        const std::size_t local = static_cast<std::size_t>(day - drive.first_day);
+        const double v = drive.values(local, mwi);
+        // A NaN wear indicator belongs to neither group (it would land in
+        // "high" via NaN <= thr == false); such days train only the
+        // whole-model bundle. This is its own rule, not
+        // WefrPredictor::route: route picks among the bundles that were
+        // trained, and here no group bundle exists yet. The two agree
+        // that a NaN day is the whole-model bundle's.
+        if (std::isnan(v)) return false;
+        return (v <= thr) == want_low;
+      };
     };
-  };
 
-  // A wear group gets its own model only when its training slice holds
-  // enough positives to learn from; otherwise scoring falls back to the
-  // whole-model bundle for that group.
-  auto try_group = [&](const GroupSelection& gs,
-                       bool want_low) -> std::optional<PredictorBundle> {
-    // A group whose selection fell back to the whole-model feature set
-    // has too few positives to support a specialized model either —
-    // route it to the whole-model bundle (updating then degrades to
-    // no-updating for that group instead of hurting it).
-    if (gs.fallback) return std::nullopt;
-    try {
-      util::Rng rng(cfg.seed ^ (want_low ? 0xa5a5ULL : 0x5a5aULL));
-      data::SamplingOptions opt = sampling_for(cfg, day_lo, day_hi, /*downsample=*/true);
-      opt.keep = group_filter(want_low);
-      data::Dataset train = data::build_samples(fleet, gs.selected, opt, &rng, obs);
-      // A specialized model must beat the whole-model bundle it replaces;
-      // starved groups (few positives) reliably do worse, so fall back.
-      if (train.size() < 400 || train.num_positive() < 25) return std::nullopt;
-      PredictorBundle bundle;
-      bundle.base_cols = gs.selected;
-      bundle.forest.fit(train.x, train.y, forest_options_for(cfg), rng, obs);
-      return bundle;
-    } catch (const std::exception&) {
-      return std::nullopt;
-    }
-  };
+    // A wear group gets its own model only when its training slice holds
+    // enough positives to learn from; otherwise scoring falls back to the
+    // whole-model bundle for that group.
+    auto try_group = [&](const GroupSelection& gs,
+                         bool want_low) -> std::optional<TrainingSet> {
+      // A group whose selection fell back to the whole-model feature set
+      // has too few positives to support a specialized model either —
+      // route it to the whole-model bundle (updating then degrades to
+      // no-updating for that group instead of hurting it).
+      if (gs.fallback) return std::nullopt;
+      try {
+        TrainingSet set{{}, util::Rng(cfg.seed ^ (want_low ? 0xa5a5ULL : 0x5a5aULL))};
+        data::SamplingOptions opt = sampling_for(cfg, day_lo, day_hi, /*downsample=*/true);
+        opt.keep = group_filter(want_low);
+        set.samples = data::build_samples(fleet, gs.selected, opt, &set.rng, obs);
+        // A specialized model must beat the whole-model bundle it
+        // replaces; starved groups (few positives) reliably do worse, so
+        // fall back.
+        if (set.samples.size() < 400 || set.samples.num_positive() < 25) return std::nullopt;
+        return set;
+      } catch (const std::exception&) {
+        return std::nullopt;
+      }
+    };
 
-  pred.low = try_group(*sel.low, /*want_low=*/true);
-  pred.high = try_group(*sel.high, /*want_low=*/false);
-  if (pred.low.has_value() || pred.high.has_value()) pred.wear_threshold = thr;
+    low_set = try_group(*sel.low, /*want_low=*/true);
+    high_set = try_group(*sel.high, /*want_low=*/false);
+    if (low_set.has_value()) pred.low.emplace().base_cols = sel.low->selected;
+    if (high_set.has_value()) pred.high.emplace().base_cols = sel.high->selected;
+    if (pred.low.has_value() || pred.high.has_value()) pred.wear_threshold = thr;
+  }
+
+  std::vector<ml::RandomForest::FitJob> jobs;
+  const auto add_job = [&](TrainingSet& set, PredictorBundle& bundle) {
+    jobs.push_back({&set.samples.x, set.samples.y, nullptr, &set.rng, &bundle.forest});
+  };
+  add_job(all_set, pred.all);
+  if (low_set.has_value()) add_job(*low_set, *pred.low);
+  if (high_set.has_value()) add_job(*high_set, *pred.high);
+  ml::RandomForest::fit_all(jobs, forest_options_for(cfg), obs);
   return pred;
 }
 
@@ -208,40 +254,22 @@ std::vector<DriveDayScores> score_fleet(const data::FleetData& fleet,
     const std::size_t num_days = static_cast<std::size_t>(hi - lo + 1);
     ds.scores.assign(num_days, 0.0);
 
-    // Route first: each scored day joins exactly one bundle's list (all
-    // of them the whole-model bundle's when unrouted; a NaN wear
-    // indicator -> the whole-model bundle, as before). `rows_*` are the
-    // drive's local days, `pos_*` their positions in ds.scores.
-    std::vector<std::size_t> rows_all, rows_low, rows_high;
-    std::vector<std::size_t> pos_all, pos_low, pos_high;
+    // Route first: each scored day joins exactly one bundle's list, by
+    // WefrPredictor::route. `rows[r]` are the drive's local days routed
+    // to r, `pos[r]` their positions in ds.scores.
+    std::array<std::vector<std::size_t>, 3> rows, pos;
     for (int day = lo; day <= hi; ++day) {
       const std::size_t local = static_cast<std::size_t>(day - drive.first_day);
-      const std::size_t pos = static_cast<std::size_t>(day - lo);
-      if (!routed) {
-        rows_all.push_back(local);
-        pos_all.push_back(pos);
-        continue;
+      auto r = WefrPredictor::Route::kAll;
+      if (routed) {
+        const double mwi = drive.values(local, static_cast<std::size_t>(predictor.mwi_col));
+        // An unroutable wear indicator scores with the whole-model bundle
+        // rather than silently landing in the high-wear group; tallied.
+        if (std::isnan(mwi)) ++rerouted[slot];
+        r = predictor.route(mwi);
       }
-      const double mwi = drive.values(local, static_cast<std::size_t>(predictor.mwi_col));
-      if (std::isnan(mwi)) {
-        // Unroutable wear indicator: score with the whole-model bundle
-        // rather than silently landing in the high-wear group.
-        ++rerouted[slot];
-        rows_all.push_back(local);
-        pos_all.push_back(pos);
-        continue;
-      }
-      const bool is_low = mwi <= *predictor.wear_threshold;
-      if (is_low && predictor.low.has_value()) {
-        rows_low.push_back(local);
-        pos_low.push_back(pos);
-      } else if (!is_low && predictor.high.has_value()) {
-        rows_high.push_back(local);
-        pos_high.push_back(pos);
-      } else {
-        rows_all.push_back(local);
-        pos_all.push_back(pos);
-      }
+      rows[static_cast<std::size_t>(r)].push_back(local);
+      pos[static_cast<std::size_t>(r)].push_back(static_cast<std::size_t>(day - lo));
     }
 
     // Then each bundle expands only its own days and scores them as one
@@ -266,9 +294,9 @@ std::vector<DriveDayScores> score_fleet(const data::FleetData& fleet,
       const std::vector<double> batch = bundle.forest.predict_proba(feats);
       for (std::size_t i = 0; i < pos.size(); ++i) ds.scores[pos[i]] = batch[i];
     };
-    score_bundle(predictor.all, rows_all, pos_all);
-    if (predictor.low.has_value()) score_bundle(*predictor.low, rows_low, pos_low);
-    if (predictor.high.has_value()) score_bundle(*predictor.high, rows_high, pos_high);
+    score_bundle(predictor.all, rows[0], pos[0]);
+    if (predictor.low.has_value()) score_bundle(*predictor.low, rows[1], pos[1]);
+    if (predictor.high.has_value()) score_bundle(*predictor.high, rows[2], pos[2]);
   };
 
   // One task per drive drowned the pool in atomic traffic and task

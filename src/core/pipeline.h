@@ -54,6 +54,21 @@ struct WefrPredictor {
   std::optional<PredictorBundle> low;    ///< MWI_N <= threshold
   std::optional<PredictorBundle> high;   ///< MWI_N >  threshold
   int mwi_col = -1;                      ///< MWI_N column in fleet features
+
+  /// The bundle a scored day goes to.
+  enum class Route { kAll = 0, kLow = 1, kHigh = 2 };
+
+  /// The one rule that picks a scored day's bundle from the day's MWI_N
+  /// value, for batch scoring (score_fleet) and the daemon alike:
+  ///   - NaN goes to the whole-model bundle (it is in no wear group);
+  ///   - at or below the threshold, to the low bundle if it was trained;
+  ///   - above the threshold, to the high bundle if it was trained;
+  ///   - anything else, including a predictor without a threshold, to
+  ///     the whole-model bundle.
+  /// Callers read `mwi` only when the predictor is routed (a threshold
+  /// and an MWI_N column); an unrouted predictor scores every day with
+  /// the whole-model bundle.
+  Route route(double mwi) const;
 };
 
 /// Trains one bundle on fleet days [day_lo, day_hi] using the given base

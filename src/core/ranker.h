@@ -10,7 +10,15 @@
 #include "ml/random_forest.h"
 #include "util/rng.h"
 
+namespace wefr::ml {
+class QuantizedDataset;
+}
+
 namespace wefr::core {
+
+/// Bin budget of the coding the rankers share (see
+/// FeatureRanker::score): the RF and XGBoost rankers' max_bins.
+inline constexpr std::size_t kRankerBins = 256;
 
 /// A preliminary feature-selection approach: assigns every learning
 /// feature an importance score (higher = more important). WEFR runs
@@ -23,7 +31,16 @@ class FeatureRanker {
   virtual std::string name() const = 0;
 
   /// Importance score per feature column of `x` against labels `y`.
-  virtual std::vector<double> score(const data::Matrix& x, std::span<const int> y) const = 0;
+  /// `coded` is x's ml::QuantizedDataset at kRankerBins bins when
+  /// reads_coding() is true and x is not empty, and an empty coding
+  /// otherwise. core::score_rankers codes each population once and
+  /// hands that one coding to every ranker.
+  virtual std::vector<double> score(const data::Matrix& x, std::span<const int> y,
+                                    const ml::QuantizedDataset& coded) const = 0;
+
+  /// Convenience: codes `x` when the ranker reads the coding, then
+  /// scores it.
+  std::vector<double> score(const data::Matrix& x, std::span<const int> y) const;
 
   /// 1-based fractional ranking derived from score() (rank 1 = most
   /// important; ties averaged).
@@ -33,6 +50,11 @@ class FeatureRanker {
   /// regression): the longest jobs on the ensemble's job list, which
   /// starts them first.
   virtual bool fits_model() const { return false; }
+
+  /// True for rankers whose score reads the coding: the sort-based ones
+  /// (Spearman and J-index read its ranks, the tree ensembles split on
+  /// it). A population is coded only when some ranker reads it.
+  virtual bool reads_coding() const { return false; }
 
   /// Worker threads for this ranker's internal per-feature (statistical
   /// rankers) or per-tree (forest ranker) fan-out; 0 = sequential. Every
@@ -48,22 +70,34 @@ class FeatureRanker {
 /// |Pearson correlation| between each feature and the target.
 class PearsonRanker final : public FeatureRanker {
  public:
+  using FeatureRanker::score;
   std::string name() const override { return "Pearson"; }
-  std::vector<double> score(const data::Matrix& x, std::span<const int> y) const override;
+  std::vector<double> score(const data::Matrix& x, std::span<const int> y,
+                            const ml::QuantizedDataset& coded) const override;
 };
 
-/// |Spearman correlation| between each feature and the target.
+/// |Spearman correlation| between each feature and the target. A
+/// column's fractional ranks come from the coding's ranks; a column
+/// holding a NaN is ranked by stats::spearman_with_ranks instead.
 class SpearmanRanker final : public FeatureRanker {
  public:
+  using FeatureRanker::score;
   std::string name() const override { return "Spearman"; }
-  std::vector<double> score(const data::Matrix& x, std::span<const int> y) const override;
+  bool reads_coding() const override { return true; }
+  std::vector<double> score(const data::Matrix& x, std::span<const int> y,
+                            const ml::QuantizedDataset& coded) const override;
 };
 
-/// Youden J-index of each feature as a single-threshold classifier.
+/// Youden J-index of each feature as a single-threshold classifier. A
+/// column's cut points come from the coding's ranks; a column holding a
+/// NaN is scored by stats::youden_j_index instead.
 class JIndexRanker final : public FeatureRanker {
  public:
+  using FeatureRanker::score;
   std::string name() const override { return "J-index"; }
-  std::vector<double> score(const data::Matrix& x, std::span<const int> y) const override;
+  bool reads_coding() const override { return true; }
+  std::vector<double> score(const data::Matrix& x, std::span<const int> y,
+                            const ml::QuantizedDataset& coded) const override;
 };
 
 /// Random-Forest feature-importance evaluation. `use_permutation`
@@ -76,9 +110,12 @@ class RandomForestRanker final : public FeatureRanker {
                               bool use_permutation = false, std::uint64_t seed = 7)
       : opt_(opt), use_permutation_(use_permutation), seed_(seed) {}
 
+  using FeatureRanker::score;
   std::string name() const override { return "RandomForest"; }
   bool fits_model() const override { return true; }
-  std::vector<double> score(const data::Matrix& x, std::span<const int> y) const override;
+  bool reads_coding() const override { return true; }
+  std::vector<double> score(const data::Matrix& x, std::span<const int> y,
+                            const ml::QuantizedDataset& coded) const override;
 
   /// Lighter forest than the prediction model: selection only needs a
   /// stable importance ordering, not a calibrated classifier.
@@ -96,9 +133,12 @@ class XgboostRanker final : public FeatureRanker {
   explicit XgboostRanker(ml::GbdtOptions opt = default_options(), std::uint64_t seed = 11)
       : opt_(opt), seed_(seed) {}
 
+  using FeatureRanker::score;
   std::string name() const override { return "XGBoost"; }
   bool fits_model() const override { return true; }
-  std::vector<double> score(const data::Matrix& x, std::span<const int> y) const override;
+  bool reads_coding() const override { return true; }
+  std::vector<double> score(const data::Matrix& x, std::span<const int> y,
+                            const ml::QuantizedDataset& coded) const override;
 
   static ml::GbdtOptions default_options();
 
@@ -114,8 +154,10 @@ class XgboostRanker final : public FeatureRanker {
 class MutualInformationRanker final : public FeatureRanker {
  public:
   explicit MutualInformationRanker(int bins = 10) : bins_(bins) {}
+  using FeatureRanker::score;
   std::string name() const override { return "MutualInfo"; }
-  std::vector<double> score(const data::Matrix& x, std::span<const int> y) const override;
+  std::vector<double> score(const data::Matrix& x, std::span<const int> y,
+                            const ml::QuantizedDataset& coded) const override;
 
  private:
   int bins_;
@@ -126,8 +168,10 @@ class MutualInformationRanker final : public FeatureRanker {
 class ChiSquareRanker final : public FeatureRanker {
  public:
   explicit ChiSquareRanker(int bins = 10) : bins_(bins) {}
+  using FeatureRanker::score;
   std::string name() const override { return "ChiSquare"; }
-  std::vector<double> score(const data::Matrix& x, std::span<const int> y) const override;
+  std::vector<double> score(const data::Matrix& x, std::span<const int> y,
+                            const ml::QuantizedDataset& coded) const override;
 
  private:
   int bins_;
@@ -138,9 +182,11 @@ class ChiSquareRanker final : public FeatureRanker {
 class LogisticRanker final : public FeatureRanker {
  public:
   explicit LogisticRanker(std::uint64_t seed = 19) : seed_(seed) {}
+  using FeatureRanker::score;
   std::string name() const override { return "Logistic"; }
   bool fits_model() const override { return true; }
-  std::vector<double> score(const data::Matrix& x, std::span<const int> y) const override;
+  std::vector<double> score(const data::Matrix& x, std::span<const int> y,
+                            const ml::QuantizedDataset& coded) const override;
 
  private:
   std::uint64_t seed_;

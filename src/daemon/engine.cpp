@@ -1,6 +1,7 @@
 #include "daemon/engine.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <sstream>
@@ -219,15 +220,14 @@ std::size_t Engine::score_tails(std::span<const std::size_t> drives) {
   const bool routed = pred.wear_threshold.has_value() && pred.mwi_col >= 0;
   const std::size_t factor = resident_.expansion_factor();
 
-  // Route every pending tail row to its bundle — score_fleet's rules:
-  // NaN MWI_N goes to the whole-model bundle, otherwise the wear
-  // threshold picks the group bundle when it exists. Each entry names
-  // the tail row to read and the score slot to fill.
+  // Route every pending tail row to its bundle by WefrPredictor::route,
+  // score_fleet's rule. Each entry names the tail row to read and the
+  // score slot to fill; to[r] holds the rows routed to r.
   struct Pending {
     const double* row;
     double* score;
   };
-  std::vector<Pending> to_all, to_low, to_high;
+  std::array<std::vector<Pending>, 3> to;
   std::size_t rows = 0;
   for (std::size_t di : drives) {
     ScoreState& ss = score_states_[di];
@@ -238,26 +238,13 @@ std::size_t Engine::score_tails(std::span<const std::size_t> drives) {
     const auto base = static_cast<std::size_t>(tail_first - ss.first_day);
     ss.scores.resize(base + tail.rows(), 0.0);
     for (std::size_t i = 0; i < tail.rows(); ++i) {
-      const Pending p{tail.row(i).data(), &ss.scores[base + i]};
-      if (!routed) {
-        to_all.push_back(p);
-        continue;
+      auto r = core::WefrPredictor::Route::kAll;
+      if (routed) {
+        const auto local =
+            static_cast<std::size_t>(tail_first + static_cast<int>(i) - drive.first_day);
+        r = pred.route(drive.values(local, static_cast<std::size_t>(pred.mwi_col)));
       }
-      const auto local =
-          static_cast<std::size_t>(tail_first + static_cast<int>(i) - drive.first_day);
-      const double mwi = drive.values(local, static_cast<std::size_t>(pred.mwi_col));
-      if (std::isnan(mwi)) {
-        to_all.push_back(p);
-        continue;
-      }
-      const bool is_low = mwi <= *pred.wear_threshold;
-      if (is_low && pred.low.has_value()) {
-        to_low.push_back(p);
-      } else if (!is_low && pred.high.has_value()) {
-        to_high.push_back(p);
-      } else {
-        to_all.push_back(p);
-      }
+      to[static_cast<std::size_t>(r)].push_back({tail.row(i).data(), &ss.scores[base + i]});
     }
     ss.scored_until = tail_first + static_cast<int>(tail.rows()) - 1;
     rows += tail.rows();
@@ -282,9 +269,9 @@ std::size_t Engine::score_tails(std::span<const std::size_t> drives) {
     for (std::size_t lo = 0; lo < pending.size(); lo += kBlockRows)
       blocks.push_back(Block{&b, pending.subspan(lo, std::min(kBlockRows, pending.size() - lo))});
   };
-  cut(pred.all, to_all);
-  if (pred.low.has_value()) cut(*pred.low, to_low);
-  if (pred.high.has_value()) cut(*pred.high, to_high);
+  cut(pred.all, to[0]);
+  if (pred.low.has_value()) cut(*pred.low, to[1]);
+  if (pred.high.has_value()) cut(*pred.high, to[2]);
   const auto score_block = [&](std::size_t k) {
     const Block& blk = blocks[k];
     const auto& cols = blk.bundle->base_cols;

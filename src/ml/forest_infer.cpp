@@ -238,10 +238,12 @@ bool FlatForest::avx2_available() { return cpu_has_avx2(); }
 /// the neutral node form both learners lower into.
 struct FlatBuilder {
   static FlatForest build(std::span<const std::vector<RawNode>> trees,
-                          std::size_t num_features, const obs::Context* obs);
+                          std::size_t num_features, const obs::Context* obs,
+                          std::uint64_t parent_span = 0);
 };
 
-FlatForest FlatForest::from(const RandomForest& forest, const obs::Context* obs) {
+FlatForest FlatForest::from(const RandomForest& forest, const obs::Context* obs,
+                            std::uint64_t parent_span) {
   if (!forest.trained()) throw std::logic_error("FlatForest::from: forest not trained");
   std::vector<std::vector<RawNode>> raw;
   raw.reserve(forest.trees_.size());
@@ -258,7 +260,7 @@ FlatForest FlatForest::from(const RandomForest& forest, const obs::Context* obs)
       nodes.push_back(rn);
     }
   }
-  return FlatBuilder::build(raw, forest.num_features(), obs);
+  return FlatBuilder::build(raw, forest.num_features(), obs, parent_span);
 }
 
 FlatForest FlatForest::from(const Gbdt& model, const obs::Context* obs) {
@@ -282,8 +284,10 @@ FlatForest FlatForest::from(const Gbdt& model, const obs::Context* obs) {
 }
 
 FlatForest FlatBuilder::build(std::span<const std::vector<RawNode>> trees,
-                              std::size_t num_features, const obs::Context* obs) {
-  obs::Span span(obs, "forest:flatten");
+                              std::size_t num_features, const obs::Context* obs,
+                              std::uint64_t parent_span) {
+  obs::Span span = parent_span != 0 ? obs::Span(obs, "forest:flatten", parent_span)
+                                    : obs::Span(obs, "forest:flatten");
   FlatForest flat;
   flat.num_features_ = num_features;
 

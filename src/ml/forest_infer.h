@@ -82,8 +82,11 @@ class FlatForest {
 
   /// Flattens a fitted forest; leaf payloads are leaf probabilities
   /// (callers average over trees). Wraps itself in a "forest:flatten"
-  /// span when `obs` is live.
-  static FlatForest from(const RandomForest& forest, const obs::Context* obs = nullptr);
+  /// span when `obs` is live, parented on `parent_span` when it is not 0
+  /// (a pool thread has no open span to inherit), else on the calling
+  /// thread's innermost open span.
+  static FlatForest from(const RandomForest& forest, const obs::Context* obs = nullptr,
+                         std::uint64_t parent_span = 0);
   /// Flattens a fitted GBDT; leaf payloads are shrunk leaf weights
   /// (callers add the base score and apply the link function).
   static FlatForest from(const Gbdt& model, const obs::Context* obs = nullptr);

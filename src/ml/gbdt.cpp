@@ -57,7 +57,12 @@ struct Gbdt::BuildContext {
   std::vector<std::size_t> rows;    ///< exact: the node's rows, ascending
   std::vector<std::uint64_t> keys;  ///< exact: rank << 32 | row
   std::vector<std::uint64_t> key_scratch;  ///< exact: radix sort buffer
-  std::vector<BinSums> bins;        ///< histogram: one feature's per-bin sums
+  /// Histogram: per-bin sums of every candidate feature, back to back;
+  /// feature i's bins start at bin_base[i] and its codes at codes[i].
+  std::vector<BinSums> bins;
+  std::vector<std::size_t> hist_features;
+  std::vector<std::size_t> bin_base;
+  std::vector<const std::uint8_t*> codes;
 };
 
 double Gbdt::Tree::predict(std::span<const double> row) const {
@@ -69,14 +74,36 @@ double Gbdt::Tree::predict(std::span<const double> row) const {
   }
 }
 
-void Gbdt::fit(const data::Matrix& x, std::span<const int> y, const GbdtOptions& opt,
-               util::Rng& rng) {
+namespace {
+
+void check_fit_args(const data::Matrix& x, std::span<const int> y, const GbdtOptions& opt) {
   if (x.rows() == 0 || x.rows() != y.size())
     throw std::invalid_argument("Gbdt::fit: shape mismatch or empty data");
   if (opt.num_rounds == 0) throw std::invalid_argument("Gbdt::fit: num_rounds == 0");
   if (opt.subsample <= 0.0 || opt.subsample > 1.0 || opt.colsample <= 0.0 ||
       opt.colsample > 1.0)
     throw std::invalid_argument("Gbdt::fit: subsample/colsample outside (0,1]");
+}
+
+}  // namespace
+
+void Gbdt::fit(const data::Matrix& x, std::span<const int> y, const GbdtOptions& opt,
+               util::Rng& rng) {
+  check_fit_args(x, y, opt);
+  // Code the matrix once per fit; all rounds share the codes (gradients
+  // change per round, ranks and bin memberships do not).
+  QuantizedDataset coded;
+  coded.build(x, opt.max_bins);
+  fit(x, y, coded, opt, rng);
+}
+
+void Gbdt::fit(const data::Matrix& x, std::span<const int> y, const QuantizedDataset& coded,
+               const GbdtOptions& opt, util::Rng& rng) {
+  check_fit_args(x, y, opt);
+  if (coded.rows() != x.rows() || coded.cols() != x.cols())
+    throw std::invalid_argument("Gbdt::fit: coding shape differs from the matrix");
+  if (coded.max_bins() != std::clamp<std::size_t>(opt.max_bins, 2, 256))
+    throw std::invalid_argument("Gbdt::fit: coding bin budget differs from max_bins");
 
   const std::size_t n = x.rows();
   num_features_ = x.cols();
@@ -97,15 +124,10 @@ void Gbdt::fit(const data::Matrix& x, std::span<const int> y, const GbdtOptions&
   const std::size_t cols_per_tree = std::max<std::size_t>(
       1, static_cast<std::size_t>(opt.colsample * static_cast<double>(num_features_)));
 
-  // Code the matrix once per fit; all rounds share the codes (gradients
-  // change per round, ranks and bin memberships do not).
   const bool histogram =
       opt.split_method == SplitMethod::kHistogram ||
       (opt.split_method == SplitMethod::kAuto && n >= opt.histogram_cutoff);
-  QuantizedDataset quantized;
-  quantized.build(x, opt.max_bins);
-
-  BuildContext ctx{opt, grad, hess, quantized, histogram, {}, {}, {}, {}, {}, {}};
+  BuildContext ctx{opt, grad, hess, coded, histogram, {}, {}, {}, {}, {}, {}, {}, {}, {}};
 
   for (std::size_t round = 0; round < opt.num_rounds; ++round) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -185,24 +207,49 @@ std::int32_t Gbdt::build_node(BuildContext& ctx, std::vector<std::size_t>& idx,
   const bool use_histogram =
       ctx.histogram && (opt.exact_node_cutoff == 0 || n >= opt.exact_node_cutoff);
   if (use_histogram) {
-    auto& sums = ctx.bins;
-    sums.resize(256);
+    // Every candidate feature's histogram fills in one walk over the
+    // node's rows, each row adding into every feature's bins. A (feature,
+    // bin) sum still adds its rows in idx order, so the sums are the
+    // bits a feature-at-a-time pass gives, while the adds of different
+    // features no longer wait on one another: a pass over one feature
+    // alone is a chain of dependent floating-point adds wherever rows
+    // repeat a bin.
+    auto& active = ctx.hist_features;
+    auto& base = ctx.bin_base;
+    auto& codes = ctx.codes;
+    active.clear();
+    base.clear();
+    codes.clear();
+    std::size_t total_bins = 0;
     for (std::size_t f : features) {
-      const std::size_t bins = q.num_bins(f);
-      if (bins < 2) continue;  // constant feature
-      std::fill(sums.begin(), sums.begin() + static_cast<std::ptrdiff_t>(bins), BinSums{});
-      const std::uint8_t* codes = q.codes(f).data();
-      for (std::size_t k = 0; k < n; ++k) {
-        BinSums& b = sums[codes[idx[begin + k]]];
-        b.grad += ctx.node_grad[k];
-        b.hess += ctx.node_hess[k];
+      if (q.num_bins(f) < 2) continue;  // constant feature
+      active.push_back(f);
+      base.push_back(total_bins);
+      codes.push_back(q.codes(f).data());
+      total_bins += q.num_bins(f);
+    }
+    auto& sums = ctx.bins;
+    sums.assign(total_bins, BinSums{});
+    const std::size_t num_active = active.size();
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t row = idx[begin + k];
+      const double g = ctx.node_grad[k], h = ctx.node_hess[k];
+      for (std::size_t i = 0; i < num_active; ++i) {
+        BinSums& b = sums[base[i] + codes[i][row]];
+        b.grad += g;
+        b.hess += h;
       }
+    }
+    for (std::size_t i = 0; i < num_active; ++i) {
+      const std::size_t f = active[i];
+      const std::size_t bins = q.num_bins(f);
+      const BinSums* feature_sums = sums.data() + base[i];
       // Boundaries between consecutive node-occupied bins, mirroring the
       // CART histogram scan.
       double gl = 0.0, hl = 0.0;
       std::size_t prev = bins;
       for (std::size_t b = 0; b < bins; ++b) {
-        const BinSums& bin = sums[b];
+        const BinSums& bin = feature_sums[b];
         if (bin.hess == 0.0) continue;
         if (prev != bins) {
           const double gr = g_sum - gl, hr = h_sum - hl;

@@ -16,6 +16,7 @@ struct Context;
 namespace wefr::ml {
 
 class FlatForest;
+class QuantizedDataset;
 
 /// Gradient-boosted-tree training controls (XGBoost-style second-order
 /// boosting with logistic loss).
@@ -53,8 +54,17 @@ struct GbdtOptions {
 /// those splits).
 class Gbdt {
  public:
+  /// Fits `opt.num_rounds` boosted trees on (x, y); codes `x` once
+  /// (ml::QuantizedDataset at `opt.max_bins` bins) and calls the overload
+  /// below.
   void fit(const data::Matrix& x, std::span<const int> y, const GbdtOptions& opt,
            util::Rng& rng);
+  /// As above, on a coding of `x` the caller already built (the ranker
+  /// job list codes each population once for every ranker). Throws
+  /// std::invalid_argument when `coded` is not x's shape or was built
+  /// with another bin budget than `opt.max_bins`.
+  void fit(const data::Matrix& x, std::span<const int> y, const QuantizedDataset& coded,
+           const GbdtOptions& opt, util::Rng& rng);
 
   /// P(y = 1) for a single row.
   double predict_proba(std::span<const double> row) const;

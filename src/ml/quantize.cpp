@@ -6,30 +6,26 @@
 #include <stdexcept>
 
 #include "ml/radix_sort.h"
-#include "util/thread_pool.h"
 
 namespace wefr::ml {
 
-void QuantizedDataset::build(const data::Matrix& x, std::size_t max_bins,
-                             util::ThreadPool* pool) {
+void QuantizedDataset::prepare(const data::Matrix& x, std::size_t max_bins) {
   if (x.rows() == 0 || x.cols() == 0)
     throw std::invalid_argument("QuantizedDataset::build: empty matrix");
   if (x.rows() > std::numeric_limits<std::uint32_t>::max() / 2)
     throw std::invalid_argument("QuantizedDataset::build: too many rows for 31-bit ranks");
-  max_bins = std::clamp<std::size_t>(max_bins, 2, 256);
-
   rows_ = x.rows();
   cols_ = x.cols();
+  max_bins_ = std::clamp<std::size_t>(max_bins, 2, 256);
   ranks_.resize(rows_ * cols_);
   codes_.resize(rows_ * cols_);
   values_.assign(cols_, {});
   bin_last_rank_.assign(cols_, {});
-  const auto one = [&](std::size_t f) { build_feature(x, f, max_bins); };
-  if (pool != nullptr && pool->size() > 1 && cols_ > 1) {
-    pool->parallel_for(cols_, one);
-  } else {
-    for (std::size_t f = 0; f < cols_; ++f) one(f);
-  }
+}
+
+void QuantizedDataset::build(const data::Matrix& x, std::size_t max_bins) {
+  prepare(x, max_bins);
+  for (std::size_t f = 0; f < cols_; ++f) build_feature(x, f);
 }
 
 namespace {
@@ -53,8 +49,8 @@ struct KeyedRow {
 
 }  // namespace
 
-void QuantizedDataset::build_feature(const data::Matrix& x, std::size_t f,
-                                     std::size_t max_bins) {
+void QuantizedDataset::build_feature(const data::Matrix& x, std::size_t f) {
+  const std::size_t max_bins = max_bins_;
   // Rows sorted by value; the radix sort is stable, so ties stay in row
   // order and the coding is deterministic.
   std::vector<KeyedRow> sorted(rows_), scratch;

@@ -6,15 +6,12 @@
 
 #include "data/matrix.h"
 
-namespace wefr::util {
-class ThreadPool;
-}
-
 namespace wefr::ml {
 
 /// Column-major coding of a sample matrix for tree split search, built
 /// once per fit and shared read-only by every tree (and every boosting
-/// round) of that fit. Each value is stored twice, as codes:
+/// round) of that fit — or once per WEFR population, and shared by every
+/// ranker (core::score_rankers). Each value is stored twice, as codes:
 ///
 /// - its **rank**: the index of the value among the feature's sorted
 ///   distinct values. Rank order is value order, so the exact splitter
@@ -31,22 +28,31 @@ namespace wefr::ml {
 /// When a feature has at most `max_bins` distinct values every value
 /// gets its own bin (bin == rank), which makes histogram split finding
 /// reproduce the exact splitter bit-for-bit — the equivalence the tests
-/// pin down. Values are assumed finite (the data layer imputes NaNs
-/// before matrices reach the models).
+/// pin down. Values are assumed finite or infinite (the data layer
+/// imputes NaNs before matrices reach the models); a NaN gets a rank of
+/// its own below -inf or above +inf, by its sign bit.
 class QuantizedDataset {
  public:
   QuantizedDataset() = default;
 
   /// Codes all rows of `x`, with at most `max_bins` bins per feature
-  /// (clamped to [2, 256] so bin codes fit in a uint8_t). Features are
-  /// coded independently, across `pool` when given; the result does not
-  /// depend on it.
-  void build(const data::Matrix& x, std::size_t max_bins = 256,
-             util::ThreadPool* pool = nullptr);
+  /// (clamped to [2, 256] so bin codes fit in a uint8_t): prepare(), then
+  /// build_feature() for every feature.
+  void build(const data::Matrix& x, std::size_t max_bins = 256);
+
+  /// Sizes the coding for `x` and codes no feature yet; build_feature
+  /// then codes each feature, in any order and on any thread (each
+  /// writes only its own feature). Lets a caller code several matrices'
+  /// columns as one job list. Throws on an empty matrix.
+  void prepare(const data::Matrix& x, std::size_t max_bins = 256);
+  /// Codes feature `f` of the matrix given to prepare().
+  void build_feature(const data::Matrix& x, std::size_t f);
 
   bool empty() const { return rows_ == 0; }
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
+  /// The bin budget the coding was built with (after clamping).
+  std::size_t max_bins() const { return max_bins_; }
 
   /// Number of distinct values of feature `f` (>= 1).
   std::size_t num_values(std::size_t f) const { return values_[f].size(); }
@@ -104,10 +110,9 @@ class QuantizedDataset {
   }
 
  private:
-  void build_feature(const data::Matrix& x, std::size_t f, std::size_t max_bins);
-
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
+  std::size_t max_bins_ = 0;
   std::vector<std::uint32_t> ranks_;  ///< column-major: ranks_[f * rows_ + r]
   std::vector<std::uint8_t> codes_;   ///< column-major: codes_[f * rows_ + r]
   std::vector<std::vector<double>> values_;  ///< per feature: sorted distinct values

@@ -9,27 +9,34 @@ namespace wefr::ml {
 
 /// Stable least-significant-digit radix sort of `items` by the unsigned
 /// integer `key_of(item)`, whose set bits all lie below `key_bits`: one
-/// 8-bit digit per pass. A pass whose digit is equal for every item
-/// would leave the order as it is and is skipped, so keys that vary only
-/// in a few bytes cost only those passes. Ties keep their input order.
-/// `scratch` is a reusable buffer.
-template <typename T, typename KeyOf>
+/// `DigitBits`-bit digit per pass. A pass whose digit is equal for every
+/// item would leave the order as it is and is skipped, so keys that vary
+/// only in a few digits cost only those passes. Ties keep their input
+/// order. `scratch` is a reusable buffer.
+///
+/// Each pass clears and prefix-sums 2^DigitBits counters whatever the
+/// item count, so a few dozen items sort faster with narrower digits
+/// (64 counters at 6 bits against 256 at 8), at the price of more passes
+/// on wide keys.
+template <unsigned DigitBits = 8, typename T, typename KeyOf>
 void radix_sort(std::vector<T>& items, std::vector<T>& scratch, KeyOf key_of,
                 unsigned key_bits) {
+  constexpr std::size_t kRadix = std::size_t{1} << DigitBits;
+  constexpr std::uint64_t kMask = kRadix - 1;
   const std::size_t n = items.size();
   if (n < 2) return;
   scratch.resize(n);
-  for (unsigned shift = 0; shift < key_bits; shift += 8) {
-    std::array<std::uint32_t, 256> offset{};
-    for (const T& item : items) ++offset[(key_of(item) >> shift) & 0xffu];
-    if (offset[(key_of(items.front()) >> shift) & 0xffu] == n) continue;
+  for (unsigned shift = 0; shift < key_bits; shift += DigitBits) {
+    std::array<std::uint32_t, kRadix> offset{};
+    for (const T& item : items) ++offset[(key_of(item) >> shift) & kMask];
+    if (offset[(key_of(items.front()) >> shift) & kMask] == n) continue;
     std::uint32_t sum = 0;
     for (std::uint32_t& o : offset) {
       const std::uint32_t c = o;
       o = sum;
       sum += c;
     }
-    for (const T& item : items) scratch[offset[(key_of(item) >> shift) & 0xffu]++] = item;
+    for (const T& item : items) scratch[offset[(key_of(item) >> shift) & kMask]++] = item;
     items.swap(scratch);
   }
 }

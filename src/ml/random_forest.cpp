@@ -4,7 +4,6 @@
 #include <cmath>
 #include <istream>
 #include <numeric>
-#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -17,68 +16,127 @@
 
 namespace wefr::ml {
 
-void RandomForest::fit(const data::Matrix& x, std::span<const int> y, const ForestOptions& opt,
-                       util::Rng& rng, const obs::Context* obs) {
+void RandomForest::fit_all(std::span<const FitJob> jobs, const ForestOptions& opt,
+                           const obs::Context* obs) {
   obs::Span span(obs, "forest:fit");
   util::Stopwatch timer;
-  if (x.rows() == 0 || x.rows() != y.size())
-    throw std::invalid_argument("RandomForest::fit: shape mismatch or empty data");
-  if (opt.num_trees == 0) throw std::invalid_argument("RandomForest::fit: num_trees == 0");
-
-  num_features_ = x.cols();
-  TreeOptions topt = opt.tree;
-  topt.max_features = opt.max_features == 0
-                          ? std::max<std::size_t>(
-                                1, static_cast<std::size_t>(std::sqrt(
-                                       static_cast<double>(x.cols()))))
-                          : std::min(opt.max_features, x.cols());
-
-  const std::size_t n = x.rows();
-  const std::size_t boot =
-      std::max<std::size_t>(1, static_cast<std::size_t>(opt.bootstrap_fraction *
-                                                        static_cast<double>(n)));
-
-  // One pool serves the coding pass and the trees.
-  std::optional<util::ThreadPool> pool;
-  if (opt.num_threads > 1) pool.emplace(opt.num_threads);
-
-  // Code the matrix once per fit and share it across trees: bootstrap
-  // indices address the same rows, so ranks and bins are tree-independent.
-  QuantizedDataset quantized;
-  quantized.build(x, topt.max_bins, pool ? &*pool : nullptr);
-
-  trees_.assign(opt.num_trees, DecisionTree{});
-  inbag_.assign(opt.num_trees, {});
-  // Pre-fork one stream per tree so threaded and sequential runs agree.
-  std::vector<util::Rng> streams;
-  streams.reserve(opt.num_trees);
-  for (std::size_t t = 0; t < opt.num_trees; ++t) streams.push_back(rng.fork());
-
-  auto fit_tree = [&](std::size_t t) {
-    util::Rng& local = streams[t];
-    std::vector<std::size_t> idx(boot);
-    for (auto& i : idx) i = local.uniform_index(n);
-    trees_[t].fit(x, y, idx, topt, local, &quantized, &inbag_[t]);
-  };
-
-  if (pool) {
-    pool->parallel_for(opt.num_trees, fit_tree);
-  } else {
-    for (std::size_t t = 0; t < opt.num_trees; ++t) fit_tree(t);
+  for (const FitJob& job : jobs) {
+    if (job.x->rows() == 0 || job.x->rows() != job.y.size())
+      throw std::invalid_argument("RandomForest::fit: shape mismatch or empty data");
+    if (opt.num_trees == 0) throw std::invalid_argument("RandomForest::fit: num_trees == 0");
+    if (job.coded != nullptr) {
+      if (job.coded->rows() != job.x->rows() || job.coded->cols() != job.x->cols())
+        throw std::invalid_argument("RandomForest::fit: coding shape differs from the matrix");
+      if (job.coded->max_bins() != std::clamp<std::size_t>(opt.tree.max_bins, 2, 256))
+        throw std::invalid_argument("RandomForest::fit: coding bin budget differs from max_bins");
+    }
   }
 
-  // Compile the fitted trees into the flattened SoA inference engine;
-  // every batch scorer below routes through it.
-  flat_ = std::make_shared<const FlatForest>(FlatForest::from(*this, obs));
+  // Per forest: its tree options, bootstrap size, coding and streams.
+  // Every forest forks its streams off its own rng before any tree is
+  // fitted, so pool scheduling cannot change a draw.
+  struct Forest {
+    TreeOptions topt;
+    std::size_t boot = 0;
+    QuantizedDataset own;  ///< the coding, when the job brought none
+    const QuantizedDataset* coded = nullptr;
+    std::vector<util::Rng> streams;
+  };
+  std::vector<Forest> forests(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const FitJob& job = jobs[j];
+    Forest& f = forests[j];
+    const std::size_t cols = job.x->cols();
+    f.topt = opt.tree;
+    f.topt.max_features =
+        opt.max_features == 0
+            ? std::max<std::size_t>(
+                  1, static_cast<std::size_t>(std::sqrt(static_cast<double>(cols))))
+            : std::min(opt.max_features, cols);
+    f.boot = std::max<std::size_t>(1, static_cast<std::size_t>(opt.bootstrap_fraction *
+                                                               static_cast<double>(
+                                                                   job.x->rows())));
+    if (job.coded == nullptr) f.own.prepare(*job.x, opt.tree.max_bins);
+    f.coded = job.coded != nullptr ? job.coded : &f.own;
+    f.streams.reserve(opt.num_trees);
+    for (std::size_t t = 0; t < opt.num_trees; ++t) f.streams.push_back(job.rng->fork());
+    RandomForest& out = *job.forest;
+    out.num_features_ = cols;
+    out.trees_.assign(opt.num_trees, DecisionTree{});
+    out.inbag_.assign(opt.num_trees, {});
+    out.flat_.reset();
+  }
+
+  // Larger training sets first: their trees are the long poles, and the
+  // smaller forests' trees fill the pool's tail.
+  std::vector<std::size_t> order(jobs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return jobs[a].x->rows() > jobs[b].x->rows();
+  });
+
+  // The job list's three phases, each over every forest: code the
+  // uncoded columns, fit the trees, flatten the forests.
+  std::vector<std::pair<std::size_t, std::size_t>> coding, trees;
+  for (std::size_t j : order) {
+    if (jobs[j].coded == nullptr)
+      for (std::size_t c = 0; c < jobs[j].x->cols(); ++c) coding.emplace_back(j, c);
+    for (std::size_t t = 0; t < opt.num_trees; ++t) trees.emplace_back(j, t);
+  }
+  const auto code_column = [&](std::size_t i) {
+    const auto [j, c] = coding[i];
+    forests[j].own.build_feature(*jobs[j].x, c);
+  };
+  const auto fit_tree = [&](std::size_t i) {
+    const auto [j, t] = trees[i];
+    const FitJob& job = jobs[j];
+    Forest& f = forests[j];
+    util::Rng& local = f.streams[t];
+    const std::size_t n = job.x->rows();
+    std::vector<std::size_t> idx(f.boot);
+    for (auto& r : idx) r = local.uniform_index(n);
+    RandomForest& out = *job.forest;
+    out.trees_[t].fit(*job.x, job.y, idx, f.topt, local, f.coded, &out.inbag_[t]);
+  };
+  // Compile each fitted forest into the flattened SoA inference engine;
+  // every batch scorer routes through it.
+  const auto flatten = [&](std::size_t i) {
+    RandomForest& out = *jobs[order[i]].forest;
+    out.flat_ = std::make_shared<const FlatForest>(FlatForest::from(out, obs, span.id()));
+  };
+
+  if (opt.num_threads > 1) {
+    util::ThreadPool pool(opt.num_threads);
+    pool.parallel_for(coding.size(), code_column);
+    pool.parallel_for(trees.size(), fit_tree);
+    pool.parallel_for(jobs.size(), flatten);
+  } else {
+    for (std::size_t i = 0; i < coding.size(); ++i) code_column(i);
+    for (std::size_t i = 0; i < trees.size(); ++i) fit_tree(i);
+    for (std::size_t i = 0; i < jobs.size(); ++i) flatten(i);
+  }
 
   if (obs != nullptr) {
-    obs::add_counter(obs, "wefr_forest_trees_fitted_total", opt.num_trees);
+    obs::add_counter(obs, "wefr_forest_trees_fitted_total", trees.size());
     if (auto* hist = obs::histogram_or_null(
             obs, "wefr_forest_fit_seconds",
             {0.01, 0.05, 0.25, 1.0, 5.0, 30.0, 120.0})) {
       hist->observe(timer.seconds());
     }
   }
+}
+
+void RandomForest::fit(const data::Matrix& x, std::span<const int> y, const ForestOptions& opt,
+                       util::Rng& rng, const obs::Context* obs) {
+  const FitJob job{&x, y, nullptr, &rng, this};
+  fit_all({&job, 1}, opt, obs);
+}
+
+void RandomForest::fit(const data::Matrix& x, std::span<const int> y,
+                       const QuantizedDataset& coded, const ForestOptions& opt, util::Rng& rng,
+                       const obs::Context* obs) {
+  const FitJob job{&x, y, &coded, &rng, this};
+  fit_all({&job, 1}, opt, obs);
 }
 
 const FlatForest& RandomForest::flat_ref() const {

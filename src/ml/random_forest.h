@@ -17,6 +17,7 @@ struct Context;
 namespace wefr::ml {
 
 class FlatForest;
+class QuantizedDataset;
 
 /// Random-Forest training controls. Defaults follow the paper's
 /// prediction-model setting (100 trees, max depth 13).
@@ -39,17 +40,44 @@ struct ForestOptions {
 /// accuracy after adding noises to a learning feature", Breiman 2001).
 class RandomForest {
  public:
-  /// Fits `opt.num_trees` trees on bootstrap resamples of (x, y).
-  /// Deterministic for a given seed, including in threaded mode (each
-  /// tree gets its own pre-forked stream). The rank/bin codes of `x`
-  /// (ml::QuantizedDataset) are built once here and shared read-only by
-  /// every tree.
+  /// One forest of a fit job list (see fit_all).
+  struct FitJob {
+    const data::Matrix* x = nullptr;
+    std::span<const int> y;
+    /// x's coding at `opt.tree.max_bins` bins; null = coded on the job list.
+    const QuantizedDataset* coded = nullptr;
+    /// The forest's per-tree streams fork off it, in tree order.
+    util::Rng* rng = nullptr;
+    RandomForest* forest = nullptr;  ///< receives the fitted forest
+  };
+
+  /// Fits every job's forest as one job list on one pool of
+  /// `opt.num_threads` workers: codes each uncoded job's columns, then
+  /// fits all trees, larger training sets first, then flattens every
+  /// forest. Each forest is bit-identical to fitting it on its own: its
+  /// trees draw from streams forked off its own rng, in tree order,
+  /// before any tree is fitted. Every job is checked before any work
+  /// starts; a bad job throws std::invalid_argument and fits nothing.
   ///
-  /// `obs` (nullable) wraps the fit in a "forest:fit" span, counts the
-  /// trees fitted, and records the wall time in the
-  /// wefr_forest_fit_seconds histogram.
+  /// `obs` (nullable) wraps the job list in one "forest:fit" span, with
+  /// each forest's "forest:flatten" span parented on it explicitly (they
+  /// run on pool threads); counts the trees fitted, and records the job
+  /// list's wall time in the wefr_forest_fit_seconds histogram.
+  static void fit_all(std::span<const FitJob> jobs, const ForestOptions& opt,
+                      const obs::Context* obs = nullptr);
+
+  /// Fits `opt.num_trees` trees on bootstrap resamples of (x, y): the
+  /// one-forest case of fit_all. Deterministic for a given seed,
+  /// including in threaded mode (each tree gets its own pre-forked
+  /// stream). The rank/bin codes of `x` (ml::QuantizedDataset) are built
+  /// once here and shared read-only by every tree.
   void fit(const data::Matrix& x, std::span<const int> y, const ForestOptions& opt,
            util::Rng& rng, const obs::Context* obs = nullptr);
+  /// As above, on a coding of `x` the caller already built. Throws
+  /// std::invalid_argument when `coded` is not x's shape or was built
+  /// with another bin budget than `opt.tree.max_bins`.
+  void fit(const data::Matrix& x, std::span<const int> y, const QuantizedDataset& coded,
+           const ForestOptions& opt, util::Rng& rng, const obs::Context* obs = nullptr);
 
   /// Mean positive-class probability across trees for a single row.
   double predict_proba(std::span<const double> row) const;

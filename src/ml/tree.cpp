@@ -34,6 +34,14 @@ struct SplitCandidate {
   std::uint32_t split_rank = 0;
 };
 
+/// A boundary of the exact scan: the samples (and positives among them)
+/// whose rank is at most keys[at]'s, which differs from keys[at + 1]'s.
+struct Boundary {
+  std::size_t n_left;
+  std::size_t pos_left;
+  std::size_t at;
+};
+
 }  // namespace
 
 /// Everything one fit's recursion shares: the labels, the resolved
@@ -52,8 +60,10 @@ struct DecisionTree::BuildContext {
   std::vector<std::size_t> features;
   std::vector<std::uint64_t> keys;          ///< exact: rank << 32 | weight << 1 | label
   std::vector<std::uint64_t> sort_scratch;  ///< exact: radix sort buffer
+  std::vector<Boundary> boundaries;         ///< exact: the node's rank changes
   std::vector<std::uint8_t> labels;  ///< the current node's labels (0/1), in row order
-  std::vector<std::uint32_t> bin_label_count;  ///< histogram: rows per (bin, label)
+  /// Histogram: rows per (bin, label), in four interleaved copies.
+  std::vector<std::uint32_t> bin_label_count;
 };
 
 namespace {
@@ -79,19 +89,25 @@ class BoundaryScan {
   /// the threshold and split rank when the candidate is the best yet.
   template <typename SplitAt>
   void boundary(SplitAt split_at) {
-    const std::size_t n_right = n_ - n_left_;
-    if (n_left_ < min_leaf_ || n_right < min_leaf_) return;
-    const std::size_t pos_right = node_pos_ - pos_left_;
+    if (better(n_left_, pos_left_)) split_at(best);
+  }
+
+  /// Evaluates splitting with `n_left` samples (`pos_left` positive) on
+  /// the left; true, with `best` updated, when it is the best yet (the
+  /// first of equal decreases wins).
+  bool better(std::size_t n_left, std::size_t pos_left) {
+    const std::size_t n_right = n_ - n_left;
+    if (n_left < min_leaf_ || n_right < min_leaf_) return false;
+    const std::size_t pos_right = node_pos_ - pos_left;
     const double child =
-        (static_cast<double>(n_left_) * gini(pos_left_, n_left_) +
+        (static_cast<double>(n_left) * gini(pos_left, n_left) +
          static_cast<double>(n_right) * gini(pos_right, n_right)) /
         static_cast<double>(n_);
     const double decrease = parent_ - child;
-    if (decrease > best.impurity_decrease) {
-      best.valid = true;
-      best.impurity_decrease = decrease;
-      split_at(best);
-    }
+    if (decrease <= best.impurity_decrease) return false;
+    best.valid = true;
+    best.impurity_decrease = decrease;
+    return true;
   }
 
   SplitCandidate best;
@@ -101,6 +117,12 @@ class BoundaryScan {
   double parent_;
   std::size_t n_left_ = 0, pos_left_ = 0;
 };
+
+/// Nodes of at most this many distinct rows sort their keys with 6-bit
+/// radix digits. A pass clears and prefix-sums one counter per digit
+/// value, and at 8 bits those 256 counters cost more than a few dozen
+/// keys do; most exact searches run on nodes that small.
+constexpr std::size_t kSmallNodeKeys = 128;
 
 /// Exact split search over the node's distinct values of one feature.
 /// Rank order is value order, so radix-sorting the node's rows by rank —
@@ -119,21 +141,40 @@ SplitCandidate best_split_exact(DecisionTree::BuildContext& ctx,
   for (std::size_t k = 0; k < rows.size(); ++k)
     keys[k] = std::uint64_t{ranks[rows[k].row]} << 32 | std::uint64_t{rows[k].weight} << 1 |
               ctx.labels[k];
-  radix_sort(keys, ctx.sort_scratch, [](std::uint64_t k) { return k >> 32; },
-             static_cast<unsigned>(std::bit_width(values - 1)));
+  const auto rank_of = [](std::uint64_t k) { return k >> 32; };
+  const auto rank_bits = static_cast<unsigned>(std::bit_width(values - 1));
+  if (keys.size() <= kSmallNodeKeys) {
+    radix_sort<6>(keys, ctx.sort_scratch, rank_of, rank_bits);
+  } else {
+    radix_sort(keys, ctx.sort_scratch, rank_of, rank_bits);
+  }
   if (keys.front() >> 32 == keys.back() >> 32) return {};  // constant in this node
 
-  BoundaryScan scan(ctx.opt, n, node_pos);
+  // Pass 1 records the left side's counts at every rank change without a
+  // branch: each key writes a slot, and the slot is kept (the cursor
+  // moves on) only when the next key's rank differs.
+  auto& bounds = ctx.boundaries;
+  bounds.resize(keys.size());
+  std::size_t num_bounds = 0, n_left = 0, pos_left = 0;
   for (std::size_t i = 0; i + 1 < keys.size(); ++i) {
     const std::size_t weight = (keys[i] & 0xffffffffu) >> 1;
-    scan.add(weight, (keys[i] & 1u) != 0 ? weight : 0);
-    const auto rank = static_cast<std::uint32_t>(keys[i] >> 32);
-    const auto next = static_cast<std::uint32_t>(keys[i + 1] >> 32);
-    if (rank == next) continue;  // not a boundary
-    scan.boundary([&](SplitCandidate& c) {
-      c.threshold = q.threshold_between_ranks(feature, rank, next);
-      c.split_rank = rank;
-    });
+    n_left += weight;
+    pos_left += (keys[i] & 1u) * weight;
+    bounds[num_bounds] = {n_left, pos_left, i};
+    num_bounds += (keys[i] >> 32) != (keys[i + 1] >> 32) ? 1 : 0;
+  }
+  // Pass 2 scores the boundaries in rank order; the threshold is derived
+  // once, for the winner.
+  BoundaryScan scan(ctx.opt, n, node_pos);
+  std::size_t best_at = 0;
+  for (std::size_t b = 0; b < num_bounds; ++b) {
+    if (scan.better(bounds[b].n_left, bounds[b].pos_left)) best_at = bounds[b].at;
+  }
+  if (scan.best.valid) {
+    const auto rank = static_cast<std::uint32_t>(keys[best_at] >> 32);
+    const auto next = static_cast<std::uint32_t>(keys[best_at + 1] >> 32);
+    scan.best.threshold = q.threshold_between_ranks(feature, rank, next);
+    scan.best.split_rank = rank;
   }
   return scan.best;
 }
@@ -150,12 +191,27 @@ SplitCandidate best_split_histogram(DecisionTree::BuildContext& ctx,
   const std::size_t bins = q.num_bins(feature);
   if (bins < 2) return {};  // constant feature
   const std::uint8_t* codes = q.codes(feature).data();
-  // One counter per (bin, label): a single add per distinct row.
+  // One counter per (bin, label): a single add per distinct row. Rows go
+  // to four interleaved copies of the counters, summed at the end, so
+  // neighbouring rows that hit one bin do not wait on each other's
+  // read-modify-write; integer sums are exact in any order.
   auto& cnt = ctx.bin_label_count;
-  cnt.assign(2 * bins, 0);
+  const std::size_t stride = 2 * bins;
+  cnt.assign(4 * stride, 0);
   const std::uint8_t* labels = ctx.labels.data();
-  for (std::size_t k = 0; k < rows.size(); ++k)
-    cnt[std::size_t{codes[rows[k].row]} << 1 | labels[k]] += rows[k].weight;
+  const auto slot = [&](std::size_t i) {
+    return std::size_t{codes[rows[i].row]} << 1 | labels[i];
+  };
+  std::size_t k = 0;
+  for (; k + 4 <= rows.size(); k += 4) {
+    cnt[slot(k)] += rows[k].weight;
+    cnt[stride + slot(k + 1)] += rows[k + 1].weight;
+    cnt[2 * stride + slot(k + 2)] += rows[k + 2].weight;
+    cnt[3 * stride + slot(k + 3)] += rows[k + 3].weight;
+  }
+  for (; k < rows.size(); ++k) cnt[slot(k)] += rows[k].weight;
+  for (std::size_t s = 0; s < stride; ++s)
+    cnt[s] += cnt[stride + s] + cnt[2 * stride + s] + cnt[3 * stride + s];
 
   BoundaryScan scan(ctx.opt, n, node_pos);
   std::size_t prev = bins;  // sentinel: no occupied bin seen yet
@@ -232,7 +288,7 @@ void DecisionTree::fit(const data::Matrix& x, std::span<const int> y,
       opt.max_depth < 30 ? (std::size_t{2} << opt.max_depth) - 1 : by_leaf;
   nodes_.reserve(std::min(by_leaf, by_depth));
 
-  BuildContext ctx{y, opt, rng, *q, sample_idx.size(), histogram, {}, {}, {}, {}, {}};
+  BuildContext ctx{y, opt, rng, *q, sample_idx.size(), histogram, {}, {}, {}, {}, {}, {}};
   build(ctx, rows, 0, rows.size(), 0);
 }
 

@@ -104,23 +104,6 @@ std::size_t kendall_tau_distance_presorted(std::span<const double> rank_a,
   return discordant_from_order(rank_a, rank_b, order_a);
 }
 
-std::size_t kendall_tau_distance_naive(std::span<const double> rank_a,
-                                       std::span<const double> rank_b) {
-  if (rank_a.size() != rank_b.size())
-    throw std::invalid_argument("kendall_tau_distance: length mismatch");
-  const std::size_t n = rank_a.size();
-  std::size_t discordant = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double da = rank_a[i] - rank_a[j];
-      const double db = rank_b[i] - rank_b[j];
-      // Strictly opposite orders only; ties are not discordant.
-      if (da * db < 0.0) ++discordant;
-    }
-  }
-  return discordant;
-}
-
 double kendall_tau_distance_normalized(std::span<const double> rank_a,
                                        std::span<const double> rank_b) {
   const std::size_t n = rank_a.size();

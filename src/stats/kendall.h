@@ -14,7 +14,7 @@ namespace wefr::stats {
 /// are allowed, and a pair tied in either ranking counts as concordant
 /// (theta = 0), matching the paper's definition of "same order". A pair
 /// involving a NaN rank is never discordant (NaN comparisons are false),
-/// matching the naive reference.
+/// matching the O(n^2) pair-scan oracle in tests/kendall_naive.h.
 ///
 /// O(n log n): sort by (rank_a, rank_b), then count the strict
 /// inversions of the rank_b sequence with a merge sort — rankings over
@@ -22,12 +22,6 @@ namespace wefr::stats {
 /// ensemble computes one distance per ranker pair per wear group.
 std::size_t kendall_tau_distance(std::span<const double> rank_a,
                                  std::span<const double> rank_b);
-
-/// The original O(n^2) pair-scan reference, retained as the equivalence
-/// oracle for the merge-sort path (tests/test_perf_kernels, and the
-/// ranking section of bench_hotpath).
-std::size_t kendall_tau_distance_naive(std::span<const double> rank_a,
-                                       std::span<const double> rank_b);
 
 /// As `kendall_tau_distance`, but reusing a precomputed ascending
 /// argsort of `rank_a` (ties in any relative order) — the sort cache the

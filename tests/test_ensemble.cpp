@@ -18,7 +18,8 @@ class FixedRanker final : public FeatureRanker {
   FixedRanker(std::string name, std::vector<double> scores)
       : name_(std::move(name)), scores_(std::move(scores)) {}
   std::string name() const override { return name_; }
-  std::vector<double> score(const data::Matrix&, std::span<const int>) const override {
+  std::vector<double> score(const data::Matrix&, std::span<const int>,
+                            const ml::QuantizedDataset&) const override {
     return scores_;
   }
 
@@ -133,7 +134,8 @@ TEST(Ensemble, EndToEndWithRealRankers) {
 class FailingRanker final : public FeatureRanker {
  public:
   std::string name() const override { return "boom"; }
-  std::vector<double> score(const data::Matrix&, std::span<const int>) const override {
+  std::vector<double> score(const data::Matrix&, std::span<const int>,
+                            const ml::QuantizedDataset&) const override {
     throw std::runtime_error("synthetic ranker failure");
   }
 };

@@ -29,6 +29,7 @@
 #include "stats/ranking.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "kendall_naive.h"
 
 namespace wefr {
 namespace {

@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <sstream>
+#include <string>
+
 #include "core/pipeline.h"
+#include "data/labeling.h"
 #include "smartsim/generator.h"
 
 namespace wefr::core {
@@ -208,6 +215,107 @@ TEST(Pipeline, ThreadedTrainingMatchesSerial) {
     for (std::size_t d = 0; d < ss[i].scores.size(); ++d)
       EXPECT_DOUBLE_EQ(ss[i].scores[d], sp[i].scores[d]);
   }
+}
+
+std::string saved(const ml::RandomForest& forest) {
+  std::ostringstream os;
+  forest.save(os);
+  return os.str();
+}
+
+/// A wear group's forest as train_predictor samples it, fitted on its
+/// own by RandomForest::fit.
+std::string group_forest_alone(const data::FleetData& fleet, const GroupSelection& gs,
+                               double thr, bool want_low, const ExperimentConfig& cfg) {
+  util::Rng rng(cfg.seed ^ (want_low ? 0xa5a5ULL : 0x5a5aULL));
+  data::SamplingOptions opt;
+  opt.horizon_days = cfg.horizon_days;
+  opt.day_lo = 0;
+  opt.day_hi = 159;
+  opt.negative_keep_prob = cfg.negative_keep_prob;
+  opt.expand_windows = cfg.expand_windows;
+  opt.window_config = cfg.windows;
+  opt.num_threads = cfg.num_threads;
+  const auto mwi = static_cast<std::size_t>(fleet.feature_index("MWI_N"));
+  opt.keep = [&](std::size_t di, int day) {
+    const auto& drive = fleet.drives[di];
+    const double v = drive.values(static_cast<std::size_t>(day - drive.first_day), mwi);
+    return !std::isnan(v) && (v <= thr) == want_low;
+  };
+  const data::Dataset train = data::build_samples(fleet, gs.selected, opt, &rng);
+  ml::ForestOptions fopt = cfg.forest;
+  fopt.num_threads = cfg.num_threads;
+  ml::RandomForest forest;
+  forest.fit(train.x, train.y, fopt, rng);
+  return saved(forest);
+}
+
+TEST(Pipeline, PredictorJobListMatchesBundleAtATimeFits) {
+  const auto& fleet = shared_fleet();
+  auto cfg = light_cfg();
+  cfg.num_threads = 4;
+  const int mwi = fleet.feature_index("MWI_N");
+  ASSERT_GE(mwi, 0);
+  std::vector<double> wear;  // MWI_N over the training days, to place thresholds
+  for (const auto& drive : fleet.drives)
+    for (std::size_t d = 0; d < drive.num_days() && drive.first_day + static_cast<int>(d) <= 159;
+         ++d)
+      if (!std::isnan(drive.values(d, static_cast<std::size_t>(mwi))))
+        wear.push_back(drive.values(d, static_cast<std::size_t>(mwi)));
+  std::sort(wear.begin(), wear.end());
+  const double median = wear[wear.size() / 2];
+
+  WefrResult sel;
+  sel.all.selected = {0, 1, 2, 3};
+  sel.low.emplace().selected = {1, 2, 4};
+  sel.high.emplace().selected = {0, 3, 5};
+  sel.change_point = WearChangePoint{median, 0.0, 0.0};
+  const auto both = train_predictor(fleet, sel, 0, 159, cfg);
+  ASSERT_TRUE(both.low.has_value() && both.high.has_value());
+  EXPECT_EQ(saved(both.all.forest),
+            saved(train_bundle(fleet, sel.all.selected, 0, 159, cfg).forest));
+  EXPECT_EQ(saved(both.low->forest), group_forest_alone(fleet, *sel.low, median, true, cfg));
+  EXPECT_EQ(saved(both.high->forest), group_forest_alone(fleet, *sel.high, median, false, cfg));
+
+  // A low group starved of rows, and a high group whose sampling throws
+  // (a selected column the fleet does not have): both fall back, and the
+  // whole-model forest is unchanged.
+  GroupSelection bad_high = *sel.high;
+  sel.high->selected = {fleet.num_features() + 5};
+  sel.change_point->mwi_threshold = wear[wear.size() / 200];
+  const auto starved = train_predictor(fleet, sel, 0, 159, cfg);
+  EXPECT_FALSE(starved.low.has_value());
+  EXPECT_FALSE(starved.high.has_value());
+  EXPECT_FALSE(starved.wear_threshold.has_value());
+  EXPECT_EQ(saved(starved.all.forest), saved(both.all.forest));
+
+  // A group whose selection fell back trains no bundle of its own.
+  sel.high = bad_high;
+  sel.high->fallback = true;
+  sel.change_point->mwi_threshold = median;
+  const auto one = train_predictor(fleet, sel, 0, 159, cfg);
+  ASSERT_TRUE(one.low.has_value());
+  EXPECT_FALSE(one.high.has_value());
+  EXPECT_EQ(one.wear_threshold, median);
+  EXPECT_EQ(saved(one.low->forest), saved(both.low->forest));
+  EXPECT_EQ(saved(one.all.forest), saved(both.all.forest));
+}
+
+TEST(Pipeline, RouteIsTheOneBundleRule) {
+  WefrPredictor pred;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  using Route = WefrPredictor::Route;
+  EXPECT_EQ(pred.route(10.0), Route::kAll);  // no threshold: unrouted
+  pred.wear_threshold = 50.0;
+  EXPECT_EQ(pred.route(10.0), Route::kAll);  // no group bundle trained
+  pred.low.emplace();
+  EXPECT_EQ(pred.route(50.0), Route::kLow);
+  EXPECT_EQ(pred.route(60.0), Route::kAll);
+  pred.high.emplace();
+  EXPECT_EQ(pred.route(60.0), Route::kHigh);
+  EXPECT_EQ(pred.route(nan), Route::kAll);
+  pred.low.reset();
+  EXPECT_EQ(pred.route(10.0), Route::kAll);
 }
 
 }  // namespace

@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "core/ensemble.h"
 #include "core/ranker.h"
+#include "stats/correlation.h"
+#include "stats/jindex.h"
+#include "stats/ranking.h"
 #include "util/rng.h"
 
 namespace wefr::core {
@@ -148,6 +156,72 @@ TEST(Rankers, ConstantFeatureScoresZeroForCorrelations) {
   EXPECT_DOUBLE_EQ(PearsonRanker{}.score(x, y)[0], 0.0);
   EXPECT_DOUBLE_EQ(SpearmanRanker{}.score(x, y)[0], 0.0);
   EXPECT_DOUBLE_EQ(JIndexRanker{}.score(x, y)[0], 0.0);
+}
+
+/// The edge cases of rank-based scoring, one per column: heavy ties, a
+/// constant, signed zeros, infinities, one NaN, all NaN, and two plain
+/// signals. 8 columns, so 600 rows clear score_rankers' 4096-cell bar
+/// for its pool.
+void edge_columns(std::size_t n, util::Rng& rng, Matrix& x, std::vector<int>& y) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  x = Matrix(n, 8);
+  y.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    y[i] = rng.bernoulli(0.3) ? 1 : 0;
+    x(i, 0) = static_cast<double>(rng.uniform_index(4) + (y[i] != 0 ? 1 : 0));  // heavy ties
+    x(i, 1) = 3.0;                                                             // constant
+    x(i, 2) = rng.bernoulli(0.5) ? 0.0 : -0.0;                                 // signed zeros
+    if (rng.bernoulli(0.2)) x(i, 2) = y[i] != 0 ? 1.0 : -1.0;
+    x(i, 3) = rng.normal(y[i] * 1.0, 1.0);                                     // +-inf
+    if (rng.bernoulli(0.05)) x(i, 3) = rng.bernoulli(0.5) ? inf : -inf;
+    x(i, 4) = rng.normal(y[i] * 2.0, 1.0);                                     // one NaN
+    x(i, 5) = nan;                                                             // all NaN
+    x(i, 6) = std::floor(std::exp(rng.normal(y[i] * 1.5, 1.0)) * 10.0);       // wide counter
+    x(i, 7) = rng.normal();                                                    // noise
+  }
+  x(n / 3, 4) = nan;
+}
+
+std::vector<std::uint64_t> bits(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) out[i] = std::bit_cast<std::uint64_t>(v[i]);
+  return out;
+}
+
+TEST(Rankers, SharedCodingMatchesOwnCodingOnEdgeColumns) {
+  util::Rng rng(109);
+  Matrix x_all, x_part;
+  std::vector<int> y_all, y_part;
+  edge_columns(600, rng, x_all, y_all);
+  edge_columns(300, rng, x_part, y_part);
+  const RankingPopulation pops[] = {{&x_all, y_all, 0}, {&x_part, y_part, 0}};
+  const auto rankers = make_standard_rankers(5);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const auto shared = score_rankers(rankers, pops, threads);
+    for (std::size_t p = 0; p < 2; ++p) {
+      const Matrix& x = *pops[p].x;
+      const std::span<const int> y = pops[p].y;
+      for (std::size_t r = 0; r < rankers.size(); ++r) {
+        ASSERT_EQ(shared[p].failed[r], 0) << rankers[r]->name() << ": "
+                                          << shared[p].failure_reasons[r];
+        EXPECT_EQ(bits(shared[p].scores[r]), bits(rankers[r]->score(x, y)))
+            << rankers[r]->name() << " population " << p << " threads " << threads;
+      }
+      // The rank-reading rankers equal the sort-based statistics.
+      std::vector<double> yd(y.begin(), y.end());
+      const auto yr = stats::fractional_ranks(yd);
+      for (std::size_t c = 0; c < x.cols(); ++c) {
+        const auto col = x.column(c);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(shared[p].scores[1][c]),
+                  std::bit_cast<std::uint64_t>(std::abs(stats::spearman_with_ranks(col, yr))))
+            << "Spearman column " << c << " population " << p;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(shared[p].scores[2][c]),
+                  std::bit_cast<std::uint64_t>(stats::youden_j_index(col, y)))
+            << "J-index column " << c << " population " << p;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -509,6 +509,19 @@ TEST(SplitSearch, TreeMatchesValueSortingReference) {
       expect_tree_matches_reference(x, y, boot, c, seed + 20);
     }
   }
+  // Exact search on nodes on both sides of the small-node sort's
+  // 128-key cutover, over rank ranges wider than 12 bits (two 6-bit
+  // digits): the continuous columns of 6000 rows hold ~6000 distinct
+  // values, and deep nodes keep ranks spread over that whole range.
+  util::Rng wide_rng(4);
+  Matrix x;
+  std::vector<int> y;
+  make_data(6000, wide_rng, x, y, /*with_inf=*/false, /*extra=*/2);
+  std::vector<std::size_t> all(x.rows());
+  std::iota(all.begin(), all.end(), 0);
+  const auto boot = bootstrap(x.rows(), wide_rng);
+  expect_tree_matches_reference(x, y, all, {SplitMethod::kExact, 256, 0, 1, 512}, 31);
+  expect_tree_matches_reference(x, y, boot, {SplitMethod::kExact, 256, 3, 2, 512}, 32);
 }
 
 TEST(SplitSearch, TreeMatchesReferenceWithInfiniteValues) {
@@ -609,8 +622,11 @@ TEST(SplitSearch, QuantizedDatasetIsPoolInvariant) {
   make_data(1000, data_rng, x, y);
   QuantizedDataset serial, pooled;
   serial.build(x, 32);
+  // Features coded as pool jobs, in whatever order the workers claim
+  // them, as the ranker and forest job lists do.
   util::ThreadPool pool(4);
-  pooled.build(x, 32, &pool);
+  pooled.prepare(x, 32);
+  pool.parallel_for(x.cols(), [&](std::size_t f) { pooled.build_feature(x, f); });
   for (std::size_t f = 0; f < x.cols(); ++f) {
     ASSERT_EQ(serial.num_values(f), pooled.num_values(f));
     ASSERT_EQ(serial.num_bins(f), pooled.num_bins(f));
