@@ -4,6 +4,9 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -14,6 +17,27 @@
 #include "util/thread_pool.h"
 
 namespace wefr::daemon {
+
+namespace {
+/// Rows per scoring job: small enough that a block's gathered rows stay
+/// in cache while the forest stages them.
+constexpr std::size_t kBlockRows = 256;
+
+/// Largest pass buffer kept for the next pass. A larger one (a long
+/// backlog scored at once) is released by the pass that needed it, so
+/// the next steady day does not pay for unmapping it.
+constexpr std::size_t kKeptPassDoubles = std::size_t{8} << 20;  // 64 MiB
+
+/// Runs fn(0 .. n-1) on `pool`, or inline without one or with one job.
+void run_jobs(util::ThreadPool* pool, std::size_t n,
+              const std::function<void(std::size_t)>& fn) {
+  if (pool != nullptr && n > 1) {
+    pool->parallel_for(n, fn);
+    return;
+  }
+  for (std::size_t k = 0; k < n; ++k) fn(k);
+}
+}  // namespace
 
 Engine::Engine(EngineOptions options, data::WindowFeatureConfig windows,
                const obs::Context* obs, obs::Logger* log)
@@ -33,7 +57,7 @@ Engine::Engine(EngineOptions options, data::WindowFeatureConfig windows,
   threshold_ = opt_.alarm_threshold;
   drift_cpd_ = changepoint::OnlineChangePointDetector(opt_.drift_cpd);
   // The engine's experiment windows must match the resident kernels, or
-  // the batch oracle would expand different features than the tails.
+  // the batch oracle would expand different features than the folds.
   opt_.experiment.windows = resident_.windows();
 }
 
@@ -189,7 +213,9 @@ void Engine::install_predictor(core::WefrPredictor predictor) {
   dirty_ = true;
   for (auto& ss : score_states_) {
     ss.scored_until = -1;
-    ss.full_dirty = false;  // rescore re-derives the cheapest valid path
+    // Whole histories go through the oracle; the fold path only scores
+    // days appended under this predictor.
+    ss.full_dirty = true;
     ss.scores.clear();
   }
 }
@@ -215,39 +241,37 @@ std::size_t Engine::dirty_count() const {
   return n;
 }
 
-std::size_t Engine::score_tails(std::span<const std::size_t> drives) {
+std::size_t Engine::score_folded(std::span<const FoldJob> incr, const double* rows,
+                                 util::ThreadPool* pool) {
   const core::WefrPredictor& pred = *predictor_;
   const bool routed = pred.wear_threshold.has_value() && pred.mwi_col >= 0;
   const std::size_t factor = resident_.expansion_factor();
+  const std::size_t width = resident_.row_width();
 
-  // Route every pending tail row to its bundle by WefrPredictor::route,
-  // score_fleet's rule. Each entry names the tail row to read and the
-  // score slot to fill; to[r] holds the rows routed to r.
+  // Route every folded row to its bundle by WefrPredictor::route,
+  // score_fleet's rule. Each entry names the pass-buffer row to read and
+  // the score slot to fill; to[r] holds the rows routed to r.
   struct Pending {
     const double* row;
     double* score;
   };
   std::array<std::vector<Pending>, 3> to;
-  std::size_t rows = 0;
-  for (std::size_t di : drives) {
-    ScoreState& ss = score_states_[di];
-    const data::DriveSeries& drive = fleet().drives[di];
-    const data::Matrix& tail = resident_.feature_tail(di);
-    const int tail_first = resident_.tail_first_day(di);
+  std::size_t scored = 0;
+  for (const FoldJob& job : incr) {
+    ScoreState& ss = score_states_[job.drive];
+    const data::DriveSeries& drive = fleet().drives[job.drive];
     if (ss.scores.empty()) ss.first_day = drive.first_day;
-    const auto base = static_cast<std::size_t>(tail_first - ss.first_day);
-    ss.scores.resize(base + tail.rows(), 0.0);
-    for (std::size_t i = 0; i < tail.rows(); ++i) {
+    const auto base = static_cast<std::size_t>(job.first_day - ss.first_day);
+    ss.scores.resize(base + job.days, 0.0);
+    const auto local0 = static_cast<std::size_t>(job.first_day - drive.first_day);
+    for (std::size_t i = 0; i < job.days; ++i) {
       auto r = core::WefrPredictor::Route::kAll;
-      if (routed) {
-        const auto local =
-            static_cast<std::size_t>(tail_first + static_cast<int>(i) - drive.first_day);
-        r = pred.route(drive.values(local, static_cast<std::size_t>(pred.mwi_col)));
-      }
-      to[static_cast<std::size_t>(r)].push_back({tail.row(i).data(), &ss.scores[base + i]});
+      if (routed) r = pred.route(drive.values(local0 + i, static_cast<std::size_t>(pred.mwi_col)));
+      to[static_cast<std::size_t>(r)].push_back(
+          {rows + (job.first_row + i) * width, &ss.scores[base + i]});
     }
-    ss.scored_until = tail_first + static_cast<int>(tail.rows()) - 1;
-    rows += tail.rows();
+    ss.scored_until = job.first_day + static_cast<int>(job.days) - 1;
+    scored += job.days;
   }
 
   // Cut each bundle's rows into blocks and score every block of every
@@ -259,7 +283,6 @@ std::size_t Engine::score_tails(std::span<const std::size_t> drives) {
   // oracle's expand_for(bundle) produces for the same days), and the
   // flattened engine scores a row the same bits in any batch, on any
   // thread.
-  constexpr std::size_t kBlockRows = 256;
   struct Block {
     const core::PredictorBundle* bundle;
     std::span<const Pending> rows;
@@ -285,51 +308,78 @@ std::size_t Engine::score_tails(std::span<const std::size_t> drives) {
     const std::vector<double> p = blk.bundle->forest.predict_proba(g);
     for (std::size_t i = 0; i < blk.rows.size(); ++i) *blk.rows[i].score = p[i];
   };
-  const std::size_t threads = std::min(opt_.experiment.num_threads, blocks.size());
-  if (threads > 1) {
-    util::ThreadPool pool(threads);
-    pool.parallel_for(blocks.size(), score_block);
-  } else {
-    for (std::size_t k = 0; k < blocks.size(); ++k) score_block(k);
-  }
-
-  for (std::size_t di : drives) resident_.drop_feature_tail(di);
-  return rows;
+  run_jobs(pool, blocks.size(), score_block);
+  return scored;
 }
 
 RescoreStats Engine::rescore() {
   RescoreStats stats;
-  if (!predictor_.has_value()) {
-    // Nothing to score with: release the pending feature rows (the first
-    // predictor scores this history through the batch oracle).
-    for (std::size_t di = 0; di < score_states_.size(); ++di) resident_.drop_feature_tail(di);
-    dirty_ = false;
-    last_rescore_ = stats;
-    return stats;
-  }
-  if (!dirty_ && !opt_.oracle_check) {
+  const bool scoring = predictor_.has_value();
+  if (!dirty_ && !(scoring && opt_.oracle_check)) {
     // Nothing appended, installed or restored since the last pass: the
     // dirty set is empty, so a read pays no walk over the drives.
-    obs::add_counter(obs_, "wefr_daemon_rescores_total");
+    if (scoring) obs::add_counter(obs_, "wefr_daemon_rescores_total");
     last_rescore_ = stats;
     return stats;
   }
   obs::Span span(obs_, "daemon:rescore");
 
-  std::vector<std::size_t> full, incr;
+  // Plan the pass on this thread. A stale streaming drive whose first
+  // unscored day is its first unfolded day is scored from the rows its
+  // fold emits into the pass buffer. Every other stale drive goes to the
+  // batch oracle, and its pending days fold into its window state only.
+  // Without a predictor nothing is stale: every pending day folds
+  // state-only, so no backlog ever becomes expanded rows.
+  std::vector<FoldJob> folds, incr;
+  std::vector<std::size_t> full;
+  std::size_t pass_rows = 0;
   for (std::size_t di = 0; di < score_states_.size(); ++di) {
-    ScoreState& ss = score_states_[di];
+    const ScoreState& ss = score_states_[di];
     const data::DriveSeries& drive = fleet().drives[di];
-    if (!ss.full_dirty && ss.scored_until >= drive.last_day()) continue;
+    const std::size_t pending = resident_.unfolded_days(di);
+    const bool stale = scoring && (ss.full_dirty || ss.scored_until < drive.last_day());
+    if (!stale && pending == 0) continue;
+    FoldJob job{di, pending, kStateOnly, resident_.first_unfolded_day(di)};
     const int next_day = ss.scored_until < 0 ? drive.first_day : ss.scored_until + 1;
-    const bool tail_covers = resident_.streaming(di) &&
-                             resident_.feature_tail(di).rows() > 0 &&
-                             resident_.tail_first_day(di) == next_day;
-    if (!ss.full_dirty && tail_covers) {
-      incr.push_back(di);
-    } else {
+    if (stale && !ss.full_dirty && pending > 0 && job.first_day == next_day) {
+      job.first_row = pass_rows;
+      pass_rows += pending;
+      incr.push_back(job);
+    } else if (stale) {
       full.push_back(di);
     }
+    if (pending > 0) folds.push_back(job);
+  }
+
+  // The pass buffer is sized here, so pool threads never allocate for
+  // it. It is reused from pass to pass, and released when a pass needs
+  // under a quarter of it: a fresh multi-MB block per pass grows the
+  // heap (bench_e2e's daemon_recheck read ~17 MiB more peak RSS with
+  // one). One pool per pass runs the folds, then the scoring blocks.
+  const std::size_t width = resident_.row_width();
+  const std::size_t need = pass_rows * width;
+  if (need > pass_capacity_ || need < pass_capacity_ / 4) {
+    pass_buffer_.reset();
+    pass_buffer_ = std::make_unique_for_overwrite<double[]>(need);
+    pass_capacity_ = need;
+  }
+  double* const rows = pass_buffer_.get();
+  const std::size_t threads = std::min(opt_.experiment.num_threads,
+                                       std::max(folds.size(), pass_rows / kBlockRows + 1));
+  std::optional<util::ThreadPool> pool;
+  if (threads > 1) pool.emplace(threads);
+  util::ThreadPool* const workers = pool.has_value() ? &*pool : nullptr;
+  run_jobs(workers, folds.size(), [&](std::size_t k) {
+    const FoldJob& job = folds[k];
+    resident_.fold(job.drive, job.first_row == kStateOnly
+                                  ? std::span<double>()
+                                  : std::span<double>(rows + job.first_row * width,
+                                                      job.days * width));
+  });
+  if (!scoring) {
+    dirty_ = false;
+    last_rescore_ = stats;
+    return stats;
   }
 
   if (!full.empty()) {
@@ -345,16 +395,15 @@ RescoreStats Engine::rescore() {
       ss.scored_until = ds.first_day + static_cast<int>(ds.scores.size()) - 1;
       ss.full_dirty = false;
       stats.rows_scored += ds.scores.size();
-      resident_.drop_feature_tail(ds.drive_index);
     }
   }
 
-  if (!incr.empty()) stats.rows_scored += score_tails(incr);
+  if (!incr.empty()) stats.rows_scored += score_folded(incr, rows, workers);
 
   // Judge on this thread, after scoring: alarms are shared state.
   const auto first_new = static_cast<std::ptrdiff_t>(alarms_.size());
   for (std::size_t di : full) judge(di);
-  for (std::size_t di : incr) judge(di);
+  for (const FoldJob& job : incr) judge(job.drive);
   std::sort(alarms_.begin() + first_new, alarms_.end(), [](const Alarm& a, const Alarm& b) {
     return a.day != b.day ? a.day < b.day : a.drive_index < b.drive_index;
   });
@@ -363,6 +412,10 @@ RescoreStats Engine::rescore() {
   stats.drives_incremental = incr.size();
   stats.drives_rescored = full.size() + incr.size();
   dirty_ = false;
+  if (pass_capacity_ > kKeptPassDoubles) {
+    pass_buffer_.reset();
+    pass_capacity_ = 0;
+  }
 
   if (opt_.oracle_check) {
     stats.oracle_checked = true;
@@ -420,9 +473,13 @@ bool Engine::load_snapshot(std::string_view payload, std::string* why) {
   if (!resident_.load_snapshot(payload, why)) return false;
   score_states_.assign(resident_.num_drives(), ScoreState{});
   dirty_ = true;
-  // Restored days were judged (or not) by the previous process.
-  for (std::size_t di = 0; di < score_states_.size(); ++di)
+  // Restored days were judged (or not) by the previous process. Their
+  // first pass scores them through the batch oracle and folds them
+  // into the window state only.
+  for (std::size_t di = 0; di < score_states_.size(); ++di) {
     score_states_[di].judged_until = fleet().drives[di].last_day();
+    score_states_[di].full_dirty = true;
+  }
   // The last day in the snapshot may have been mid-ingest when the
   // previous process stopped; treat only earlier days as complete. The
   // drift detector restarts cold (its stream state is not persisted) at

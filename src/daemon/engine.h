@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -12,6 +13,10 @@
 namespace wefr::obs {
 struct Context;
 class Logger;
+}
+
+namespace wefr::util {
+class ThreadPool;
 }
 
 namespace wefr::daemon {
@@ -83,7 +88,7 @@ struct DriftDetection {
 /// What one rescore() pass did.
 struct RescoreStats {
   std::size_t drives_rescored = 0;    ///< dirty drives touched
-  std::size_t drives_incremental = 0; ///< scored from resident tails
+  std::size_t drives_incremental = 0; ///< scored from the pass's fold output
   std::size_t drives_full = 0;        ///< scored through the batch oracle
   std::size_t rows_scored = 0;        ///< drive-days freshly scored
   bool oracle_checked = false;
@@ -115,15 +120,21 @@ struct CheckEvent {
 /// regardless of how appends were ordered across drives, where the
 /// stream was cut by reconnects, or the configured thread count. Days
 /// already scored under the current predictor are never re-scored; only
-/// drives whose windows changed (the dirty set) run inference. Streaming
-/// drives are scored from their resident feature tails in one pass over
-/// the whole dirty set: every pending tail row is routed to its bundle,
-/// and each bundle's rows are gathered and scored in batched blocks of
-/// one job list — no per-drive inference. Other drives go through the
-/// batch oracle (score_fleet on the drive subset). Installing a new
-/// predictor dirties every drive. A rescore() with nothing appended,
-/// installed or restored since the last pass returns at once, without
-/// walking the drives (unless `oracle_check` is on).
+/// drives whose windows changed (the dirty set) run inference. Appends
+/// only store raw rows; each pass folds every dirty streaming drive's
+/// new days into its window state, one job per drive on the pass's
+/// pool. A drive whose new days are exactly its unscored ones has its
+/// fold emit their expanded rows into one pass buffer; every such row is
+/// routed to its bundle, and each bundle's rows are gathered and scored
+/// in batched blocks of one job list on the same pool — no per-drive
+/// inference. Other drives go through the batch oracle (score_fleet on
+/// the drive subset) while their fold only advances the state: drives
+/// with a non-finite value, every drive after a predictor install, and
+/// restored drives. So the fold emits rows only for days appended under
+/// the current predictor since the last pass, and an unread backlog is
+/// raw history only. A rescore() with nothing appended, installed or
+/// restored since the last pass returns at once, without walking the
+/// drives (unless `oracle_check` is on).
 ///
 /// Alarm contract: each drive-day is judged once, by the predictor and
 /// threshold in force when it was appended, and a drive alarms at most
@@ -144,8 +155,8 @@ class Engine {
                           std::span<const double> values, int fail_day = -1);
 
   /// Scores every dirty drive's unscored days and judges the new ones
-  /// for alarms. Without a predictor it only releases the pending
-  /// feature rows. Returns what was done: zero stats, in O(1), when
+  /// for alarms. Without a predictor it only folds the pending days into
+  /// the window state. Returns what was done: zero stats, in O(1), when
   /// the engine is clean and `oracle_check` is off.
   RescoreStats rescore();
 
@@ -183,8 +194,9 @@ class Engine {
 
   /// Engine + resident state snapshot payload (WEFRDS01 contents).
   std::string save_snapshot() const { return resident_.save_snapshot(); }
-  /// Restores a snapshot; every drive starts dirty (the predictor is
-  /// not persisted — the first check or set_predictor installs one).
+  /// Restores a snapshot; every drive starts dirty, and its first pass
+  /// scores it through the batch oracle (the predictor is not persisted
+  /// — the first check or set_predictor installs one).
   bool load_snapshot(std::string_view payload, std::string* why = nullptr);
 
   /// Compact JSON status report (daemon snapshot-report request).
@@ -193,6 +205,7 @@ class Engine {
  private:
   struct ScoreState {
     int scored_until = -1;  ///< fleet-global last scored day, -1 = none
+    /// The next pass scores the whole drive through the batch oracle.
     bool full_dirty = false;
     int first_day = 0;
     std::vector<double> scores;
@@ -206,7 +219,18 @@ class Engine {
   void install_predictor(core::WefrPredictor predictor);
   void judge(std::size_t di);
   double active_mean_mwi(int day) const;
-  std::size_t score_tails(std::span<const std::size_t> drives);
+  /// One dirty drive's fold in a rescore pass: its `days` unfolded days
+  /// from fleet-global `first_day` on, emitted into the pass buffer from
+  /// row `first_row`, or folded into the state only (kStateOnly).
+  struct FoldJob {
+    std::size_t drive = 0;
+    std::size_t days = 0;
+    std::size_t first_row = 0;
+    int first_day = 0;
+  };
+  static constexpr std::size_t kStateOnly = static_cast<std::size_t>(-1);
+  std::size_t score_folded(std::span<const FoldJob> incr, const double* rows,
+                           util::ThreadPool* pool);
 
   EngineOptions opt_;
   ResidentFleet resident_;
@@ -220,6 +244,10 @@ class Engine {
   /// by a completed rescore. False means the dirty set is empty.
   bool dirty_ = false;
   RescoreStats last_rescore_;
+  /// The fold path's expanded rows, scratch for one pass at a time (see
+  /// rescore()).
+  std::unique_ptr<double[]> pass_buffer_;
+  std::size_t pass_capacity_ = 0;
   double threshold_ = 0.5;
   std::vector<Alarm> alarms_;
 

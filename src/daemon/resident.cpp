@@ -12,26 +12,25 @@ namespace wefr::daemon {
 
 namespace {
 constexpr std::size_t kStatsPerWindow = 6;  // max, min, mean, std, range, wma
-// Per-column scalar accumulators: prefix folds s/s2/sw, the growing-
-// phase running extrema rmx/rmn, and the fused level-2 head fold
-// rmx2/rmn2 (only touched when the level plan skips level 1).
-constexpr std::size_t kScalarsPerCol = 7;
+// Per-column scalar accumulators, one [col] run each: the prefix folds
+// s, s2, sw and the growing-phase running extrema rmx, rmn.
+constexpr std::size_t kScalarFields = 5;
 constexpr std::uint32_t kSnapshotPayloadVersion = 1;
 
 }  // namespace
 
-/// Per-drive streaming state. `rings` is one flat buffer indexed
-/// [col][field][day & mask]: field 0 = raw x, 1..3 = prefix sums after
-/// the day (prefix[d+1] at slot d), then lvmax_k / lvmin_k pairs for
-/// k = 1..kmax. Ring capacity covers the deepest lookback any fold or
-/// steady-state read performs (max window + 2), so state for the
-/// current day is always fully resident.
+/// Per-drive streaming state. `scalars` is [field][col]; `rings` is one
+/// flat buffer indexed [day & mask][field][col]: field 0 = raw x, 1..3 =
+/// prefix sums after the day (prefix[d+1] at slot d), then lvmax_k /
+/// lvmin_k pairs for k = 1..kmax. Ring capacity covers the deepest
+/// lookback any fold or steady-state read performs (max window + 2), so
+/// state for the current day is always fully resident. `folded` counts
+/// the drive's days already folded into this state.
 struct ResidentFleet::DriveState {
   bool streaming = true;
-  std::vector<double> scalars;  ///< kScalarsPerCol per column
+  std::size_t folded = 0;
+  std::vector<double> scalars;
   std::vector<double> rings;
-  data::Matrix tail;
-  int tail_first = 0;
 };
 
 ResidentFleet::~ResidentFleet() = default;
@@ -49,11 +48,19 @@ ResidentFleet::ResidentFleet(data::WindowFeatureConfig windows)
     // requires w < days, but a level it thereby omits is never read by
     // a window that has not reached steady state, so the plans agree on
     // every element consumed (see the class comment).
+    WindowPlan plan;
+    plan.w = wu;
     if (wu >= 2) {
       const auto k = static_cast<std::size_t>(std::bit_width(wu)) - 1;
       kmax_ = std::max(kmax_, k);
       need_level1_ = need_level1_ || k == 1;
+      const double wd = static_cast<double>(wu);
+      plan.level = k;
+      plan.shift = wu - (std::size_t{1} << k);
+      plan.inv_w = 1.0 / wd;
+      plan.inv_den = 2.0 / (wd * (wd + 1.0));
     }
+    plans_.push_back(plan);
   }
   factor_ = 1 + kStatsPerWindow * windows_.windows.size();
   ring_ = std::bit_ceil(std::max<std::size_t>(8, wmax + 2));
@@ -81,16 +88,14 @@ bool ResidentFleet::streaming(std::size_t drive_index) const {
   return states_.at(drive_index).streaming;
 }
 
-const data::Matrix& ResidentFleet::feature_tail(std::size_t drive_index) const {
-  return states_.at(drive_index).tail;
+std::size_t ResidentFleet::unfolded_days(std::size_t drive_index) const {
+  const DriveState& st = states_.at(drive_index);
+  return st.streaming ? fleet_.drives[drive_index].num_days() - st.folded : 0;
 }
 
-int ResidentFleet::tail_first_day(std::size_t drive_index) const {
-  return states_.at(drive_index).tail_first;
-}
-
-void ResidentFleet::drop_feature_tail(std::size_t drive_index) {
-  states_.at(drive_index).tail = data::Matrix();
+int ResidentFleet::first_unfolded_day(std::size_t drive_index) const {
+  return fleet_.drives.at(drive_index).first_day +
+         static_cast<int>(states_[drive_index].folded);
 }
 
 AppendResult ResidentFleet::append_day(const std::string& drive_id, int day,
@@ -110,14 +115,12 @@ AppendResult ResidentFleet::append_day(const std::string& drive_id, int day,
     drive.drive_id = drive_id;
     drive.first_day = day;
     fleet_.drives.push_back(std::move(drive));
+    const std::size_t ncols = fleet_.feature_names.size();
     DriveState st;
-    st.scalars.assign(fleet_.feature_names.size() * kScalarsPerCol, 0.0);
-    for (std::size_t c = 0; c < fleet_.feature_names.size(); ++c) {
-      double* sc = st.scalars.data() + c * kScalarsPerCol;
-      sc[3] = sc[5] = -INFINITY;  // rmx, rmx2
-      sc[4] = sc[6] = INFINITY;   // rmn, rmn2
-    }
-    st.rings.assign(fleet_.feature_names.size() * (4 + 2 * kmax_) * ring_, 0.0);
+    st.scalars.assign(kScalarFields * ncols, 0.0);
+    std::fill_n(st.scalars.begin() + 3 * ncols, ncols, -INFINITY);  // rmx
+    std::fill_n(st.scalars.begin() + 4 * ncols, ncols, INFINITY);   // rmn
+    st.rings.assign(ring_ * (4 + 2 * kmax_) * ncols, 0.0);
     states_.push_back(std::move(st));
   } else {
     res.drive_index = it->second;
@@ -145,139 +148,174 @@ AppendResult ResidentFleet::append_day(const std::string& drive_id, int day,
       // The batch kernel decides streaming-vs-naive per column over the
       // WHOLE column, so this value retroactively rewrites the drive's
       // earlier feature rows. Permanently hand the drive to the batch
-      // oracle; the streaming state is dead weight from here on.
+      // oracle; its unfolded days are never folded, and the streaming
+      // state is dead weight from here on.
       st.streaming = false;
       res.went_nonfinite = true;
-      st.tail = data::Matrix();
       st.scalars.clear();
       st.scalars.shrink_to_fit();
       st.rings.clear();
       st.rings.shrink_to_fit();
-      return res;
     }
-    const std::size_t local = drive.num_days() - 1;
-    if (st.tail.rows() == 0) st.tail_first = day;
-    std::vector<double> row(fleet_.feature_names.size() * factor_);
-    append_streaming_row(st, drive, values, local, row);
-    st.tail.push_row(row);
   }
   return res;
 }
 
-void ResidentFleet::append_streaming_row(DriveState& st, const data::DriveSeries& drive,
-                                         std::span<const double> values,
-                                         std::size_t local_day, std::span<double> out_row) {
-  (void)drive;
-  const std::size_t ncols = fleet_.feature_names.size();
-  const std::size_t nfields = 4 + 2 * kmax_;
+void ResidentFleet::fold(std::size_t drive_index, std::span<double> rows) {
+  DriveState& st = states_.at(drive_index);
+  const data::DriveSeries& drive = fleet_.drives[drive_index];
+  const std::size_t pending = unfolded_days(drive_index);
+  const std::size_t width = row_width();
+  if (!rows.empty() && rows.size() != pending * width)
+    throw std::invalid_argument("ResidentFleet::fold: row buffer size");
+  for (std::size_t i = 0; i < pending; ++i) {
+    const std::size_t j = st.folded + i;
+    fold_day(st, drive.values.row(j).data(), j, rows.empty() ? nullptr : &rows[i * width]);
+  }
+  st.folded += pending;
+}
+
+/// Folds local day `j` (row `x`) into the state and, when `out` is set,
+/// writes the day's expanded row. Each loop runs over the columns of one
+/// contiguous field run, and every column evaluates the batch kernel's
+/// expressions in the batch kernel's order.
+void ResidentFleet::fold_day(DriveState& st, const double* __restrict x, std::size_t j,
+                             double* __restrict out) const {
+  const std::size_t nc = fleet_.feature_names.size();
+  const std::size_t stride = (4 + 2 * kmax_) * nc;  // one ring slot
   const std::size_t mask = ring_ - 1;
-  const std::size_t j = local_day;
+  const auto slot = [&](std::size_t day) { return st.rings.data() + (day & mask) * stride; };
+  // Field runs of one slot: raw, prefix sums, then the level pairs.
+  const auto lvmax = [&](double* at, std::size_t k) { return at + (2 + 2 * k) * nc; };
+  const auto lvmin = [&](double* at, std::size_t k) { return at + (3 + 2 * k) * nc; };
 
-  for (std::size_t c = 0; c < ncols; ++c) {
-    const double x = values[c];
-    double* sc = st.scalars.data() + c * kScalarsPerCol;
-    double* base = st.rings.data() + c * nfields * ring_;
-    double* raw = base;
-    double* pr = base + ring_;       // prefix[d+1] at slot d
-    double* pr2 = base + 2 * ring_;  // prefix2[d+1] at slot d
-    double* prw = base + 3 * ring_;  // wprefix[d+1] at slot d
-    const auto lvmax = [&](std::size_t k) { return base + (4 + 2 * (k - 1)) * ring_; };
-    const auto lvmin = [&](std::size_t k) { return base + (5 + 2 * (k - 1)) * ring_; };
+  double* __restrict s = st.scalars.data();
+  double* __restrict s2 = s + nc;
+  double* __restrict sw = s + 2 * nc;
+  double* __restrict rmx = s + 3 * nc;
+  double* __restrict rmn = s + 4 * nc;
+  double* const cur = slot(j);
+  double* __restrict raw = cur;
+  double* __restrict pr = cur + nc;       // prefix[j+1]
+  double* __restrict pr2 = cur + 2 * nc;  // prefix2[j+1]
+  double* __restrict prw = cur + 3 * nc;  // wprefix[j+1]
 
-    // Prefix folds, verbatim the batch kernel's left-to-right order.
-    sc[0] += x;
-    sc[1] += x * x;
-    sc[2] += static_cast<double>(j + 1) * x;
-    raw[j & mask] = x;
-    pr[j & mask] = sc[0];
-    pr2[j & mask] = sc[1];
-    prw[j & mask] = sc[2];
-    // Growing-phase running extrema over [0, j].
-    sc[3] = std::max(sc[3], x);
-    sc[4] = std::min(sc[4], x);
+  // Prefix folds, verbatim the batch kernel's left-to-right order, and
+  // the growing-phase running extrema over [0, j].
+  const double dj = static_cast<double>(j + 1);
+  for (std::size_t c = 0; c < nc; ++c) {
+    const double v = x[c];
+    s[c] += v;
+    s2[c] += v * v;
+    sw[c] += dj * v;
+    raw[c] = v;
+    pr[c] = s[c];
+    pr2[c] = s2[c];
+    prw[c] = sw[c];
+    rmx[c] = std::max(rmx[c], v);
+    rmn[c] = std::min(rmn[c], v);
+  }
 
-    // Sparse-table levels for this day's element, same build plan as
-    // build_sparse_levels: either level 1 upward, or (when no window
-    // needs level 1) level 2 straight from the input with the fused
-    // 4-way extremum, then upward.
-    if (kmax_ > 0) {
-      std::size_t k_first = 1;
-      if (!need_level1_ && kmax_ >= 2) {
-        if (j < 3) {
-          sc[5] = std::max(sc[5], x);
-          sc[6] = std::min(sc[6], x);
-          lvmax(2)[j & mask] = sc[5];
-          lvmin(2)[j & mask] = sc[6];
-        } else {
-          lvmax(2)[j & mask] = std::max(std::max(raw[j & mask], raw[(j - 1) & mask]),
-                                        std::max(raw[(j - 2) & mask], raw[(j - 3) & mask]));
-          lvmin(2)[j & mask] = std::min(std::min(raw[j & mask], raw[(j - 1) & mask]),
-                                        std::min(raw[(j - 2) & mask], raw[(j - 3) & mask]));
-        }
-        k_first = 3;
-      }
-      for (std::size_t k = k_first; k <= kmax_; ++k) {
-        const std::size_t h = std::size_t{1} << (k - 1);
-        const double* smx = k == 1 ? raw : lvmax(k - 1);
-        const double* smn = k == 1 ? raw : lvmin(k - 1);
-        if (j < h) {
-          lvmax(k)[j & mask] = smx[j & mask];
-          lvmin(k)[j & mask] = smn[j & mask];
-        } else {
-          lvmax(k)[j & mask] = std::max(smx[j & mask], smx[(j - h) & mask]);
-          lvmin(k)[j & mask] = std::min(smn[j & mask], smn[(j - h) & mask]);
-        }
+  // Sparse-table levels for this day's element, same build plan as
+  // build_sparse_levels: either level 1 upward, or (when no window
+  // needs level 1) level 2 straight from the input with the fused
+  // 4-way extremum, then upward.
+  std::size_t k_first = 1;
+  if (!need_level1_ && kmax_ >= 2) {
+    double* __restrict mx2 = lvmax(cur, 2);
+    double* __restrict mn2 = lvmin(cur, 2);
+    if (j < 3) {
+      // Truncated head: the extremum over [0, j] is the running one.
+      std::copy_n(rmx, nc, mx2);
+      std::copy_n(rmn, nc, mn2);
+    } else {
+      const double* __restrict r1 = slot(j - 1);
+      const double* __restrict r2 = slot(j - 2);
+      const double* __restrict r3 = slot(j - 3);
+      for (std::size_t c = 0; c < nc; ++c) {
+        mx2[c] = std::max(std::max(raw[c], r1[c]), std::max(r2[c], r3[c]));
+        mn2[c] = std::min(std::min(raw[c], r1[c]), std::min(r2[c], r3[c]));
       }
     }
+    k_first = 3;
+  }
+  for (std::size_t k = k_first; k <= kmax_; ++k) {
+    const std::size_t h = std::size_t{1} << (k - 1);
+    const double* __restrict smx = k == 1 ? raw : lvmax(cur, k - 1);
+    const double* __restrict smn = k == 1 ? raw : lvmin(cur, k - 1);
+    double* __restrict dmx = lvmax(cur, k);
+    double* __restrict dmn = lvmin(cur, k);
+    if (j < h) {
+      std::copy_n(smx, nc, dmx);
+      std::copy_n(smn, nc, dmn);
+      continue;
+    }
+    double* const back = slot(j - h);
+    const double* __restrict pmx = k == 1 ? back : lvmax(back, k - 1);
+    const double* __restrict pmn = k == 1 ? back : lvmin(back, k - 1);
+    for (std::size_t c = 0; c < nc; ++c) {
+      dmx[c] = std::max(smx[c], pmx[c]);
+      dmn[c] = std::min(smn[c], pmn[c]);
+    }
+  }
+  if (out == nullptr) return;
 
-    // Assemble the expanded row: identity, then per window the batch
-    // kernel's growing / steady expressions, operation for operation.
-    double* out = out_row.data() + c * factor_;
-    std::size_t o = 0;
-    out[o++] = x;
-    for (int w_signed : windows_.windows) {
-      const auto w = static_cast<std::size_t>(w_signed);
-      if (w == 1) {
-        out[o++] = x;    // max
-        out[o++] = x;    // min
-        out[o++] = x;    // mean
-        out[o++] = 0.0;  // std
-        out[o++] = 0.0;  // range
-        out[o++] = x;    // wma
-        continue;
+  // Assemble the expanded row: identity, then per window the batch
+  // kernel's growing / steady expressions, operation for operation.
+  const std::size_t f = factor_;
+  for (std::size_t c = 0; c < nc; ++c) out[c * f] = x[c];
+  std::size_t o = 1;
+  for (const WindowPlan& plan : plans_) {
+    double* __restrict row = out + o;
+    o += kStatsPerWindow;
+    if (plan.w == 1) {
+      for (std::size_t c = 0; c < nc; ++c) {
+        double* cell = row + c * f;
+        cell[0] = cell[1] = cell[2] = cell[5] = x[c];  // max, min, mean, wma
+        cell[3] = cell[4] = 0.0;                       // std, range
       }
-      if (j < w) {
-        const double n = static_cast<double>(j + 1);
-        const double mean = sc[0] / n;
-        const double var = std::max(0.0, sc[1] / n - mean * mean);
-        out[o++] = sc[3];
-        out[o++] = sc[4];
-        out[o++] = mean;
-        out[o++] = std::sqrt(var);
-        out[o++] = sc[3] - sc[4];
-        out[o++] = sc[2] / (n * (n + 1) * 0.5);
-        continue;
+      continue;
+    }
+    if (j < plan.w) {
+      const double n = dj;
+      const double den = n * (n + 1) * 0.5;
+      for (std::size_t c = 0; c < nc; ++c) {
+        const double mean = s[c] / n;
+        const double var = std::max(0.0, s2[c] / n - mean * mean);
+        double* cell = row + c * f;
+        cell[0] = rmx[c];
+        cell[1] = rmn[c];
+        cell[2] = mean;
+        cell[3] = std::sqrt(var);
+        cell[4] = rmx[c] - rmn[c];
+        cell[5] = sw[c] / den;
       }
-      const std::size_t k = static_cast<std::size_t>(std::bit_width(w)) - 1;
-      const std::size_t shift = w - (std::size_t{1} << k);
-      const double* hi = lvmax(k);
-      const double* lo = lvmin(k);
-      const double mx = std::max(hi[j & mask], hi[(j - shift) & mask]);
-      const double mn = std::min(lo[j & mask], lo[(j - shift) & mask]);
-      const double wd = static_cast<double>(w);
-      const double inv_w = 1.0 / wd;
-      const double inv_den = 2.0 / (wd * (wd + 1.0));
-      const std::size_t s = j - w + 1;  // window is [s, j]; s >= 1 here
-      const double prefix_s = pr[(s - 1) & mask];
-      const double sum = sc[0] - prefix_s;
-      const double mean = sum * inv_w;
-      const double var = (sc[1] - pr2[(s - 1) & mask]) * inv_w - mean * mean;
-      out[o++] = mx;
-      out[o++] = mn;
-      out[o++] = mean;
-      out[o++] = std::sqrt(std::max(0.0, var));
-      out[o++] = mx - mn;
-      out[o++] = ((sc[2] - prw[(s - 1) & mask]) - static_cast<double>(s) * sum) * inv_den;
+      continue;
+    }
+    double* const lagged = slot(j - plan.shift);
+    const double* __restrict hi = lvmax(cur, plan.level);
+    const double* __restrict hi_lag = lvmax(lagged, plan.level);
+    const double* __restrict lo = lvmin(cur, plan.level);
+    const double* __restrict lo_lag = lvmin(lagged, plan.level);
+    const std::size_t first = j - plan.w + 1;  // window is [first, j]; first >= 1 here
+    const double* const before = slot(first - 1);
+    const double* __restrict ps = before + nc;       // prefix[first]
+    const double* __restrict ps2 = before + 2 * nc;  // prefix2[first]
+    const double* __restrict psw = before + 3 * nc;  // wprefix[first]
+    const double first_d = static_cast<double>(first);
+    for (std::size_t c = 0; c < nc; ++c) {
+      const double mx = std::max(hi[c], hi_lag[c]);
+      const double mn = std::min(lo[c], lo_lag[c]);
+      const double sum = s[c] - ps[c];
+      const double mean = sum * plan.inv_w;
+      const double var = (s2[c] - ps2[c]) * plan.inv_w - mean * mean;
+      double* cell = row + c * f;
+      cell[0] = mx;
+      cell[1] = mn;
+      cell[2] = mean;
+      cell[3] = std::sqrt(std::max(0.0, var));
+      cell[4] = mx - mn;
+      cell[5] = ((sw[c] - psw[c]) - first_d * sum) * plan.inv_den;
     }
   }
 }
@@ -350,15 +388,14 @@ bool ResidentFleet::load_snapshot(std::string_view payload, std::string* why) {
     const std::size_t n = static_cast<std::size_t>(ndays) * nfeat;
     const char* block = r.raw(n * sizeof(double));
     if (block == nullptr) return fail("truncated snapshot payload");
-    // Replay the appends through the same fold code: the rebuilt
-    // streaming state (and any non-streaming downgrade) is exactly what
-    // the original process held.
+    // Replay the appends: the raw history and any non-streaming
+    // downgrade are exactly what the original process held, and folding
+    // the restored days rebuilds its window state.
     std::vector<double> row(nfeat);
     for (std::uint64_t d = 0; d < ndays; ++d) {
       std::memcpy(row.data(), block + d * nfeat * sizeof(double), nfeat * sizeof(double));
       append_day(id, first_day + static_cast<int>(d), row, fail_day);
     }
-    if (i < states_.size()) drop_feature_tail(i);
   }
   if (r.remaining() != 0) return fail("trailing bytes in snapshot payload");
   fleet_.num_days = std::max(fleet_.num_days, static_cast<int>(num_days));

@@ -24,34 +24,44 @@ struct AppendResult {
 
 /// The daemon's per-drive resident state: raw history plus the
 /// streaming-kernel accumulators of data::expand_series (prefix sums of
-/// x, x^2 and (t+1)x; trailing power-of-two extrema levels), so one
-/// appended day yields that day's fully window-expanded feature row in
-/// O(columns * windows) — no re-expansion of history.
+/// x, x^2 and (t+1)x; trailing power-of-two extrema levels).
+///
+/// An append is O(columns) bookkeeping: it checks the row and stores it
+/// in the raw history, nothing more (a drive's first append also
+/// allocates its zeroed state block). Each drive keeps a count of its
+/// folded days; fold() later advances the accumulators over the days
+/// appended since, oldest first, and can emit each day's fully
+/// window-expanded row, in O(columns * windows) per day with no
+/// re-expansion of history. daemon::Engine folds every dirty drive at
+/// once, on its rescore pool.
+///
+/// State layout: per drive, the scalars are [field][col] and the rings
+/// [slot][field][col], so one day's fold reads and writes a few
+/// contiguous column runs, and every branch on the day index sits
+/// outside the loops over columns.
 ///
 /// Bit-identity contract: for a drive whose history is entirely finite,
-/// the feature rows emitted at append time are bit-identical to the
-/// rows data::expand_series produces from the full history, at every
-/// history length. This holds because the batch kernel is causal and
-/// element-wise — every expression for day d reads only days <= d — and
-/// the per-day folds here are the same expressions in the same order.
-/// The sparse-level plan (which extremum levels exist and whether level
-/// 2 is built fused) is derived from the window config alone; the batch
-/// derives it from (config, days), but the two plans agree on every
-/// element a steady-state window ever reads, so the outputs match.
+/// the rows fold() emits are bit-identical to the rows
+/// data::expand_series produces from the full history, at every history
+/// length and however the days are cut into fold() calls. This holds
+/// because the batch kernel is causal and element-wise — every
+/// expression for day d reads only days <= d — and the per-day folds
+/// here are the same expressions in the same order, per column (no
+/// reduction crosses columns). The sparse-level plan (which extremum
+/// levels exist and whether level 2 is built fused) is derived from the
+/// window config alone; the batch derives it from (config, days), but
+/// the two plans agree on every element a steady-state window ever
+/// reads, so the outputs match.
 ///
 /// Non-finite values: the batch kernel classifies finiteness over the
 /// whole column, so the first NaN/inf appended to a drive retroactively
 /// changes the semantics of that column's earlier rows (they become the
 /// naive-kernel outputs). Patching that incrementally is not possible,
 /// so the drive permanently leaves streaming mode (`streaming(di)`
-/// false): its pending rows are discarded and the engine scores it
-/// through the batch oracle instead. Rare in practice (recover-mode
-/// ingestion holes), and exactness is preserved either way.
-///
-/// Feature rows accumulate in a per-drive tail matrix covering the days
-/// appended since the last drop_feature_tail() — the scorer consumes
-/// the tail and drops it, bounding resident memory to raw history plus
-/// a few pending rows per drive.
+/// false): its unfolded days are never folded, its state is freed, and
+/// the engine scores it through the batch oracle instead. Rare in
+/// practice (recover-mode ingestion holes), and exactness is preserved
+/// either way.
 class ResidentFleet {
  public:
   explicit ResidentFleet(data::WindowFeatureConfig windows = {});
@@ -64,11 +74,12 @@ class ResidentFleet {
   void set_schema(std::string model_name, std::vector<std::string> feature_names);
   bool has_schema() const { return !fleet_.feature_names.empty(); }
 
-  /// Appends one observed day for `drive_id`. A new id may start at any
-  /// day; an existing drive's `day` must be exactly last_day() + 1
-  /// (contiguous series, matching ingest's forward-filled output).
-  /// `fail_day` >= 0 records the drive's trouble ticket; conflicting
-  /// re-declarations throw. `values` must match the schema width.
+  /// Appends one observed day for `drive_id` to its raw history. A new
+  /// id may start at any day; an existing drive's `day` must be exactly
+  /// last_day() + 1 (contiguous series, matching ingest's forward-filled
+  /// output). `fail_day` >= 0 records the drive's trouble ticket;
+  /// conflicting re-declarations throw. `values` must match the schema
+  /// width.
   AppendResult append_day(const std::string& drive_id, int day,
                           std::span<const double> values, int fail_day = -1);
 
@@ -87,34 +98,51 @@ class ResidentFleet {
   /// scoring only from then on).
   bool streaming(std::size_t drive_index) const;
 
-  /// Window-expanded rows for the days appended since the tail was last
-  /// dropped (empty for non-streaming drives). Row 0 is fleet-global
-  /// day tail_first_day(). Column layout matches data::expand_series
+  /// Days appended to a streaming drive and not folded yet (0 for a
+  /// non-streaming drive).
+  std::size_t unfolded_days(std::size_t drive_index) const;
+  /// Fleet-global day of the drive's first unfolded day (one past its
+  /// last day when everything is folded).
+  int first_unfolded_day(std::size_t drive_index) const;
+
+  /// Folds the drive's unfolded days into its window state, oldest
+  /// first. With `rows` non-empty it also writes each folded day's
+  /// window-expanded row there: unfolded_days() rows of row_width()
+  /// doubles, row 0 being first_unfolded_day() (any other size throws
+  /// std::invalid_argument). Column layout matches data::expand_series
   /// over ALL base columns: col b expands to [b*factor, (b+1)*factor).
-  const data::Matrix& feature_tail(std::size_t drive_index) const;
-  int tail_first_day(std::size_t drive_index) const;
-  void drop_feature_tail(std::size_t drive_index);
+  /// With `rows` empty it only advances the state. Never allocates, and
+  /// calls for distinct drives may run concurrently.
+  void fold(std::size_t drive_index, std::span<double> rows);
 
   const data::WindowFeatureConfig& windows() const { return windows_; }
   std::size_t expansion_factor() const { return factor_; }
+  /// Doubles in one expanded row: schema width * expansion_factor().
+  std::size_t row_width() const { return fleet_.feature_names.size() * factor_; }
 
   /// Serializes schema, window config and every drive's raw history
-  /// (streaming state is rebuilt on load by replaying the same folds).
+  /// (the window state is rebuilt by folding the same days again).
   /// The payload is meant to travel inside a WEFRDS01 record
   /// (data::write_daemon_snapshot).
   std::string save_snapshot() const;
 
-  /// Restores a save_snapshot() payload into this (empty) instance.
+  /// Restores a save_snapshot() payload into this (empty) instance by
+  /// replaying its appends, so every restored day starts unfolded.
   /// Returns false with `why` on damage or a window-config mismatch.
-  /// Feature tails are empty after a load; the engine full-rescores.
   bool load_snapshot(std::string_view payload, std::string* why = nullptr);
 
  private:
   struct DriveState;
+  /// One window's steady-state constants, derived once from the config.
+  struct WindowPlan {
+    std::size_t w = 0;
+    std::size_t level = 0;  ///< k with 2^k = bit_floor(w)
+    std::size_t shift = 0;  ///< w - 2^k
+    double inv_w = 0.0;
+    double inv_den = 0.0;
+  };
 
-  void append_streaming_row(DriveState& st, const data::DriveSeries& drive,
-                            std::span<const double> values, std::size_t local_day,
-                            std::span<double> out_row);
+  void fold_day(DriveState& st, const double* x, std::size_t j, double* out) const;
 
   data::WindowFeatureConfig windows_;
   std::size_t factor_ = 0;
@@ -123,6 +151,7 @@ class ResidentFleet {
   std::size_t kmax_ = 0;
   bool need_level1_ = false;
   std::size_t ring_ = 0;  ///< ring capacity (power of two)
+  std::vector<WindowPlan> plans_;
 
   data::FleetData fleet_;
   std::vector<DriveState> states_;

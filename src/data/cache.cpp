@@ -18,9 +18,10 @@ namespace {
 
 constexpr char kMagic[8] = {'W', 'E', 'F', 'R', 'F', 'C', '0', '1'};
 // v2: report carries the mixed-schema padding tallies
-// (rows_padded/cells_padded); v1 snapshots invalidate cleanly through
+// (rows_padded/cells_padded); v3: the trailing digest mixes every word
+// (data::snapshot_digest). Older snapshots invalidate cleanly through
 // the version check and reparse once.
-constexpr std::uint32_t kFormatVersion = 2;
+constexpr std::uint32_t kFormatVersion = 3;
 constexpr std::uint32_t kEndianSentinel = 0x01020304u;
 
 /// Hash of everything that changes the *meaning* of a parse without
@@ -60,7 +61,7 @@ bool source_identity(const std::string& csv_path, std::uint64_t& size,
 
 // Serialization runs through the shared data/serialize.h
 // ByteWriter/ByteReader pair: the endian sentinel in the fixed header
-// rejects foreign snapshots, and the trailing FNV-1a checksum rejects
+// rejects foreign snapshots, and the trailing digest rejects
 // any byte-level damage the field validation missed.
 using BufWriter = ByteWriter;
 using BufReader = ByteReader;
@@ -362,8 +363,11 @@ namespace {
 
 constexpr char kDaemonMagic[8] = {'W', 'E', 'F', 'R', 'D', 'M', '0', '1'};
 constexpr char kDaemonSnapshotMagic[8] = {'W', 'E', 'F', 'R', 'D', 'S', '0', '1'};
-constexpr std::uint32_t kDaemonFormatVersion = 1;
-constexpr std::uint32_t kDaemonSnapshotFormatVersion = 1;
+// v2 of both: the trailing digest mixes every word. The version is
+// checked before the digest, so a v1 record is refused as a version
+// mismatch, not as damage.
+constexpr std::uint32_t kDaemonFormatVersion = 2;
+constexpr std::uint32_t kDaemonSnapshotFormatVersion = 2;
 
 std::string encode_framed_record(const char (&magic)[8], std::uint32_t version,
                                  std::uint32_t kind, std::uint32_t index,

@@ -26,7 +26,7 @@ namespace wefr::data {
 ///   magic "WEFRFC01" | u32 format version | u32 endian sentinel
 ///   | u32 parse policy | u32 reserved | u64 schema hash
 ///   | u64 source size | i64 source mtime
-///   | payload | u64 FNV-1a digest (8-byte words) of everything before it
+///   | payload | u64 digest (data::snapshot_digest) of everything before it
 ///
 /// The payload holds the model name, feature names, a per-drive index
 /// (id, first_day, fail_day, row count), the IngestReport snapshot,
@@ -100,12 +100,12 @@ FleetData load_fleet_csv_cached(const std::string& path, const std::string& mode
 
 /// Framed records. The daemon's wire frames and snapshots share one
 /// framing discipline with the WEFRFC01 fleet cache — versioned magic,
-/// endian sentinel, bounds-checked reads, trailing word-wise FNV-1a
-/// digest — laid out as a fixed 40-byte header and the payload:
+/// endian sentinel, bounds-checked reads, trailing word-mixed digest —
+/// laid out as a fixed 40-byte header and the payload:
 ///
 ///   magic[8] | u32 format version | u32 endian sentinel | u32 kind
 ///   | u32 index | u32 count | u32 reserved | u64 payload size
-///   | payload | u64 FNV-1a digest (8-byte words) of everything before it
+///   | payload | u64 digest (data::snapshot_digest) of everything before it
 ///
 /// Any damage fails with a reason instead of faulting.
 ///

@@ -6,10 +6,13 @@
 // cache_invalidation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <random>
 #include <sstream>
 #include <string>
 
@@ -347,6 +350,147 @@ TEST(Cache, EmptyDirDisablesCaching) {
   load_fleet_csv_cached(env.csv, "M", recover(), cache, &rep, nullptr, &outcome);
   EXPECT_EQ(outcome, CacheOutcome::kDisabled);
   EXPECT_EQ(rep.cache_hits + rep.cache_misses, 0u);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream ifs(path, std::ios::binary);
+  std::ostringstream os;
+  os << ifs.rdbuf();
+  return os.str();
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream ofs(path, std::ios::binary | std::ios::trunc);
+  ofs << bytes;
+}
+
+/// 4 KB of doubles with every byte in play.
+std::vector<double> digest_test_values() {
+  std::mt19937_64 rng(0xd16e57ull);
+  std::uniform_real_distribution<double> dist(-1e3, 1e3);
+  std::vector<double> v(512);
+  for (auto& x : v) x = dist(rng);
+  return v;
+}
+
+/// Applies `kMutations` paired top-byte mutations to `record`, each
+/// XORing one nonzero mask into the top byte of two distinct 8-byte
+/// digest words inside [lo, hi), and counts how many `accepts` lets
+/// through. A digest that folds words by xor-multiply alone carries a
+/// top-byte difference only upward, so such a pair can cancel.
+std::size_t paired_top_byte_escapes(const std::string& record, std::size_t lo,
+                                    std::size_t hi,
+                                    const std::function<bool(const std::string&)>& accepts) {
+  constexpr int kMutations = 4096;
+  const std::size_t first_word = (lo + 7) / 8, end_word = hi / 8;
+  EXPECT_GE(end_word, first_word + 2);
+  std::mt19937_64 rng(0x70b17e5ull);
+  std::uniform_int_distribution<std::size_t> word(first_word, end_word - 1);
+  std::uniform_int_distribution<int> mask(1, 255);
+  std::size_t escapes = 0;
+  for (int m = 0; m < kMutations; ++m) {
+    const std::size_t a = word(rng);
+    std::size_t b = word(rng);
+    while (b == a) b = word(rng);
+    const auto x = static_cast<char>(mask(rng));
+    std::string bad = record;
+    bad[a * 8 + 7] = static_cast<char>(bad[a * 8 + 7] ^ x);
+    bad[b * 8 + 7] = static_cast<char>(bad[b * 8 + 7] ^ x);
+    if (accepts(bad)) ++escapes;
+  }
+  return escapes;
+}
+
+TEST(RecordDigest, PairedTopByteFlipsAreRejectedInEveryRecordKind) {
+  const std::vector<double> values = digest_test_values();
+  const std::string payload(reinterpret_cast<const char*>(values.data()),
+                            values.size() * sizeof(double));
+  const std::size_t header = kDaemonFrameHeaderSize;
+
+  // WEFRDM01 daemon frames.
+  const std::string frame = encode_daemon_frame(DaemonFrameKind::kRequest, 7, payload);
+  EXPECT_EQ(0u, paired_top_byte_escapes(frame, header, header + payload.size(),
+                                        [](const std::string& bad) {
+                                          std::uint32_t seq = 0;
+                                          std::string out;
+                                          return decode_daemon_frame(
+                                              bad, DaemonFrameKind::kRequest, seq, out,
+                                              nullptr);
+                                        }));
+
+  // WEFRDS01 daemon snapshots.
+  const std::string snapshot = encode_daemon_snapshot(payload);
+  EXPECT_EQ(0u, paired_top_byte_escapes(snapshot, header, header + payload.size(),
+                                        [](const std::string& bad) {
+                                          std::string out;
+                                          return decode_daemon_snapshot(bad, out, nullptr);
+                                        }));
+
+  // WEFRFC01 fleet cache: mutate the value block, the file's tail.
+  Env env("digest");
+  FleetData fleet;
+  fleet.model_name = "M";
+  fleet.feature_names = {"f0", "f1", "f2", "f3", "f4", "f5", "f6", "f7"};
+  DriveSeries drive;
+  drive.drive_id = "d0";
+  for (std::size_t r = 0; r < 64; ++r)
+    drive.values.push_row(std::span<const double>(values.data() + r * 8, 8));
+  fleet.drives.push_back(std::move(drive));
+  fleet.num_days = 64;
+  const std::string path = env.dir + "/digest.bin";
+  std::filesystem::create_directories(env.dir);
+  std::string err;
+  ASSERT_TRUE(write_fleet_cache(path, env.csv, "M", recover(), fleet, IngestReport{}, &err))
+      << err;
+  const std::string cache = read_file(path);
+  const std::size_t tail = cache.size() - sizeof(std::uint64_t);
+  ASSERT_GT(tail, payload.size());
+  EXPECT_EQ(0u, paired_top_byte_escapes(cache, tail - payload.size(), tail,
+                                        [&](const std::string& bad) {
+                                          write_file(path, bad);
+                                          FleetData f;
+                                          IngestReport rep;
+                                          return read_fleet_cache(path, env.csv, "M",
+                                                                  recover(), f, rep);
+                                        }));
+  write_file(path, cache);  // the clean file still loads
+  FleetData back;
+  IngestReport rep;
+  ASSERT_TRUE(read_fleet_cache(path, env.csv, "M", recover(), back, rep));
+  expect_same_fleet(fleet, back);
+}
+
+// A record written before the digest changed carries the previous
+// format version, and is refused for it before its digest is checked.
+TEST(RecordDigest, PreviousFormatVersionsAreRefusedAsVersionMismatch) {
+  const auto with_version = [](std::string record, std::uint32_t version) {
+    std::memcpy(record.data() + 8, &version, sizeof(version));
+    return record;
+  };
+  std::string why;
+  std::uint32_t seq = 0;
+  std::string out;
+  const std::string frame =
+      with_version(encode_daemon_frame(DaemonFrameKind::kRequest, 1, "x"), 1);
+  EXPECT_FALSE(decode_daemon_frame(frame, DaemonFrameKind::kRequest, seq, out, &why));
+  EXPECT_EQ("format version mismatch", why);
+  std::size_t total = 0;
+  EXPECT_EQ(DaemonFramePeek::kBad, peek_daemon_frame(frame, total, &why));
+  EXPECT_EQ("format version mismatch", why);
+
+  EXPECT_FALSE(decode_daemon_snapshot(with_version(encode_daemon_snapshot("x"), 1), out, &why));
+  EXPECT_EQ("format version mismatch", why);
+
+  Env env("oldversion");
+  CacheOptions cache;
+  cache.dir = env.dir;
+  load_fleet_csv_cached(env.csv, "M", recover(), cache);
+  const std::string snap = snapshot_path(env);
+  write_file(snap, with_version(read_file(snap), 2));
+  FleetData fleet;
+  IngestReport rep;
+  EXPECT_FALSE(read_fleet_cache(snap, env.csv, "M", recover(), fleet, rep, &why));
+  EXPECT_EQ("format version mismatch", why);
 }
 
 }  // namespace

@@ -334,6 +334,29 @@ TEST(DaemonProtocol, MalformedMessagesRefused) {
 
 // ------------------------------------------------- resident bit-identity
 
+/// Folds every unfolded day of drive `di` and returns the emitted rows.
+data::Matrix fold_rows(ResidentFleet& resident, std::size_t di) {
+  data::Matrix rows =
+      data::Matrix::uninitialized(resident.unfolded_days(di), resident.row_width());
+  resident.fold(di, rows.raw());
+  return rows;
+}
+
+void append_rows(data::Matrix& dst, const data::Matrix& src) {
+  for (std::size_t r = 0; r < src.rows(); ++r) dst.push_row(src.row(r));
+}
+
+void expect_same_rows(const data::Matrix& got, const data::Matrix& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  for (std::size_t r = 0; r < got.rows(); ++r) {
+    ASSERT_EQ(0, std::memcmp(got.row(r).data(), want.row(r).data(),
+                             got.cols() * sizeof(double)))
+        << what << ": row " << r << " diverged";
+  }
+}
+
 void check_resident_matches_batch(const data::WindowFeatureConfig& cfg, int days,
                                   std::size_t cols) {
   std::mt19937_64 rng(0x5eedull + days);
@@ -346,37 +369,35 @@ void check_resident_matches_batch(const data::WindowFeatureConfig& cfg, int days
   }
   std::vector<std::size_t> base_cols(cols);
   std::iota(base_cols.begin(), base_cols.end(), std::size_t{0});
-
-  ResidentFleet resident(cfg);
   std::vector<std::string> names;
   for (std::size_t c = 0; c < cols; ++c) names.push_back("f" + std::to_string(c));
-  resident.set_schema("T", names);
-
-  data::Matrix streamed;
-  for (int d = 0; d < days; ++d) {
-    resident.append_day("drv", d, series.row(static_cast<std::size_t>(d)));
-    // The emitted row must match the batch expansion of the history as
-    // of *this* length — checked via causality below, plus directly at
-    // one mid-stream length.
-    if (d == days / 2) {
-      const auto& tail = resident.feature_tail(0);
-      data::Matrix prefix;
-      for (int p = 0; p <= d; ++p) prefix.push_row(series.row(static_cast<std::size_t>(p)));
-      const data::Matrix want = data::expand_series(prefix, base_cols, cfg);
-      ASSERT_EQ(tail.rows(), want.rows());
-      ASSERT_EQ(0, std::memcmp(tail.raw().data(), want.raw().data(),
-                               tail.rows() * tail.cols() * sizeof(double)))
-          << "mid-stream divergence at length " << d + 1;
-    }
-  }
-  const auto& tail = resident.feature_tail(0);
   const data::Matrix want = data::expand_series(series, base_cols, cfg);
-  ASSERT_EQ(tail.rows(), want.rows());
-  ASSERT_EQ(tail.cols(), want.cols());
-  for (std::size_t r = 0; r < tail.rows(); ++r) {
-    ASSERT_EQ(0, std::memcmp(tail.row(r).data(), want.row(r).data(),
-                             tail.cols() * sizeof(double)))
-        << "row " << r << " windows config diverged";
+
+  // Fold-cut invariance: folding after every 1, 3 or 7 days, or once at
+  // the end, emits the same bytes, equal to the batch expansion.
+  for (const int cut : {1, 3, 7, days}) {
+    ResidentFleet resident(cfg);
+    resident.set_schema("T", names);
+    data::Matrix streamed;
+    for (int d = 0; d < days; ++d) {
+      resident.append_day("drv", d, series.row(static_cast<std::size_t>(d)));
+      ASSERT_EQ(static_cast<std::size_t>(d + 1) - streamed.rows(), resident.unfolded_days(0));
+      if ((d + 1) % cut == 0) append_rows(streamed, fold_rows(resident, 0));
+      // The rows emitted so far must match the batch expansion of the
+      // history as of *this* length — checked via causality below, plus
+      // directly at one mid-stream length.
+      if (d == days / 2) {
+        append_rows(streamed, fold_rows(resident, 0));
+        data::Matrix prefix;
+        for (int p = 0; p <= d; ++p) prefix.push_row(series.row(static_cast<std::size_t>(p)));
+        expect_same_rows(streamed, data::expand_series(prefix, base_cols, cfg),
+                         "mid-stream, length " + std::to_string(d + 1));
+      }
+    }
+    append_rows(streamed, fold_rows(resident, 0));
+    EXPECT_EQ(0u, resident.unfolded_days(0));
+    EXPECT_EQ(days, resident.first_unfolded_day(0));
+    expect_same_rows(streamed, want, "folds every " + std::to_string(cut) + " days");
   }
 }
 
@@ -396,6 +417,13 @@ TEST(ResidentFleet, StreamingRowsMatchBatchExpansionWideWindows) {
   check_resident_matches_batch(cfg, 64, 2);
 }
 
+// No window needs level 1, so level 2 is built fused from the raw ring.
+TEST(ResidentFleet, StreamingRowsMatchBatchExpansionFusedLevelTwo) {
+  data::WindowFeatureConfig cfg;
+  cfg.windows = {7, 14, 30};
+  check_resident_matches_batch(cfg, 70, 3);
+}
+
 TEST(ResidentFleet, NonFiniteValueKnocksDriveOutOfStreaming) {
   ResidentFleet resident;
   resident.set_schema("T", {"a", "b"});
@@ -405,13 +433,17 @@ TEST(ResidentFleet, NonFiniteValueKnocksDriveOutOfStreaming) {
     EXPECT_FALSE(res.went_nonfinite);
   }
   EXPECT_TRUE(resident.streaming(0));
-  EXPECT_EQ(5u, resident.feature_tail(0).rows());
+  EXPECT_EQ(5u, resident.unfolded_days(0));
 
+  // Appends are raw-only: the five days are still unfolded when the
+  // NaN arrives, and none of them is ever folded after it.
   const double dirty[2] = {1.0, std::nan("")};
   const auto res = resident.append_day("drv", 5, dirty);
   EXPECT_TRUE(res.went_nonfinite);
   EXPECT_FALSE(resident.streaming(0));
-  EXPECT_EQ(0u, resident.feature_tail(0).rows());
+  EXPECT_EQ(0u, resident.unfolded_days(0));
+  resident.fold(0, {});  // a no-op for a non-streaming drive
+  EXPECT_EQ(0, resident.first_unfolded_day(0));
 
   // Once out, a drive stays out — later finite days do not resume the
   // stream (the whole-column finiteness classification already flipped).
@@ -471,19 +503,28 @@ TEST(ResidentFleet, SnapshotRoundTripRebuildsStreamingState) {
     EXPECT_EQ(a.streaming(di), b.streaming(di));
   }
 
-  // The rebuilt accumulators keep emitting bit-identical rows: append
-  // one more day to a streaming drive on both sides and compare.
+  // Every restored day starts unfolded. Folding them rebuilds the
+  // accumulators, which keep emitting bit-identical rows: fold both
+  // sides state-only, append one more day to a streaming drive on both
+  // sides and compare, also against the batch expansion.
+  for (std::size_t di = 0; di < a.num_drives(); ++di) {
+    EXPECT_EQ(a.unfolded_days(di), b.unfolded_days(di));
+    a.fold(di, {});
+    b.fold(di, {});
+  }
   const auto& d0 = fleet.drives[0];
   std::vector<double> next(fleet.num_features(), 0.25);
   const int day = a.fleet().drives[0].last_day() + 1;
-  a.drop_feature_tail(0);
-  b.drop_feature_tail(0);
   a.append_day(d0.drive_id, day, next, d0.fail_day);
   b.append_day(d0.drive_id, day, next, d0.fail_day);
-  ASSERT_EQ(1u, a.feature_tail(0).rows());
-  ASSERT_EQ(1u, b.feature_tail(0).rows());
-  ASSERT_EQ(0, std::memcmp(a.feature_tail(0).row(0).data(), b.feature_tail(0).row(0).data(),
-                           a.feature_tail(0).cols() * sizeof(double)));
+  const data::Matrix ra = fold_rows(a, 0), rb = fold_rows(b, 0);
+  ASSERT_EQ(1u, ra.rows());
+  expect_same_rows(rb, ra, "restored vs original");
+  std::vector<std::size_t> all_cols(fleet.num_features());
+  std::iota(all_cols.begin(), all_cols.end(), std::size_t{0});
+  const data::Matrix batch = data::expand_series(b.fleet().drives[0].values, all_cols);
+  ASSERT_EQ(0, std::memcmp(rb.row(0).data(), batch.row(batch.rows() - 1).data(),
+                           rb.cols() * sizeof(double)));
 }
 
 // A daemon stopped before its first hello snapshots the pre-schema
@@ -621,6 +662,114 @@ TEST(Engine, NonFiniteDrivesFallBackToOracleScoring) {
 
   const auto again = engine.rescore();
   EXPECT_EQ(0u, again.drives_rescored);
+}
+
+// Appends are raw-only, so a NaN can arrive while the drive still has
+// unfolded days: it demotes the drive before they are ever folded, and
+// from then on the oracle scores it.
+TEST(Engine, NonFiniteValueAmidUnfoldedDaysDemotesToOracle) {
+  auto fleet = mc1_fleet(73, 24, 70);
+  fleet.drives[5].values(37, 2) = std::nan("");
+  const auto cfg = light_cfg(0);
+  const auto pred = routed_predictor(fleet, 39, cfg);
+  const std::size_t n = fleet.drives.size();
+
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
+    Engine engine = make_engine(fleet, pred, threads);
+    append_fleet(engine, fleet, 0, 29, Order::kDayMajor);
+    EXPECT_EQ(n, engine.rescore().drives_incremental);
+    append_fleet(engine, fleet, 30, 36, Order::kDayMajor);
+    ASSERT_EQ(7u, engine.resident().unfolded_days(5));
+    append_fleet(engine, fleet, 37, 37, Order::kDayMajor);  // drive 5's NaN
+    EXPECT_FALSE(engine.resident().streaming(5));
+    EXPECT_EQ(0u, engine.resident().unfolded_days(5));
+    append_fleet(engine, fleet, 38, 44, Order::kDayMajor);
+
+    const auto stats = engine.rescore();
+    EXPECT_EQ(1u, stats.drives_full);
+    EXPECT_EQ(n - 1, stats.drives_incremental);
+    expect_same_scores(engine.scores(), core::score_fleet(fleet, pred, 0, 44, light_cfg(threads)));
+
+    append_fleet(engine, fleet, 45, fleet.num_days - 1, Order::kDayMajor);
+    const auto more = engine.rescore();
+    EXPECT_EQ(1u, more.drives_full);
+    EXPECT_EQ(n - 1, more.drives_incremental);
+    expect_same_scores(engine.scores(), core::score_fleet(fleet, pred, 0, fleet.num_days - 1,
+                                                          light_cfg(threads)));
+  }
+}
+
+// Days appended before the first predictor, and restored days, never
+// become expanded rows: a rescore without a predictor folds them into
+// the window state only, and the first pass under a predictor scores
+// them through the oracle (with a state-only fold of whatever is still
+// pending). From then on every drive streams, bit-identical to the
+// batch oracle.
+TEST(Engine, BacklogAndRestoredDrivesGoThroughOracleThenStream) {
+  const auto fleet = mc1_fleet(79, 30, 90);
+  const std::size_t n = fleet.drives.size();
+  const auto expect_drained = [&](const Engine& e) {
+    for (std::size_t di = 0; di < e.resident().num_drives(); ++di)
+      ASSERT_EQ(0u, e.resident().unfolded_days(di)) << "drive " << di;
+  };
+  const auto day_count = [&](const Engine& e) {
+    std::size_t days = 0;
+    for (const auto& d : e.fleet().drives) days += d.num_days();
+    return days;
+  };
+
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
+    const auto cfg = light_cfg(threads);
+    const auto pred = routed_predictor(fleet, 49, light_cfg(0));
+    EngineOptions eopt;
+    eopt.experiment = cfg;
+    eopt.auto_check = false;
+
+    // A backlog: 20 days folded state-only by a predictor-less pass,
+    // then 15 more left unfolded when the predictor arrives.
+    Engine a(eopt, eopt.experiment.windows);
+    a.resident().set_schema(fleet.model_name, fleet.feature_names);
+    append_fleet(a, fleet, 0, 19, Order::kDayMajor);
+    const auto idle = a.rescore();
+    EXPECT_EQ(0u, idle.drives_rescored);
+    EXPECT_EQ(0u, idle.rows_scored);
+    expect_drained(a);
+    append_fleet(a, fleet, 20, 34, Order::kDayMajor);
+    a.set_predictor(pred);
+    const auto first = a.rescore();
+    EXPECT_EQ(n, first.drives_full);
+    EXPECT_EQ(0u, first.drives_incremental);
+    EXPECT_EQ(day_count(a), first.rows_scored);
+    expect_drained(a);
+    expect_same_scores(a.scores(), core::score_fleet(fleet, pred, 0, 34, cfg));
+    append_fleet(a, fleet, 35, 49, Order::kDayMajor);
+    const auto next = a.rescore();
+    EXPECT_EQ(0u, next.drives_full);
+    EXPECT_EQ(n, next.drives_incremental);
+    expect_same_scores(a.scores(), core::score_fleet(fleet, pred, 0, 49, cfg));
+
+    // Restored drives, with the predictor installed before the restore
+    // and after it.
+    const std::string snapshot = a.save_snapshot();
+    for (const bool predictor_first : {true, false}) {
+      Engine b(eopt, eopt.experiment.windows);
+      if (predictor_first) b.set_predictor(pred);
+      std::string why;
+      ASSERT_TRUE(b.load_snapshot(snapshot, &why)) << why;
+      if (!predictor_first) b.set_predictor(pred);
+      const auto restored = b.rescore();
+      EXPECT_EQ(n, restored.drives_full);
+      EXPECT_EQ(0u, restored.drives_incremental);
+      expect_drained(b);
+      expect_same_scores(b.scores(), a.scores());
+      append_fleet(b, fleet, 50, fleet.num_days - 1, Order::kDayMajor);
+      const auto resumed = b.rescore();
+      EXPECT_EQ(0u, resumed.drives_full);
+      EXPECT_EQ(n, resumed.drives_incremental);
+      expect_same_scores(b.scores(),
+                         core::score_fleet(fleet, pred, 0, fleet.num_days - 1, cfg));
+    }
+  }
 }
 
 TEST(Engine, OracleCheckModeSelfVerifies) {
