@@ -199,10 +199,10 @@ int main() {
               serial.size(), score_serial_s, hw_threads, score_parallel_s, score_speedup,
               identical ? "identical" : "DIFFER");
 
-  // --- 4. Rolling-feature expansion: streaming kernels vs the naive
-  // per-day window rescan, full fleet, windows {7, 14, 30}. The
-  // monotonic-deque stats (max/min/range) must match bitwise; the
-  // running-sum stats to rounding.
+  // --- 4. Rolling-feature expansion: the fold (data::expand_series) vs
+  // the naive per-day window rescan, full fleet, windows {7, 14, 30}.
+  // The extremum stats (max/min/range) must match bitwise; the
+  // prefix-sum stats to rounding.
   data::WindowFeatureConfig fg_cfg;
   fg_cfg.windows = {7, 14, 30};
   std::vector<std::size_t> fg_cols(fleet.num_features());

@@ -23,10 +23,10 @@ namespace {
 /// in cache while the forest stages them.
 constexpr std::size_t kBlockRows = 256;
 
-/// Largest pass buffer kept for the next pass. A larger one (a long
-/// backlog scored at once) is released by the pass that needed it, so
-/// the next steady day does not pay for unmapping it.
-constexpr std::size_t kKeptPassDoubles = std::size_t{8} << 20;  // 64 MiB
+/// Largest pass buffer: a stale drive whose rows would push the pass
+/// past it goes to the batch oracle instead (a long backlog appended
+/// under a predictor would otherwise be expanded whole).
+constexpr std::size_t kMaxPassDoubles = std::size_t{8} << 20;  // 64 MiB
 
 /// Runs fn(0 .. n-1) on `pool`, or inline without one or with one job.
 void run_jobs(util::ThreadPool* pool, std::size_t n,
@@ -326,10 +326,12 @@ RescoreStats Engine::rescore() {
 
   // Plan the pass on this thread. A stale streaming drive whose first
   // unscored day is its first unfolded day is scored from the rows its
-  // fold emits into the pass buffer. Every other stale drive goes to the
-  // batch oracle, and its pending days fold into its window state only.
-  // Without a predictor nothing is stale: every pending day folds
-  // state-only, so no backlog ever becomes expanded rows.
+  // fold emits into the pass buffer, as long as they fit under
+  // kMaxPassDoubles. Every other stale drive goes to the batch oracle,
+  // and its pending days fold into its window state only. Without a
+  // predictor nothing is stale: every pending day folds state-only, so
+  // no backlog ever becomes expanded rows.
+  const std::size_t width = resident_.row_width();
   std::vector<FoldJob> folds, incr;
   std::vector<std::size_t> full;
   std::size_t pass_rows = 0;
@@ -341,7 +343,8 @@ RescoreStats Engine::rescore() {
     if (!stale && pending == 0) continue;
     FoldJob job{di, pending, kStateOnly, resident_.first_unfolded_day(di)};
     const int next_day = ss.scored_until < 0 ? drive.first_day : ss.scored_until + 1;
-    if (stale && !ss.full_dirty && pending > 0 && job.first_day == next_day) {
+    if (stale && !ss.full_dirty && pending > 0 && job.first_day == next_day &&
+        (pass_rows + pending) * width <= kMaxPassDoubles) {
       job.first_row = pass_rows;
       pass_rows += pending;
       incr.push_back(job);
@@ -356,7 +359,6 @@ RescoreStats Engine::rescore() {
   // under a quarter of it: a fresh multi-MB block per pass grows the
   // heap (bench_e2e's daemon_recheck read ~17 MiB more peak RSS with
   // one). One pool per pass runs the folds, then the scoring blocks.
-  const std::size_t width = resident_.row_width();
   const std::size_t need = pass_rows * width;
   if (need > pass_capacity_ || need < pass_capacity_ / 4) {
     pass_buffer_.reset();
@@ -412,10 +414,6 @@ RescoreStats Engine::rescore() {
   stats.drives_incremental = incr.size();
   stats.drives_rescored = full.size() + incr.size();
   dirty_ = false;
-  if (pass_capacity_ > kKeptPassDoubles) {
-    pass_buffer_.reset();
-    pass_capacity_ = 0;
-  }
 
   if (opt_.oracle_check) {
     stats.oracle_checked = true;
@@ -525,7 +523,8 @@ void replay(Engine& engine, const data::FleetData& fleet, int end_day) {
                         d.values.row(static_cast<std::size_t>(day - d.first_day)),
                         d.fail_day);
     }
-    // Weekly rescores keep the pending feature rows bounded.
+    // Weekly rescores keep each pass to a week of rows, as a live
+    // feed's daily reads would.
     if ((day + 1) % 7 == 0) engine.rescore();
   }
   engine.rescore();

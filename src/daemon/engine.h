@@ -129,10 +129,11 @@ struct CheckEvent {
 /// in batched blocks of one job list on the same pool — no per-drive
 /// inference. Other drives go through the batch oracle (score_fleet on
 /// the drive subset) while their fold only advances the state: drives
-/// with a non-finite value, every drive after a predictor install, and
-/// restored drives. So the fold emits rows only for days appended under
-/// the current predictor since the last pass, and an unread backlog is
-/// raw history only. A rescore() with nothing appended, installed or
+/// with a non-finite value, every drive after a predictor install,
+/// restored drives, and any drive whose rows would push the pass buffer
+/// past 64 MiB. So the fold emits rows only for days appended under the
+/// current predictor since the last pass, and a pass buffer never holds
+/// more than 64 MiB. A rescore() with nothing appended, installed or
 /// restored since the last pass returns at once, without walking the
 /// drives (unless `oracle_check` is on).
 ///

@@ -22,41 +22,29 @@ struct AppendResult {
   bool went_nonfinite = false;
 };
 
-/// The daemon's per-drive resident state: raw history plus the
-/// streaming-kernel accumulators of data::expand_series (prefix sums of
-/// x, x^2 and (t+1)x; trailing power-of-two extrema levels).
+/// The daemon's per-drive resident state: raw history plus each drive's
+/// data::WindowFold state, the same fold data::expand_series runs.
 ///
 /// An append is O(columns) bookkeeping: it checks the row and stores it
 /// in the raw history, nothing more (a drive's first append also
-/// allocates its zeroed state block). Each drive keeps a count of its
-/// folded days; fold() later advances the accumulators over the days
+/// allocates its fold state). Each drive keeps a count of its folded
+/// days; fold() later runs the shared per-day fold over the days
 /// appended since, oldest first, and can emit each day's fully
 /// window-expanded row, in O(columns * windows) per day with no
 /// re-expansion of history. daemon::Engine folds every dirty drive at
 /// once, on its rescore pool.
 ///
-/// State layout: per drive, the scalars are [field][col] and the rings
-/// [slot][field][col], so one day's fold reads and writes a few
-/// contiguous column runs, and every branch on the day index sits
-/// outside the loops over columns.
-///
 /// Bit-identity contract: for a drive whose history is entirely finite,
 /// the rows fold() emits are bit-identical to the rows
 /// data::expand_series produces from the full history, at every history
-/// length and however the days are cut into fold() calls. This holds
-/// because the batch kernel is causal and element-wise — every
-/// expression for day d reads only days <= d — and the per-day folds
-/// here are the same expressions in the same order, per column (no
-/// reduction crosses columns). The sparse-level plan (which extremum
-/// levels exist and whether level 2 is built fused) is derived from the
-/// window config alone; the batch derives it from (config, days), but
-/// the two plans agree on every element a steady-state window ever
-/// reads, so the outputs match.
+/// length and however the days are cut into fold() calls: both run
+/// data::WindowFold::fold_day over the same days in the same order, and
+/// the fold's expressions for day d read only days <= d.
 ///
 /// Non-finite values: the batch kernel classifies finiteness over the
 /// whole column, so the first NaN/inf appended to a drive retroactively
 /// changes the semantics of that column's earlier rows (they become the
-/// naive-kernel outputs). Patching that incrementally is not possible,
+/// naive-rescan outputs). Patching that incrementally is not possible,
 /// so the drive permanently leaves streaming mode (`streaming(di)`
 /// false): its unfolded days are never folded, its state is freed, and
 /// the engine scores it through the batch oracle instead. Rare in
@@ -116,9 +104,9 @@ class ResidentFleet {
   void fold(std::size_t drive_index, std::span<double> rows);
 
   const data::WindowFeatureConfig& windows() const { return windows_; }
-  std::size_t expansion_factor() const { return factor_; }
+  std::size_t expansion_factor() const { return fold_.factor(); }
   /// Doubles in one expanded row: schema width * expansion_factor().
-  std::size_t row_width() const { return fleet_.feature_names.size() * factor_; }
+  std::size_t row_width() const { return fleet_.feature_names.size() * fold_.factor(); }
 
   /// Serializes schema, window config and every drive's raw history
   /// (the window state is rebuilt by folding the same days again).
@@ -133,26 +121,9 @@ class ResidentFleet {
 
  private:
   struct DriveState;
-  /// One window's steady-state constants, derived once from the config.
-  struct WindowPlan {
-    std::size_t w = 0;
-    std::size_t level = 0;  ///< k with 2^k = bit_floor(w)
-    std::size_t shift = 0;  ///< w - 2^k
-    double inv_w = 0.0;
-    double inv_den = 0.0;
-  };
-
-  void fold_day(DriveState& st, const double* x, std::size_t j, double* out) const;
 
   data::WindowFeatureConfig windows_;
-  std::size_t factor_ = 0;
-  // Sparse-level plan, derived from the window config alone (see class
-  // comment for why this agrees with the batch per-length plan).
-  std::size_t kmax_ = 0;
-  bool need_level1_ = false;
-  std::size_t ring_ = 0;  ///< ring capacity (power of two)
-  std::vector<WindowPlan> plans_;
-
+  data::WindowFold fold_;
   data::FleetData fleet_;
   std::vector<DriveState> states_;
   std::unordered_map<std::string, std::size_t> id_index_;

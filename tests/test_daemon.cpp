@@ -772,6 +772,58 @@ TEST(Engine, BacklogAndRestoredDrivesGoThroughOracleThenStream) {
   }
 }
 
+// A backlog appended under a predictor with no rescore in between: 100
+// drives x 200 days, a few ending early at their failure, of rows of
+// 494 doubles (38 columns x 13), more than the 64 MiB pass buffer holds
+// (16,980 rows). The drives whose rows fit are scored from the fold,
+// the rest through the oracle with a state-only fold, and the next pass
+// streams every drive.
+TEST(Engine, BacklogPastThePassBufferCapGoesToTheOracle) {
+  const auto fleet = mc1_fleet(83, 100, 201, 5.0);
+  const auto pred = routed_predictor(fleet, 119, light_cfg(0));
+  const std::size_t n = fleet.drives.size();
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
+    Engine engine = make_engine(fleet, pred, threads);
+    append_fleet(engine, fleet, 0, 199, Order::kDayMajor);
+    ASSERT_EQ(n, engine.resident().num_drives());
+    ASSERT_EQ(38u * 13u, engine.resident().row_width());
+
+    // The plan walks drives in index order; a drive whose rows would
+    // push the pass past the cap goes to the oracle.
+    const std::size_t cap_rows =
+        (std::size_t{64} << 20) / sizeof(double) / engine.resident().row_width();
+    std::size_t rows = 0, fit = 0, total = 0;
+    for (const auto& d : engine.fleet().drives) {
+      total += d.num_days();
+      if (rows + d.num_days() <= cap_rows) {
+        rows += d.num_days();
+        ++fit;
+      }
+    }
+    ASSERT_GT(total, cap_rows);
+    ASSERT_GT(fit, 0u);
+    ASSERT_LT(fit, n);
+
+    const auto stats = engine.rescore();
+    EXPECT_EQ(fit, stats.drives_incremental);
+    EXPECT_EQ(n - fit, stats.drives_full);
+    EXPECT_EQ(total, stats.rows_scored);
+    for (std::size_t di = 0; di < n; ++di)
+      ASSERT_EQ(0u, engine.resident().unfolded_days(di)) << "drive " << di;
+    expect_same_scores(engine.scores(), core::score_fleet(fleet, pred, 0, 199, light_cfg(threads)));
+
+    append_fleet(engine, fleet, 200, 200, Order::kDayMajor);
+    std::size_t live = 0;
+    for (const auto& d : engine.fleet().drives) live += d.last_day() == 200 ? 1 : 0;
+    ASSERT_GT(live, 0u);
+    const auto next = engine.rescore();
+    EXPECT_EQ(0u, next.drives_full);
+    EXPECT_EQ(live, next.drives_incremental);
+    EXPECT_EQ(live, next.rows_scored);
+    expect_same_scores(engine.scores(), core::score_fleet(fleet, pred, 0, 200, light_cfg(threads)));
+  }
+}
+
 TEST(Engine, OracleCheckModeSelfVerifies) {
   const auto fleet = mc1_fleet(31, 25, 70);
   const auto pred = routed_predictor(fleet, 49, light_cfg(0));

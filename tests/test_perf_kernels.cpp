@@ -54,11 +54,13 @@ data::Matrix random_series(util::Rng& rng, std::size_t days, std::size_t cols) {
 }
 
 /// Compares streaming vs naive expansion. Identity/max/min/range columns
-/// must be bit-identical; mean/wma within 1e-9 relative; std within 1e-9
-/// relative plus a scale-aware absolute term — both kernels compute
-/// variance as sum2/n - mean^2, whose cancellation quantizes near-zero
-/// variances at ~ulp(scale^2), so two correct implementations can land
-/// on different quanta (std differing by ~sqrt(ulp) * scale).
+/// must be bit-identical, and so must every stat of a window still
+/// growing (day d < w), whose folds replay the rescan's; otherwise
+/// mean/wma within 1e-9 relative; std within 1e-9 relative plus a
+/// scale-aware absolute term — both kernels compute variance as
+/// sum2/n - mean^2, whose cancellation quantizes near-zero variances at
+/// ~ulp(scale^2), so two correct implementations can land on different
+/// quanta (std differing by ~sqrt(ulp) * scale).
 void expect_expansion_equivalent(const data::Matrix& series,
                                  const std::vector<std::size_t>& base_cols,
                                  const data::WindowFeatureConfig& cfg) {
@@ -77,7 +79,9 @@ void expect_expansion_equivalent(const data::Matrix& series,
       // {max, min, mean, std, range, wma}.
       const std::size_t within = c % factor;
       const std::size_t stat = within == 0 ? 0 : (within - 1) % 6;
-      const bool exact = within == 0 || stat == 0 || stat == 1 || stat == 4;
+      const bool growing =
+          within != 0 && d < static_cast<std::size_t>(cfg.windows[(within - 1) / 6]);
+      const bool exact = within == 0 || stat == 0 || stat == 1 || stat == 4 || growing;
       const double f = fast(d, c), r = ref(d, c);
       const double s = scale[c / factor];
       if (exact) {
@@ -211,20 +215,43 @@ TEST(PerfKernels, NanHoleColumnsFallBackToNaiveBitwise) {
   // Poke NaN holes into column 1 only; columns 0 and 2 stay streaming.
   for (const std::size_t d : {0u, 13u, 14u, 49u})
     series(d, 1) = std::numeric_limits<double>::quiet_NaN();
-  data::WindowFeatureConfig cfg;
-  cfg.windows = {3, 7};
   const std::vector<std::size_t> base_cols = {0, 1, 2};
-  const data::Matrix fast = data::expand_series(series, base_cols, cfg);
-  const data::Matrix ref = data::expand_series_naive(series, base_cols, cfg);
-  ASSERT_EQ(fast.rows(), ref.rows());
-  ASSERT_EQ(fast.cols(), ref.cols());
-  const std::size_t factor = data::expansion_factor(cfg);
-  // The NaN column (base index 1 -> expanded columns [factor, 2*factor))
-  // must match the naive kernel bit for bit, NaNs included.
-  for (std::size_t d = 0; d < ref.rows(); ++d)
-    for (std::size_t c = factor; c < 2 * factor; ++c)
-      EXPECT_TRUE(bit_equal(fast(d, c), ref(d, c)))
-          << "day " << d << " col " << c << ": " << fast(d, c) << " vs " << ref(d, c);
+  const std::vector<std::size_t> finite_cols = {0, 2};
+  // A non-contiguous day list with a repeat.
+  std::vector<std::size_t> listed = {31, 7};
+  for (std::size_t d = 2; d < series.rows(); d += 5) listed.push_back(d);
+  for (const std::vector<int>& windows : {std::vector<int>{3, 7}, std::vector<int>{7, 14, 30}}) {
+    data::WindowFeatureConfig cfg;
+    cfg.windows = windows;
+    SCOPED_TRACE("windows=" + std::to_string(windows.size()));
+    const data::Matrix fast = data::expand_series(series, base_cols, cfg);
+    const data::Matrix ref = data::expand_series_naive(series, base_cols, cfg);
+    ASSERT_EQ(fast.rows(), ref.rows());
+    ASSERT_EQ(fast.cols(), ref.cols());
+    const std::size_t factor = data::expansion_factor(cfg);
+    // The NaN column (base index 1 -> expanded columns [factor, 2*factor))
+    // must match the naive kernel bit for bit, NaNs included.
+    for (std::size_t d = 0; d < ref.rows(); ++d)
+      for (std::size_t c = factor; c < 2 * factor; ++c)
+        EXPECT_TRUE(bit_equal(fast(d, c), ref(d, c)))
+            << "day " << d << " col " << c << ": " << fast(d, c) << " vs " << ref(d, c);
+
+    // The finite columns beside it are bit-equal to the same columns
+    // expanded without it, over all days and over the day list.
+    const data::Matrix alone = data::expand_series(series, finite_cols, cfg);
+    const data::Matrix listed_fast = data::expand_series(series, base_cols, listed, cfg);
+    const data::Matrix listed_alone = data::expand_series(series, finite_cols, listed, cfg);
+    for (std::size_t k = 0; k < finite_cols.size(); ++k)
+      for (std::size_t o = 0; o < factor; ++o) {
+        const std::size_t with = finite_cols[k] * factor + o, without = k * factor + o;
+        for (std::size_t d = 0; d < series.rows(); ++d)
+          EXPECT_TRUE(bit_equal(fast(d, with), alone(d, without)))
+              << "day " << d << " col " << with;
+        for (std::size_t i = 0; i < listed.size(); ++i)
+          EXPECT_TRUE(bit_equal(listed_fast(i, with), listed_alone(i, without)))
+              << "row " << i << " (day " << listed[i] << ") col " << with;
+      }
+  }
 }
 
 TEST(PerfKernels, ExpansionOfSuffixSliceMatchesFullHistoryWhereWindowsFull) {
