@@ -6,8 +6,7 @@
 // serial istream parse vs the parallel mmap parse (bit-identical
 // required) and cold vs warm columnar fleet cache, forest
 // inference: the scalar recursive walk vs the flattened engine
-// (baseline / AVX2 arms, bit-identical required, >=5x single-core gate
-// on the baseline arm).
+// (bit-identical required, >=5x single-core gate).
 //
 // Also gates the wefr::obs zero-overhead contract: scoring with tracing
 // and metrics enabled must stay within 5% of the disabled run, or the
@@ -466,12 +465,11 @@ int main() {
               obs_gate_pass ? "PASS" : "FAIL");
 
   // --- 8. Forest inference: the scalar per-row recursive walk vs the
-  // flattened engine (baseline kernel and AVX2 kernel), single-core, on
-  // the production-config histogram forest. Every arm must be
-  // bit-identical to the recursive oracle — including re-batching the
-  // same rows at sizes 1/7/256/n and re-running the Matrix entry at 1
-  // and hw threads — and the flattened baseline must clear >=5x over the
-  // scalar walk (the inference gate).
+  // flattened engine, single-core, on the production-config histogram
+  // forest. The flattened scores must be bit-identical to the recursive
+  // oracle — including contiguous row slices of 1/7/256/n rows through
+  // the Matrix entry and the whole matrix at 1 and hw threads — and must
+  // clear >=5x over the scalar walk (the inference gate).
   const ml::RandomForest& inf_forest = forest_hist;
   const data::Matrix& inf_x = ds.x;
   const std::size_t inf_rows = inf_x.rows();
@@ -483,7 +481,7 @@ int main() {
     return sw.seconds();
   };
 
-  // The three arms are timed interleaved, one rep of each per round, and
+  // The two arms are timed interleaved, one rep of each per round, and
   // the gate reads the median over rounds of each round's paired ratio,
   // walk over flattened — the estimator of the obs gate above. A round's
   // arms share the host's state of the moment, so slow drift cancels
@@ -492,11 +490,9 @@ int main() {
   // rounds. The walk runs first in even rounds and last in odd ones, over
   // an even number of rounds, so an order effect cannot tip the median.
   std::vector<double> inf_oracle(inf_rows);
-  std::vector<double> inf_base, inf_vec;
-  const bool inf_avx2 = ml::FlatForest::avx2_available();
+  std::vector<double> inf_flat_scores;
   const int inf_rounds = 10;
-  std::vector<double> inf_scalar(inf_rounds), inf_base_t(inf_rounds), inf_avx2_t(inf_rounds);
-  std::vector<double> inf_flat_ratio(inf_rounds), inf_avx2_ratio(inf_rounds);
+  std::vector<double> inf_scalar(inf_rounds), inf_flat_t(inf_rounds), inf_ratio(inf_rounds);
   for (int round = 0; round < inf_rounds; ++round) {
     const auto walk = [&] {
       inf_scalar[round] = time_once([&] {
@@ -505,32 +501,24 @@ int main() {
       });
     };
     if (round % 2 == 0) walk();
-    ml::FlatForest::set_avx2_enabled(false);
-    inf_base_t[round] = time_once([&] { inf_base = inf_forest.predict_proba(inf_x); });
-    ml::FlatForest::set_avx2_enabled(true);
-    inf_avx2_t[round] = time_once([&] { inf_vec = inf_forest.predict_proba(inf_x); });
+    inf_flat_t[round] = time_once([&] { inf_flat_scores = inf_forest.predict_proba(inf_x); });
     if (round % 2 == 1) walk();
-    inf_flat_ratio[round] = inf_base_t[round] > 0.0 ? inf_scalar[round] / inf_base_t[round] : 0.0;
-    inf_avx2_ratio[round] =
-        inf_avx2_t[round] > 0.0 ? inf_scalar[round] / inf_avx2_t[round] : 0.0;
+    inf_ratio[round] = inf_flat_t[round] > 0.0 ? inf_scalar[round] / inf_flat_t[round] : 0.0;
   }
-  const double inf_scalar_s = median(inf_scalar), inf_flat_s = median(inf_base_t),
-               inf_avx2_s = median(inf_avx2_t);
-  bool inf_identical = inf_base == inf_oracle && inf_vec == inf_oracle;
+  const double inf_scalar_s = median(inf_scalar), inf_flat_s = median(inf_flat_t);
+  bool inf_identical = inf_flat_scores == inf_oracle;
 
-  // Re-batching equivalence: the same rows pushed through the selected-
-  // rows entry in batches of 1, 7, 256, and all must splice into the
-  // oracle exactly, as must the Matrix entry at 1 and hw threads.
+  // Re-batching equivalence: contiguous slices of 1, 7, 256 and all
+  // rows through the Matrix entry must splice into the oracle exactly,
+  // as must the whole matrix at 1 and hw threads.
   for (const std::size_t batch :
        {std::size_t{1}, std::size_t{7}, std::size_t{256}, inf_rows}) {
-    std::vector<double> spliced(inf_rows);
-    std::vector<std::size_t> rows;
+    std::vector<double> spliced;
+    spliced.reserve(inf_rows);
     for (std::size_t begin = 0; begin < inf_rows; begin += batch) {
-      const std::size_t end = std::min(inf_rows, begin + batch);
-      rows.resize(end - begin);
-      std::iota(rows.begin(), rows.end(), begin);
-      std::span<double> chunk(spliced.data() + begin, end - begin);
-      inf_forest.predict_proba(inf_x, rows, chunk);
+      const auto part =
+          inf_forest.predict_proba(inf_x.slice_rows(begin, std::min(batch, inf_rows - begin)));
+      spliced.insert(spliced.end(), part.begin(), part.end());
     }
     inf_identical = inf_identical && spliced == inf_oracle;
   }
@@ -542,22 +530,17 @@ int main() {
   auto rows_per_sec = [&](double s) {
     return s > 0.0 ? static_cast<double>(inf_rows) / s : 0.0;
   };
-  const double inf_flat_speedup = median(inf_flat_ratio);
-  const double inf_avx2_speedup = median(inf_avx2_ratio);
+  const double inf_flat_speedup = median(inf_ratio);
   const bool inf_gate_pass = inf_identical && inf_flat_speedup >= 5.0;
   std::printf("forest inference, %zu rows x %zu features, %zu trees depth<=%d, 1 core,\n"
               "medians of %d interleaved rounds (speedup: median paired ratio):\n"
               "  scalar recursive walk: %8.4f s   (%8.2fk rows/s)\n"
-              "  flattened (baseline):  %8.4f s   (%8.2fk rows/s, speedup %.2fx)\n"
-              "  flattened (avx2%s):     %8.4f s   (%8.2fk rows/s, speedup %.2fx)\n"
+              "  flattened:             %8.4f s   (%8.2fk rows/s, speedup %.2fx)\n"
               "  scores %s; inference gate (>=5x, bit-identical) %s\n\n",
               inf_rows, inf_x.cols(), inf_forest.num_trees(), inf_flat.max_depth(), inf_rounds,
               inf_scalar_s, rows_per_sec(inf_scalar_s) / 1e3, inf_flat_s,
               rows_per_sec(inf_flat_s) / 1e3, inf_flat_speedup,
-              inf_avx2 ? "" : "*", inf_avx2_s, rows_per_sec(inf_avx2_s) / 1e3,
-              inf_avx2_speedup, inf_identical ? "bit-identical" : "DIFFER",
-              inf_gate_pass ? "PASS" : "FAIL");
-  if (!inf_avx2) std::printf("  (* no AVX2 on this host: arm ran the baseline kernel)\n");
+              inf_identical ? "bit-identical" : "DIFFER", inf_gate_pass ? "PASS" : "FAIL");
   std::fflush(stdout);
 
   // --- machine-readable summary.
@@ -614,16 +597,12 @@ int main() {
     w.key("inference").begin_object();
     w.field("rows", inf_rows).field("features", inf_x.cols());
     w.field("trees", inf_forest.num_trees()).field("max_depth", inf_flat.max_depth());
-    w.field("avx2", inf_avx2);
     w.field("rounds", inf_rounds).field("estimator", "median_paired_ratio");
     w.field("scalar_seconds", inf_scalar_s);
     w.field("flat_seconds", inf_flat_s);
-    w.field("flat_avx2_seconds", inf_avx2_s);
     w.field("scalar_rows_per_sec", rows_per_sec(inf_scalar_s));
     w.field("flat_rows_per_sec", rows_per_sec(inf_flat_s));
-    w.field("flat_avx2_rows_per_sec", rows_per_sec(inf_avx2_s));
     w.field("flat_speedup", inf_flat_speedup);
-    w.field("flat_avx2_speedup", inf_avx2_speedup);
     w.field("min_speedup", 5.0);
     w.field("outputs_identical", inf_identical);
     w.field("gate_pass", inf_gate_pass).end_object();

@@ -5,10 +5,8 @@
 #include <functional>
 #include <stdexcept>
 
-#include "ml/linear.h"
 #include "ml/quantize.h"
 #include "stats/correlation.h"
-#include "stats/information.h"
 #include "stats/jindex.h"
 #include "stats/ranking.h"
 #include "util/thread_pool.h"
@@ -170,8 +168,6 @@ std::vector<double> RandomForestRanker::score(const data::Matrix& x, std::span<c
   } else {
     forest.fit(x, y, opt, rng);
   }
-  if (use_permutation_)
-    return forest.permutation_importance(x, y, rng, /*repeats=*/1, num_threads_);
   return forest.impurity_importance();
 }
 
@@ -196,50 +192,14 @@ std::vector<double> XgboostRanker::score(const data::Matrix& x, std::span<const 
   return booster.combined_importance();
 }
 
-std::vector<double> MutualInformationRanker::score(const data::Matrix& x,
-                                                   std::span<const int> y,
-                                                   const ml::QuantizedDataset&) const {
-  return score_per_column(x, num_threads_, [&](std::size_t c) {
-    return stats::mutual_information(x.column(c), y, bins_);
-  });
-}
-
-std::vector<double> ChiSquareRanker::score(const data::Matrix& x, std::span<const int> y,
-                                           const ml::QuantizedDataset&) const {
-  return score_per_column(x, num_threads_, [&](std::size_t c) {
-    return stats::chi_square_statistic(x.column(c), y, bins_);
-  });
-}
-
-std::vector<double> LogisticRanker::score(const data::Matrix& x, std::span<const int> y,
-                                          const ml::QuantizedDataset&) const {
-  util::Rng rng(seed_);
-  ml::LogisticRegression model;
-  model.fit(x, y, ml::LogisticOptions{}, rng);
-  std::vector<double> out(model.coefficients().size());
-  for (std::size_t f = 0; f < out.size(); ++f) out[f] = std::abs(model.coefficients()[f]);
-  return out;
-}
-
 std::vector<std::unique_ptr<FeatureRanker>> make_standard_rankers(std::uint64_t seed,
                                                                   std::size_t num_threads) {
   std::vector<std::unique_ptr<FeatureRanker>> out;
   out.push_back(std::make_unique<PearsonRanker>());
   out.push_back(std::make_unique<SpearmanRanker>());
   out.push_back(std::make_unique<JIndexRanker>());
-  out.push_back(std::make_unique<RandomForestRanker>(RandomForestRanker::default_options(),
-                                                     /*use_permutation=*/false, seed));
+  out.push_back(std::make_unique<RandomForestRanker>(RandomForestRanker::default_options(), seed));
   out.push_back(std::make_unique<XgboostRanker>(XgboostRanker::default_options(), seed + 4));
-  for (auto& r : out) r->set_num_threads(num_threads);
-  return out;
-}
-
-std::vector<std::unique_ptr<FeatureRanker>> make_extended_rankers(std::uint64_t seed,
-                                                                  std::size_t num_threads) {
-  auto out = make_standard_rankers(seed, num_threads);
-  out.push_back(std::make_unique<MutualInformationRanker>());
-  out.push_back(std::make_unique<ChiSquareRanker>());
-  out.push_back(std::make_unique<LogisticRanker>(seed + 12));
   for (auto& r : out) r->set_num_threads(num_threads);
   return out;
 }

@@ -46,9 +46,8 @@ class FeatureRanker {
   /// important; ties averaged).
   std::vector<double> ranking(const data::Matrix& x, std::span<const int> y) const;
 
-  /// True for rankers that fit a model (forest, boosting, logistic
-  /// regression): the longest jobs on the ensemble's job list, which
-  /// starts them first.
+  /// True for rankers that fit a model (forest, boosting): the longest
+  /// jobs on the ensemble's job list, which starts them first.
   virtual bool fits_model() const { return false; }
 
   /// True for rankers whose score reads the coding: the sort-based ones
@@ -100,15 +99,12 @@ class JIndexRanker final : public FeatureRanker {
                             const ml::QuantizedDataset& coded) const override;
 };
 
-/// Random-Forest feature-importance evaluation. `use_permutation`
-/// selects Breiman's noise-injection (permutation) importance, the
-/// variant the paper describes; impurity importance is the faster
-/// default for repeated selection runs.
+/// Random-Forest feature importance: the mean impurity decrease of a
+/// forest fit on the population (ml::RandomForest::impurity_importance).
 class RandomForestRanker final : public FeatureRanker {
  public:
-  explicit RandomForestRanker(ml::ForestOptions opt = default_options(),
-                              bool use_permutation = false, std::uint64_t seed = 7)
-      : opt_(opt), use_permutation_(use_permutation), seed_(seed) {}
+  explicit RandomForestRanker(ml::ForestOptions opt = default_options(), std::uint64_t seed = 7)
+      : opt_(opt), seed_(seed) {}
 
   using FeatureRanker::score;
   std::string name() const override { return "RandomForest"; }
@@ -123,7 +119,6 @@ class RandomForestRanker final : public FeatureRanker {
 
  private:
   ml::ForestOptions opt_;
-  bool use_permutation_;
   std::uint64_t seed_;
 };
 
@@ -147,61 +142,10 @@ class XgboostRanker final : public FeatureRanker {
   std::uint64_t seed_;
 };
 
-/// Mutual information between the equal-frequency-binned feature and
-/// the target. Not one of the paper's five; WEFR's ensemble accepts any
-/// set of "common feature selection approaches", and this is a common
-/// one — see make_extended_rankers().
-class MutualInformationRanker final : public FeatureRanker {
- public:
-  explicit MutualInformationRanker(int bins = 10) : bins_(bins) {}
-  using FeatureRanker::score;
-  std::string name() const override { return "MutualInfo"; }
-  std::vector<double> score(const data::Matrix& x, std::span<const int> y,
-                            const ml::QuantizedDataset& coded) const override;
-
- private:
-  int bins_;
-};
-
-/// Chi-square statistic of independence between the binned feature and
-/// the target (extended set).
-class ChiSquareRanker final : public FeatureRanker {
- public:
-  explicit ChiSquareRanker(int bins = 10) : bins_(bins) {}
-  using FeatureRanker::score;
-  std::string name() const override { return "ChiSquare"; }
-  std::vector<double> score(const data::Matrix& x, std::span<const int> y,
-                            const ml::QuantizedDataset& coded) const override;
-
- private:
-  int bins_;
-};
-
-/// |standardized logistic-regression coefficient| per feature (extended
-/// set): a linear-model importance complementing the tree ensembles.
-class LogisticRanker final : public FeatureRanker {
- public:
-  explicit LogisticRanker(std::uint64_t seed = 19) : seed_(seed) {}
-  using FeatureRanker::score;
-  std::string name() const override { return "Logistic"; }
-  bool fits_model() const override { return true; }
-  std::vector<double> score(const data::Matrix& x, std::span<const int> y,
-                            const ml::QuantizedDataset& coded) const override;
-
- private:
-  std::uint64_t seed_;
-};
-
 /// The paper's five preliminary approaches, in Section II-C order.
 /// `num_threads` is applied to every ranker's internal fan-out (see
 /// FeatureRanker::set_num_threads); results are thread-count invariant.
 std::vector<std::unique_ptr<FeatureRanker>> make_standard_rankers(std::uint64_t seed = 7,
-                                                                  std::size_t num_threads = 0);
-
-/// The five plus three further common approaches (mutual information,
-/// chi-square, logistic coefficients) — demonstrates that WEFR's
-/// ensemble is open to any preliminary selector set.
-std::vector<std::unique_ptr<FeatureRanker>> make_extended_rankers(std::uint64_t seed = 7,
                                                                   std::size_t num_threads = 0);
 
 }  // namespace wefr::core

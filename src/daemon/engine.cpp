@@ -335,6 +335,7 @@ RescoreStats Engine::rescore() {
   std::vector<FoldJob> folds, incr;
   std::vector<std::size_t> full;
   std::size_t pass_rows = 0;
+  bool capped = false;  // a drive went to the oracle for kMaxPassDoubles
   for (std::size_t di = 0; di < score_states_.size(); ++di) {
     const ScoreState& ss = score_states_[di];
     const data::DriveSeries& drive = fleet().drives[di];
@@ -343,12 +344,13 @@ RescoreStats Engine::rescore() {
     if (!stale && pending == 0) continue;
     FoldJob job{di, pending, kStateOnly, resident_.first_unfolded_day(di)};
     const int next_day = ss.scored_until < 0 ? drive.first_day : ss.scored_until + 1;
-    if (stale && !ss.full_dirty && pending > 0 && job.first_day == next_day &&
-        (pass_rows + pending) * width <= kMaxPassDoubles) {
+    const bool streams = stale && !ss.full_dirty && pending > 0 && job.first_day == next_day;
+    if (streams && (pass_rows + pending) * width <= kMaxPassDoubles) {
       job.first_row = pass_rows;
       pass_rows += pending;
       incr.push_back(job);
     } else if (stale) {
+      capped = capped || streams;
       full.push_back(di);
     }
     if (pending > 0) folds.push_back(job);
@@ -358,7 +360,9 @@ RescoreStats Engine::rescore() {
   // it. It is reused from pass to pass, and released when a pass needs
   // under a quarter of it: a fresh multi-MB block per pass grows the
   // heap (bench_e2e's daemon_recheck read ~17 MiB more peak RSS with
-  // one). One pool per pass runs the folds, then the scoring blocks.
+  // one). A pass that hit the cap releases its buffer at its own end
+  // instead, so the small pass after a backlog does not pay to unmap
+  // it. One pool per pass runs the folds, then the scoring blocks.
   const std::size_t need = pass_rows * width;
   if (need > pass_capacity_ || need < pass_capacity_ / 4) {
     pass_buffer_.reset();
@@ -401,6 +405,10 @@ RescoreStats Engine::rescore() {
   }
 
   if (!incr.empty()) stats.rows_scored += score_folded(incr, rows, workers);
+  if (capped) {
+    pass_buffer_.reset();
+    pass_capacity_ = 0;
+  }
 
   // Judge on this thread, after scoring: alarms are shared state.
   const auto first_new = static_cast<std::ptrdiff_t>(alarms_.size());

@@ -1,33 +1,16 @@
 #include "ml/forest_infer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <utility>
 
-#include "ml/gbdt.h"
 #include "ml/random_forest.h"
 #include "ml/tree.h"
 #include "obs/context.h"
 #include "obs/trace.h"
-
-// The traversal kernels are branchless gather/select loops over a
-// staged row block; like the rolling-feature kernels (window_features.cpp)
-// they are compiled twice on x86-64 — an AVX2 clone and a baseline one
-// — and dispatched at runtime. Only avx2 is targeted (no FMA, and the
-// kernels contain no contractible arithmetic anyway), so the clones
-// are bit-identical; a process-wide pin lets the bench time each clone.
-#ifndef __has_attribute
-#define __has_attribute(x) 0
-#endif
-#if defined(__x86_64__) && defined(__gnu_linux__) && __has_attribute(target)
-#define WEFR_INFER_AVX2 1
-#else
-#define WEFR_INFER_AVX2 0
-#endif
 
 namespace wefr::ml {
 
@@ -50,19 +33,17 @@ constexpr std::size_t kBlockRows = 512;
 /// worth of ways. One extra cache line of padding per column makes the
 /// column->set mapping coprime with the set count and spreads the
 /// group's working set across all 64 sets. Baked into the packed child
-/// references at build time, so the kernels never see the distinction.
+/// references at build time, so the kernel never sees the distinction.
 constexpr std::size_t kSlotStride = kBlockRows + 8;
 
-/// Everything one block traversal reads, gathered so the kernel clones
-/// share a single signature.
+/// Everything one block traversal reads.
 struct BlockArgs {
   const double* stage = nullptr;  ///< [slot][kSlotStride] raw values
   std::size_t rows = 0;           ///< occupied rows in the block
   const WideNode* wide = nullptr;  ///< nodes, BFS order, packed child refs
   const std::uint64_t* root_packed = nullptr;  ///< per-tree packed root ref
   const std::int32_t* tree_depth = nullptr;
-  std::size_t tree_begin = 0;
-  std::size_t tree_end = 0;
+  std::size_t trees = 0;
   double* acc = nullptr;  ///< [rows] per-row leaf-value accumulator
 };
 
@@ -167,10 +148,12 @@ constexpr std::size_t kGroup = 16;
   }
 }
 
-[[gnu::always_inline]] inline void run_trees(const BlockArgs& a) {
+/// Walks every tree over one staged block. Kept out of line: one copy
+/// of the unrolled walk, compiled apart from the staging loop.
+[[gnu::noinline]] void run_trees(const BlockArgs& a) {
   const char* const nbase = reinterpret_cast<const char*>(a.wide);
   const std::size_t n = a.rows;
-  for (std::size_t t = a.tree_begin; t < a.tree_end; ++t) {
+  for (std::size_t t = 0; t < a.trees; ++t) {
     const std::uint64_t root_pk = a.root_packed[t];
     const std::int32_t depth = a.tree_depth[t];
     std::size_t r = 0;
@@ -194,26 +177,6 @@ constexpr std::size_t kGroup = 16;
   }
 }
 
-void run_trees_base(const BlockArgs& a) { run_trees(a); }
-
-#if WEFR_INFER_AVX2
-[[gnu::target("avx2")]] void run_trees_avx2(const BlockArgs& a) { run_trees(a); }
-bool cpu_has_avx2() { return __builtin_cpu_supports("avx2") != 0; }
-#else
-bool cpu_has_avx2() { return false; }
-#endif
-
-std::atomic<bool> g_avx2_enabled{cpu_has_avx2()};
-
-/// Neutral node form both learners flatten through.
-struct RawNode {
-  std::int32_t feature = -1;  // < 0 = leaf
-  double threshold = 0.0;
-  std::int32_t left = -1;
-  std::int32_t right = -1;
-  double value = 0.0;  // leaf payload
-};
-
 /// Builder-side node form: one tree's nodes renumbered in BFS order,
 /// which makes every interior node's children adjacent, so only the
 /// left child's global id is stored (the right one is `child + 1`).
@@ -228,85 +191,31 @@ struct FlatNode {
 
 }  // namespace
 
-void FlatForest::set_avx2_enabled(bool on) {
-  g_avx2_enabled.store(on && cpu_has_avx2(), std::memory_order_relaxed);
-}
-bool FlatForest::avx2_enabled() { return g_avx2_enabled.load(std::memory_order_relaxed); }
-bool FlatForest::avx2_available() { return cpu_has_avx2(); }
-
-/// Friend of FlatForest (see forest_infer.h): fills the node arrays from
-/// the neutral node form both learners lower into.
-struct FlatBuilder {
-  static FlatForest build(std::span<const std::vector<RawNode>> trees,
-                          std::size_t num_features, const obs::Context* obs,
-                          std::uint64_t parent_span = 0);
-};
-
 FlatForest FlatForest::from(const RandomForest& forest, const obs::Context* obs,
                             std::uint64_t parent_span) {
   if (!forest.trained()) throw std::logic_error("FlatForest::from: forest not trained");
-  std::vector<std::vector<RawNode>> raw;
-  raw.reserve(forest.trees_.size());
-  for (const DecisionTree& tree : forest.trees_) {
-    std::vector<RawNode>& nodes = raw.emplace_back();
-    nodes.reserve(tree.nodes_.size());
-    for (const auto& nd : tree.nodes_) {
-      RawNode rn;
-      rn.feature = nd.feature;
-      rn.threshold = nd.threshold;
-      rn.left = nd.left;
-      rn.right = nd.right;
-      if (nd.feature < 0) rn.value = nd.prob;
-      nodes.push_back(rn);
-    }
-  }
-  return FlatBuilder::build(raw, forest.num_features(), obs, parent_span);
-}
-
-FlatForest FlatForest::from(const Gbdt& model, const obs::Context* obs) {
-  if (!model.trained()) throw std::logic_error("FlatForest::from: model not trained");
-  std::vector<std::vector<RawNode>> raw;
-  raw.reserve(model.trees_.size());
-  for (const auto& tree : model.trees_) {
-    std::vector<RawNode>& nodes = raw.emplace_back();
-    nodes.reserve(tree.nodes.size());
-    for (const auto& nd : tree.nodes) {
-      RawNode rn;
-      rn.feature = nd.feature;
-      rn.threshold = nd.threshold;
-      rn.left = nd.left;
-      rn.right = nd.right;
-      if (nd.feature < 0) rn.value = nd.weight;
-      nodes.push_back(rn);
-    }
-  }
-  return FlatBuilder::build(raw, model.num_features_, obs);
-}
-
-FlatForest FlatBuilder::build(std::span<const std::vector<RawNode>> trees,
-                              std::size_t num_features, const obs::Context* obs,
-                              std::uint64_t parent_span) {
   obs::Span span = parent_span != 0 ? obs::Span(obs, "forest:flatten", parent_span)
                                     : obs::Span(obs, "forest:flatten");
+  const std::size_t num_features = forest.num_features();
   FlatForest flat;
   flat.num_features_ = num_features;
 
   // Pass 1: which columns are split on. Only those get a stage column.
   std::vector<bool> split_on(num_features, false);
   std::size_t total_nodes = 0;
-  for (const auto& tree : trees) {
-    total_nodes += tree.size();
-    for (const RawNode& nd : tree) {
+  for (const DecisionTree& tree : forest.trees_) {
+    total_nodes += tree.nodes_.size();
+    for (const auto& nd : tree.nodes_) {
       if (nd.feature < 0) continue;
       if (static_cast<std::size_t>(nd.feature) >= num_features)
         throw std::logic_error("FlatForest: split feature out of range");
       split_on[static_cast<std::size_t>(nd.feature)] = true;
     }
   }
-  flat.feature_slot_.assign(num_features, -1);
+  std::vector<std::int32_t> feature_slot(num_features, -1);  // column -> s
   for (std::size_t f = 0; f < num_features; ++f) {
     if (!split_on[f]) continue;
-    flat.feature_slot_[f] = static_cast<std::int32_t>(flat.active_.size());
+    feature_slot[f] = static_cast<std::int32_t>(flat.active_.size());
     flat.active_.push_back(static_cast<std::int32_t>(f));
   }
 
@@ -314,11 +223,12 @@ FlatForest FlatBuilder::build(std::span<const std::vector<RawNode>> trees,
   std::vector<FlatNode> node;
   node.reserve(total_nodes);
   std::vector<std::int32_t> tree_first;  // root node id per tree
-  tree_first.reserve(trees.size());
-  flat.tree_depth_.reserve(trees.size());
+  tree_first.reserve(forest.trees_.size());
+  flat.tree_depth_.reserve(forest.trees_.size());
 
   std::vector<std::int32_t> order;  // original ids, BFS
-  for (const auto& tree : trees) {
+  for (const DecisionTree& dt : forest.trees_) {
+    const auto& tree = dt.nodes_;
     if (tree.empty()) throw std::logic_error("FlatForest: empty tree");
     const std::int32_t base = static_cast<std::int32_t>(node.size());
     tree_first.push_back(base);
@@ -328,7 +238,7 @@ FlatForest FlatBuilder::build(std::span<const std::vector<RawNode>> trees,
     std::vector<std::int32_t> newid(tree.size(), -1);
     newid[0] = 0;
     for (std::size_t q = 0; q < order.size(); ++q) {
-      const RawNode& nd = tree[static_cast<std::size_t>(order[q])];
+      const auto& nd = tree[static_cast<std::size_t>(order[q])];
       if (nd.feature < 0) continue;
       if (nd.left < 0 || nd.left >= n_local || nd.right < 0 || nd.right >= n_local)
         throw std::logic_error("FlatForest: child index out of range");
@@ -341,7 +251,7 @@ FlatForest FlatBuilder::build(std::span<const std::vector<RawNode>> trees,
       throw std::logic_error("FlatForest: tree nodes unreachable from root");
 
     for (std::size_t q = 0; q < order.size(); ++q) {
-      const RawNode& nd = tree[static_cast<std::size_t>(order[q])];
+      const auto& nd = tree[static_cast<std::size_t>(order[q])];
       const std::int32_t me = base + static_cast<std::int32_t>(q);
       if (nd.feature < 0) {
         // Leaf: payload overlays the threshold field, parked on the
@@ -349,12 +259,12 @@ FlatForest FlatBuilder::build(std::span<const std::vector<RawNode>> trees,
         // keeps selecting the leaf itself. A NaN payload would compare
         // false and walk the row off the leaf, so reject it here
         // (training never produces one).
-        if (std::isnan(nd.value))
+        if (std::isnan(nd.prob))
           throw std::logic_error("FlatForest: NaN leaf payload");
-        node.push_back(FlatNode{nd.value, 0, me});
+        node.push_back(FlatNode{nd.prob, 0, me});
         continue;
       }
-      const std::int32_t s = flat.feature_slot_[static_cast<std::size_t>(nd.feature)];
+      const std::int32_t s = feature_slot[static_cast<std::size_t>(nd.feature)];
       const std::int32_t left = base + newid[static_cast<std::size_t>(nd.left)];
       node.push_back(FlatNode{
           nd.threshold, (s + 1) * static_cast<std::int32_t>(kSlotStride), left});
@@ -369,7 +279,7 @@ FlatForest FlatBuilder::build(std::span<const std::vector<RawNode>> trees,
     while (!stack.empty()) {
       const auto [i, d] = stack.back();
       stack.pop_back();
-      const RawNode& nd = tree[static_cast<std::size_t>(i)];
+      const auto& nd = tree[static_cast<std::size_t>(i)];
       if (nd.feature < 0) {
         depth = std::max(depth, d);
         continue;
@@ -409,42 +319,16 @@ FlatForest FlatBuilder::build(std::span<const std::vector<RawNode>> trees,
   return flat;
 }
 
-void FlatForest::accumulate(const data::Matrix& x, std::span<const std::size_t> rows,
-                            std::span<double> out, const ColumnOverride* override_col) const {
-  if (out.size() != rows.size())
-    throw std::invalid_argument("FlatForest::accumulate: out/rows size mismatch");
-  accumulate_range(x, rows.data(), 0, rows.size(), out, 0, num_trees(), override_col);
-}
-
 void FlatForest::accumulate(const data::Matrix& x, std::size_t row_begin,
                             std::size_t row_end, std::span<double> out) const {
+  if (empty()) throw std::logic_error("FlatForest::accumulate: empty forest");
+  if (x.cols() != num_features_)
+    throw std::invalid_argument("FlatForest::accumulate: feature count mismatch");
   if (row_begin > row_end || row_end > x.rows())
     throw std::invalid_argument("FlatForest::accumulate: bad row range");
   if (out.size() != row_end - row_begin)
     throw std::invalid_argument("FlatForest::accumulate: out/range size mismatch");
-  accumulate_range(x, nullptr, row_begin, row_end - row_begin, out, 0, num_trees(), nullptr);
-}
-
-void FlatForest::accumulate_tree(std::size_t tree, const data::Matrix& x,
-                                 std::span<const std::size_t> rows, std::span<double> out,
-                                 const ColumnOverride* override_col) const {
-  if (tree >= num_trees())
-    throw std::invalid_argument("FlatForest::accumulate_tree: tree out of range");
-  if (out.size() != rows.size())
-    throw std::invalid_argument("FlatForest::accumulate_tree: out/rows size mismatch");
-  accumulate_range(x, rows.data(), 0, rows.size(), out, tree, tree + 1, override_col);
-}
-
-void FlatForest::accumulate_range(const data::Matrix& x, const std::size_t* rows,
-                                  std::size_t row_begin, std::size_t n,
-                                  std::span<double> out, std::size_t tree_begin,
-                                  std::size_t tree_end,
-                                  const ColumnOverride* override_col) const {
-  if (empty()) throw std::logic_error("FlatForest::accumulate: empty forest");
-  if (x.cols() != num_features_)
-    throw std::invalid_argument("FlatForest::accumulate: feature count mismatch");
-  if (override_col != nullptr && override_col->feature >= num_features_)
-    throw std::invalid_argument("FlatForest::accumulate: override feature out of range");
+  const std::size_t n = row_end - row_begin;
 
   // Column 0 of the stage is the reserved -inf column leaves park on
   // (see WideNode); active feature `s` stages at column `s + 1`.
@@ -457,23 +341,10 @@ void FlatForest::accumulate_range(const data::Matrix& x, const std::size_t* rows
   args.wide = wide_.data();
   args.root_packed = root_packed_.data();
   args.tree_depth = tree_depth_.data();
-  args.tree_begin = tree_begin;
-  args.tree_end = tree_end;
-
-  using Kernel = void (*)(const BlockArgs&);
-  Kernel kernel = run_trees_base;
-#if WEFR_INFER_AVX2
-  if (g_avx2_enabled.load(std::memory_order_relaxed)) kernel = run_trees_avx2;
-#endif
-
-  const std::int32_t override_slot =
-      override_col != nullptr ? feature_slot_[override_col->feature] : -1;
+  args.trees = num_trees();
 
   for (std::size_t begin = 0; begin < n; begin += kBlockRows) {
     const std::size_t count = std::min(kBlockRows, n - begin);
-    auto src_row = [&](std::size_t r) {
-      return rows != nullptr ? rows[begin + r] : row_begin + begin + r;
-    };
     // Stage the block column-major: one contiguous kBlockRows run per
     // active feature, so every tree's gathers hit the same hot scratch.
     // Feature-outer: sequential stores into each column run, short
@@ -483,15 +354,12 @@ void FlatForest::accumulate_range(const data::Matrix& x, const std::size_t* rows
     // where every store landed in the same few L1 sets.)
     for (std::size_t s = 0; s < active_.size(); ++s) {
       const std::size_t f = static_cast<std::size_t>(active_[s]);
-      const bool overridden = static_cast<std::int32_t>(s) == override_slot;
       double* dst = stage.data() + (s + 1) * kSlotStride;
-      for (std::size_t r = 0; r < count; ++r) {
-        dst[r] = overridden ? override_col->values[begin + r] : x(src_row(r), f);
-      }
+      for (std::size_t r = 0; r < count; ++r) dst[r] = x(row_begin + begin + r, f);
     }
     args.rows = count;
     args.acc = out.data() + begin;
-    kernel(args);
+    run_trees(args);
   }
 }
 

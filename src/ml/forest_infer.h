@@ -12,17 +12,7 @@ struct Context;
 
 namespace wefr::ml {
 
-class Gbdt;
 class RandomForest;
-
-/// One column substitution applied during batch inference: the value of
-/// feature `feature` for the i-th scored row is read from `values[i]`
-/// instead of the matrix. Permutation importance shuffles one column
-/// this way without ever copying the matrix or the rows.
-struct ColumnOverride {
-  std::size_t feature = 0;
-  std::span<const double> values;
-};
 
 /// One flattened tree node: a 32-byte aligned record, so a node visit
 /// touches one cache line. Trees are emitted in BFS order, which keeps
@@ -52,12 +42,12 @@ struct alignas(32) WideNode {
   std::uint64_t pad_ = 0;
 };
 
-/// A fitted tree ensemble compiled into flat packed-node form for the
+/// A fitted random forest compiled into flat packed-node form for the
 /// scoring hot path.
 ///
-/// The recursive per-row walk (`DecisionTree::predict_proba`,
-/// `Gbdt::Tree::predict`) chases 40-byte nodes through per-tree
-/// vectors and takes an unpredictable branch at every level. The
+/// The recursive per-row walk (`DecisionTree::predict_proba`) chases
+/// 40-byte nodes through per-tree vectors and takes an unpredictable
+/// branch at every level. The
 /// flattening pass rewrites every tree into one contiguous node run
 /// (BFS order, leaves parked as self-loops), so a batched traversal
 /// can advance a whole block of rows through a tree level-by-level
@@ -70,12 +60,11 @@ struct alignas(32) WideNode {
 /// step's value load issue in parallel with its node-record load.
 ///
 /// Equivalence contract, pinned by tests/test_forest_infer.cpp and the
-/// bench_hotpath inference gate: both kernel clones (AVX2 / default)
-/// land on exactly the leaf the recursive walk lands on, and leaf
-/// values are accumulated in tree order — so batch scores
-/// are bit-identical to the per-row walk at any batch size, batch
-/// composition, and thread count. NaN feature values route right at
-/// every split, exactly like the recursive `v <= thr ? left : right`.
+/// bench_hotpath inference gate: the kernel lands on exactly the leaf
+/// the recursive walk lands on, and leaf values are accumulated in tree
+/// order — so batch scores are bit-identical to the per-row walk at any
+/// row range and thread count. NaN feature values route right at every
+/// split, exactly like the recursive `v <= thr ? left : right`.
 class FlatForest {
  public:
   FlatForest() = default;
@@ -87,9 +76,6 @@ class FlatForest {
   /// thread's innermost open span.
   static FlatForest from(const RandomForest& forest, const obs::Context* obs = nullptr,
                          std::uint64_t parent_span = 0);
-  /// Flattens a fitted GBDT; leaf payloads are shrunk leaf weights
-  /// (callers add the base score and apply the link function).
-  static FlatForest from(const Gbdt& model, const obs::Context* obs = nullptr);
 
   bool empty() const { return root_packed_.empty(); }
   std::size_t num_trees() const { return root_packed_.size(); }
@@ -97,43 +83,13 @@ class FlatForest {
   /// Depth of the deepest tree (0 = all single-leaf trees).
   int max_depth() const { return max_depth_; }
 
-  /// Adds each tree's leaf value (in tree order) for row `rows[i]` of
-  /// `x` into `out[i]`. `out.size()` must equal `rows.size()`; callers
-  /// pre-fill `out` with the ensemble's additive base (0 for a forest,
-  /// the log-odds prior for a GBDT).
-  void accumulate(const data::Matrix& x, std::span<const std::size_t> rows,
-                  std::span<double> out, const ColumnOverride* override_col = nullptr) const;
-
-  /// Contiguous-range convenience: rows [row_begin, row_end) of `x`,
-  /// out[i] accumulates row `row_begin + i`.
+  /// Adds each tree's leaf value (in tree order) for rows
+  /// [row_begin, row_end) of `x`: out[i] accumulates row
+  /// `row_begin + i`. Callers pre-fill `out` (0 for a forest's sum).
   void accumulate(const data::Matrix& x, std::size_t row_begin, std::size_t row_end,
                   std::span<double> out) const;
 
-  /// Single-tree accumulate (OOB importance scores each tree on its own
-  /// out-of-bag rows): adds tree `tree`'s leaf value per row into `out`.
-  void accumulate_tree(std::size_t tree, const data::Matrix& x,
-                       std::span<const std::size_t> rows, std::span<double> out,
-                       const ColumnOverride* override_col = nullptr) const;
-
-  /// Process-wide kernel pin for benches/tests: when `on` is false the
-  /// traversal always uses the baseline clone even on AVX2 hardware.
-  /// Never affects results — the clones are IEEE-exact twins.
-  static void set_avx2_enabled(bool on);
-  /// True when the next traversal will dispatch to the AVX2 clone.
-  static bool avx2_enabled();
-  /// True when this build/CPU has an AVX2 clone at all.
-  static bool avx2_available();
-
  private:
-  /// Implementation detail of the two from() overloads (defined in
-  /// forest_infer.cpp): builds the node arrays from a neutral node form.
-  friend struct FlatBuilder;
-
-  void accumulate_range(const data::Matrix& x, const std::size_t* rows,
-                        std::size_t row_begin, std::size_t n, std::span<double> out,
-                        std::size_t tree_begin, std::size_t tree_end,
-                        const ColumnOverride* override_col) const;
-
   std::size_t num_features_ = 0;
   int max_depth_ = 0;
 
@@ -147,8 +103,7 @@ class FlatForest {
   // Active features (split on at least once), indexed by active
   // position `s`; the staged column for `s` is `s + 1` (column 0 is the
   // reserved -inf column leaves park on).
-  std::vector<std::int32_t> active_;        ///< s -> original column
-  std::vector<std::int32_t> feature_slot_;  ///< column -> s, -1 if unused
+  std::vector<std::int32_t> active_;  ///< s -> original column
 };
 
 }  // namespace wefr::ml

@@ -6,12 +6,8 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "ml/forest_infer.h"
 #include "ml/quantize.h"
 #include "ml/radix_sort.h"
-#include "obs/context.h"
-#include "obs/trace.h"
-#include "util/thread_pool.h"
 
 namespace wefr::ml {
 
@@ -165,10 +161,6 @@ void Gbdt::fit(const data::Matrix& x, std::span<const int> y, const QuantizedDat
     for (std::size_t i = 0; i < n; ++i) score[i] += tree.predict(x.row(i));
     trees_.push_back(std::move(tree));
   }
-
-  // Compile the boosted trees into the flattened SoA inference engine;
-  // the batch predict_proba below routes through it.
-  flat_ = std::make_shared<const FlatForest>(FlatForest::from(*this));
 }
 
 std::int32_t Gbdt::build_node(BuildContext& ctx, std::vector<std::size_t>& idx,
@@ -349,38 +341,6 @@ double Gbdt::raw_score(std::span<const double> row) const {
 double Gbdt::predict_proba(std::span<const double> row) const {
   if (trees_.empty()) throw std::logic_error("Gbdt::predict_proba: not trained");
   return sigmoid(raw_score(row));
-}
-
-std::vector<double> Gbdt::predict_proba(const data::Matrix& x, std::size_t num_threads,
-                                        const obs::Context* obs) const {
-  if (trees_.empty()) throw std::logic_error("Gbdt::predict_proba: not trained");
-  if (flat_ == nullptr) throw std::logic_error("Gbdt::predict_proba: no flattened engine");
-  obs::Span span(obs, "forest:predict_batch");
-  obs::add_counter(obs, "wefr_inference_rows_total", x.rows());
-  const FlatForest& flat = *flat_;
-  std::vector<double> out(x.rows(), base_score_);
-  // Each block accumulates shrunk leaf weights onto the log-odds prior
-  // in tree order — the same addition sequence as the recursive
-  // raw_score — then applies the link, so scores are bit-identical at
-  // any block boundary or thread count.
-  auto score_rows = [&](std::size_t begin, std::size_t end) {
-    std::span<double> chunk(out.data() + begin, end - begin);
-    flat.accumulate(x, begin, end, chunk);
-    for (double& v : chunk) v = sigmoid(v);
-  };
-  if (num_threads > 1 && x.rows() > 1) {
-    // Block per task so each iteration amortizes the pool's dispatch —
-    // the same deterministic chunking RandomForest::predict_proba uses.
-    const std::size_t block = 256;
-    const std::size_t num_blocks = (x.rows() + block - 1) / block;
-    util::ThreadPool pool(num_threads);
-    pool.parallel_for(num_blocks, [&](std::size_t b) {
-      score_rows(b * block, std::min(x.rows(), (b + 1) * block));
-    });
-  } else {
-    score_rows(0, x.rows());
-  }
-  return out;
 }
 
 namespace {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -9,13 +8,8 @@
 #include "ml/tree.h"
 #include "util/rng.h"
 
-namespace wefr::obs {
-struct Context;
-}
-
 namespace wefr::ml {
 
-class FlatForest;
 class QuantizedDataset;
 
 /// Gradient-boosted-tree training controls (XGBoost-style second-order
@@ -68,15 +62,6 @@ class Gbdt {
 
   /// P(y = 1) for a single row.
   double predict_proba(std::span<const double> row) const;
-  /// P(y = 1) for every row of `x`, scored through the flattened SoA
-  /// engine (ml::FlatForest) built at fit time — bit-identical to the
-  /// per-row recursive walk. `num_threads > 1` fans row blocks out over
-  /// a ThreadPool (deterministic chunking, results identical at any
-  /// thread count); `obs` (nullable) wraps the call in a
-  /// "forest:predict_batch" span and counts wefr_inference_rows_total.
-  std::vector<double> predict_proba(const data::Matrix& x,
-                                    std::size_t num_threads = 0,
-                                    const obs::Context* obs = nullptr) const;
 
   /// Split-count ("weight") importance, normalized to sum 1 unless all 0.
   std::vector<double> weight_importance() const;
@@ -90,15 +75,7 @@ class Gbdt {
   bool trained() const { return !trees_.empty(); }
   std::size_t num_features() const { return num_features_; }
 
-  /// The flattened inference engine compiled from this model at fit
-  /// time (null before fit). Exposed for benches and tests.
-  const FlatForest* flat() const { return flat_.get(); }
-
  private:
-  /// The flattening pass recompiles trees_ into SoA form; the recursive
-  /// Tree::predict stays the equivalence oracle.
-  friend class FlatForest;
-
   struct Node {
     std::int32_t feature = -1;  // leaf when < 0
     double threshold = 0.0;
@@ -126,9 +103,6 @@ class Gbdt {
   std::size_t num_features_ = 0;
   std::vector<double> split_count_;
   std::vector<double> split_gain_;
-  /// SoA-compiled twin of trees_, rebuilt at the end of fit(); shared
-  /// so copies of a fitted model share one flat image.
-  std::shared_ptr<const FlatForest> flat_;
 };
 
 }  // namespace wefr::ml

@@ -63,7 +63,6 @@ void RandomForest::fit_all(std::span<const FitJob> jobs, const ForestOptions& op
     RandomForest& out = *job.forest;
     out.num_features_ = cols;
     out.trees_.assign(opt.num_trees, DecisionTree{});
-    out.inbag_.assign(opt.num_trees, {});
     out.flat_.reset();
   }
 
@@ -96,7 +95,7 @@ void RandomForest::fit_all(std::span<const FitJob> jobs, const ForestOptions& op
     std::vector<std::size_t> idx(f.boot);
     for (auto& r : idx) r = local.uniform_index(n);
     RandomForest& out = *job.forest;
-    out.trees_[t].fit(*job.x, job.y, idx, f.topt, local, f.coded, &out.inbag_[t]);
+    out.trees_[t].fit(*job.x, job.y, idx, f.topt, local, f.coded);
   };
   // Compile each fitted forest into the flattened SoA inference engine;
   // every batch scorer routes through it.
@@ -185,21 +184,6 @@ std::vector<double> RandomForest::predict_proba(const data::Matrix& x,
   return out;
 }
 
-void RandomForest::predict_proba(const data::Matrix& x, std::span<const std::size_t> rows,
-                                 std::span<double> out, const obs::Context* obs) const {
-  if (trees_.empty()) throw std::logic_error("RandomForest::predict_proba: not trained");
-  if (out.size() != rows.size())
-    throw std::invalid_argument("RandomForest::predict_proba: out/rows size mismatch");
-  obs::Span span(obs, "forest:predict_batch");
-  obs::add_counter(obs, "wefr_forest_rows_scored_total", rows.size());
-  obs::add_counter(obs, "wefr_inference_rows_total", rows.size());
-  const FlatForest& flat = flat_ref();
-  const double count = static_cast<double>(trees_.size());
-  std::fill(out.begin(), out.end(), 0.0);
-  flat.accumulate(x, rows, out);
-  for (double& v : out) v /= count;
-}
-
 std::vector<double> RandomForest::impurity_importance() const {
   if (trees_.empty()) throw std::logic_error("RandomForest::impurity_importance: not trained");
   std::vector<double> imp(num_features_, 0.0);
@@ -211,155 +195,6 @@ std::vector<double> RandomForest::impurity_importance() const {
   for (double v : imp) total += v;
   if (total > 0.0) {
     for (double& v : imp) v /= total;
-  }
-  return imp;
-}
-
-std::vector<double> RandomForest::permutation_importance(const data::Matrix& x,
-                                                         std::span<const int> y,
-                                                         util::Rng& rng, int repeats,
-                                                         std::size_t num_threads) const {
-  if (trees_.empty())
-    throw std::logic_error("RandomForest::permutation_importance: not trained");
-  if (x.cols() != num_features_ || x.rows() != y.size())
-    throw std::invalid_argument("RandomForest::permutation_importance: shape mismatch");
-  if (repeats < 1) throw std::invalid_argument("permutation_importance: repeats < 1");
-
-  const std::size_t n = x.rows();
-  auto accuracy_of = [&](const std::vector<double>& probs) {
-    std::size_t correct = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      correct += ((probs[i] >= 0.5 ? 1 : 0) == y[i]) ? 1 : 0;
-    }
-    return static_cast<double>(correct) / static_cast<double>(n);
-  };
-
-  const double baseline = accuracy_of(predict_proba(x, num_threads));
-
-  // One stream per feature, pre-forked so the parallel fan-out below
-  // produces the same shuffles as a serial pass.
-  std::vector<util::Rng> streams;
-  streams.reserve(num_features_);
-  for (std::size_t f = 0; f < num_features_; ++f) streams.push_back(rng.fork());
-
-  const FlatForest& flat = flat_ref();
-  const double count = static_cast<double>(trees_.size());
-  std::vector<std::size_t> all_rows(n);
-  std::iota(all_rows.begin(), all_rows.end(), 0);
-
-  std::vector<double> imp(num_features_, 0.0);
-  auto score_feature = [&](std::size_t f) {
-    util::Rng& local = streams[f];
-    std::vector<double> shuffled(n);
-    std::vector<double> probs(n);
-    std::vector<std::size_t> perm(n);
-    double drop_sum = 0.0;
-    for (int rep = 0; rep < repeats; ++rep) {
-      for (std::size_t i = 0; i < n; ++i) perm[i] = i;
-      local.shuffle(perm);
-      // Batch-score all rows with the shuffled column substituted in
-      // via ColumnOverride — no matrix or row copies, same shuffles and
-      // bit-identical probabilities as the historical per-row walk.
-      for (std::size_t i = 0; i < n; ++i) shuffled[i] = x(perm[i], f);
-      const ColumnOverride override_col{f, shuffled};
-      std::fill(probs.begin(), probs.end(), 0.0);
-      flat.accumulate(x, all_rows, probs, &override_col);
-      for (double& p : probs) p /= count;
-      drop_sum += baseline - accuracy_of(probs);
-    }
-    imp[f] = std::max(0.0, drop_sum / static_cast<double>(repeats));
-  };
-
-  if (num_threads > 1 && num_features_ > 1) {
-    util::ThreadPool pool(num_threads);
-    pool.parallel_for(num_features_, score_feature);
-  } else {
-    for (std::size_t f = 0; f < num_features_; ++f) score_feature(f);
-  }
-  return imp;
-}
-
-std::vector<double> RandomForest::oob_permutation_importance(const data::Matrix& x,
-                                                             std::span<const int> y,
-                                                             util::Rng& rng,
-                                                             std::size_t num_threads) const {
-  if (trees_.empty())
-    throw std::logic_error("RandomForest::oob_permutation_importance: not trained");
-  if (x.cols() != num_features_ || x.rows() != y.size())
-    throw std::invalid_argument("oob_permutation_importance: shape mismatch");
-  if (inbag_.size() != trees_.size())
-    throw std::logic_error("oob_permutation_importance: no in-bag records (loaded forest?)");
-
-  const std::size_t n = x.rows();
-
-  const FlatForest& flat = flat_ref();
-
-  // OOB rows (complement of the sorted in-bag list) and baseline OOB
-  // accuracy per tree, computed once and shared by every feature. Each
-  // tree scores its own OOB rows in one flattened batch
-  // (accumulate_tree); a single tree's accumulated value is its exact
-  // leaf probability, so the 0.5 cut matches the recursive walk.
-  std::vector<std::vector<std::size_t>> oob(trees_.size());
-  std::vector<double> base_acc(trees_.size(), 0.0);
-  std::size_t trees_with_oob = 0;
-  std::vector<double> tree_probs;
-  for (std::size_t t = 0; t < trees_.size(); ++t) {
-    const auto& inbag = inbag_[t];
-    std::size_t k = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      while (k < inbag.size() && inbag[k] < i) ++k;
-      if (k >= inbag.size() || inbag[k] != i) oob[t].push_back(i);
-    }
-    if (oob[t].empty()) continue;
-    ++trees_with_oob;
-    tree_probs.assign(oob[t].size(), 0.0);
-    flat.accumulate_tree(t, x, oob[t], tree_probs);
-    std::size_t correct = 0;
-    for (std::size_t i = 0; i < oob[t].size(); ++i) {
-      correct += ((tree_probs[i] >= 0.5 ? 1 : 0) == y[oob[t][i]]) ? 1 : 0;
-    }
-    base_acc[t] = static_cast<double>(correct) / static_cast<double>(oob[t].size());
-  }
-
-  std::vector<util::Rng> streams;
-  streams.reserve(num_features_);
-  for (std::size_t f = 0; f < num_features_; ++f) streams.push_back(rng.fork());
-
-  std::vector<double> imp(num_features_, 0.0);
-  auto score_feature = [&](std::size_t f) {
-    util::Rng& local = streams[f];
-    std::vector<double> shuffled;
-    std::vector<double> probs;
-    std::vector<std::size_t> perm;
-    double drop_sum = 0.0;
-    for (std::size_t t = 0; t < trees_.size(); ++t) {
-      if (oob[t].empty()) continue;
-      perm.assign(oob[t].begin(), oob[t].end());
-      local.shuffle(perm);
-      shuffled.resize(oob[t].size());
-      for (std::size_t i = 0; i < oob[t].size(); ++i) shuffled[i] = x(perm[i], f);
-      const ColumnOverride override_col{f, shuffled};
-      probs.assign(oob[t].size(), 0.0);
-      flat.accumulate_tree(t, x, oob[t], probs, &override_col);
-      std::size_t correct = 0;
-      for (std::size_t i = 0; i < oob[t].size(); ++i) {
-        correct += ((probs[i] >= 0.5 ? 1 : 0) == y[oob[t][i]]) ? 1 : 0;
-      }
-      drop_sum +=
-          base_acc[t] - static_cast<double>(correct) / static_cast<double>(oob[t].size());
-    }
-    imp[f] = drop_sum;
-  };
-
-  if (num_threads > 1 && num_features_ > 1) {
-    util::ThreadPool pool(num_threads);
-    pool.parallel_for(num_features_, score_feature);
-  } else {
-    for (std::size_t f = 0; f < num_features_; ++f) score_feature(f);
-  }
-
-  if (trees_with_oob > 0) {
-    for (double& v : imp) v = std::max(0.0, v / static_cast<double>(trees_with_oob));
   }
   return imp;
 }
@@ -389,7 +224,7 @@ void RandomForest::load(std::istream& is) {
       throw std::runtime_error("RandomForest::load: tree feature count differs from header");
   }
   loaded.flat_ = std::make_shared<const FlatForest>(FlatForest::from(loaded));
-  *this = std::move(loaded);  // OOB information is not serialized
+  *this = std::move(loaded);
 }
 
 }  // namespace wefr::ml

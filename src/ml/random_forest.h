@@ -33,11 +33,7 @@ struct ForestOptions {
 };
 
 /// Bagged ensemble of CART trees with per-split feature subsampling.
-///
-/// Provides both notions of feature importance the paper relies on:
-/// mean Gini impurity decrease (fast, used to rank features) and
-/// permutation importance ("degree of reduction of classification
-/// accuracy after adding noises to a learning feature", Breiman 2001).
+/// Ranks features by mean Gini impurity decrease.
 class RandomForest {
  public:
   /// One forest of a fit job list (see fit_all).
@@ -93,39 +89,9 @@ class RandomForest {
                                     std::size_t num_threads = 0,
                                     const obs::Context* obs = nullptr) const;
 
-  /// Batch scoring of selected rows: `out[i]` receives the forest
-  /// probability of row `rows[i]` of `x` (out.size() == rows.size()).
-  /// Same flattened engine and bit-identity guarantee as the Matrix
-  /// overload; used by core::score_fleet to score each drive's
-  /// drive-days in one pass.
-  void predict_proba(const data::Matrix& x, std::span<const std::size_t> rows,
-                     std::span<double> out, const obs::Context* obs = nullptr) const;
-
   /// Normalized mean impurity-decrease importance (sums to 1 unless all
   /// zero). Length = number of training features.
   std::vector<double> impurity_importance() const;
-
-  /// Permutation importance on an evaluation set: the decrease of
-  /// accuracy (at the 0.5 probability cut) after shuffling each feature
-  /// column, averaged over `repeats` shuffles. Negative values are
-  /// floored at 0. Each feature draws from its own stream pre-forked
-  /// off `rng`, so results do not depend on `num_threads` (features fan
-  /// out over a ThreadPool when it is > 1).
-  std::vector<double> permutation_importance(const data::Matrix& x, std::span<const int> y,
-                                             util::Rng& rng, int repeats = 1,
-                                             std::size_t num_threads = 0) const;
-
-  /// Breiman's original out-of-bag permutation importance: for each
-  /// tree, the accuracy drop on its own OOB samples after permuting a
-  /// feature, averaged over trees. Requires the forest to have been fit
-  /// on (x, y) with the same row order (OOB masks are recorded at fit
-  /// time). More faithful to [Breiman 2001] than the evaluation-set
-  /// variant and needs no held-out data. Parallelizes over features
-  /// like permutation_importance (per-feature pre-forked streams, so
-  /// results do not depend on `num_threads`).
-  std::vector<double> oob_permutation_importance(const data::Matrix& x,
-                                                 std::span<const int> y, util::Rng& rng,
-                                                 std::size_t num_threads = 0) const;
 
   /// Serializes the fitted forest to a line-oriented text format
   /// (version-tagged; raw doubles at full precision). Throws when not
@@ -141,8 +107,7 @@ class RandomForest {
   std::size_t num_features() const { return num_features_; }
 
   /// The flattened inference engine compiled from this forest at
-  /// fit/load time (null before either). Exposed for benches and tests
-  /// that exercise specific kernel paths.
+  /// fit/load time (null before either). Exposed for benches and tests.
   const FlatForest* flat() const { return flat_.get(); }
 
  private:
@@ -151,8 +116,6 @@ class RandomForest {
   const FlatForest& flat_ref() const;
 
   std::vector<DecisionTree> trees_;
-  /// Per tree: sorted unique in-bag row indices (for OOB importance).
-  std::vector<std::vector<std::size_t>> inbag_;
   std::size_t num_features_ = 0;
   /// SoA-compiled twin of trees_, rebuilt at the end of fit()/load();
   /// shared so copies of a fitted forest share one flat image.

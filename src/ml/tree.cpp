@@ -233,8 +233,7 @@ SplitCandidate best_split_histogram(DecisionTree::BuildContext& ctx,
 
 void DecisionTree::fit(const data::Matrix& x, std::span<const int> y,
                        std::span<const std::size_t> sample_idx, const TreeOptions& opt,
-                       util::Rng& rng, const QuantizedDataset* quantized,
-                       std::vector<std::size_t>* in_bag) {
+                       util::Rng& rng, const QuantizedDataset* quantized) {
   if (x.rows() != y.size()) throw std::invalid_argument("DecisionTree::fit: shape mismatch");
   if (sample_idx.empty()) throw std::invalid_argument("DecisionTree::fit: no samples");
 
@@ -271,10 +270,6 @@ void DecisionTree::fit(const data::Matrix& x, std::span<const int> y,
   for (std::size_t r = 0; r < x.rows(); ++r) {
     if (multiplicity[r] != 0)
       rows.push_back({static_cast<std::uint32_t>(r), multiplicity[r]});
-  }
-  if (in_bag != nullptr) {
-    in_bag->resize(rows.size());
-    for (std::size_t k = 0; k < rows.size(); ++k) (*in_bag)[k] = rows[k].row;
   }
 
   nodes_.clear();

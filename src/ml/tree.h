@@ -61,13 +61,10 @@ class DecisionTree {
   /// `x`: a caller that already coded `x` (the forest codes once and
   /// shares across trees) passes them as `quantized`; otherwise the tree
   /// codes `x` locally. Under kAuto the histogram search engages when
-  /// `sample_idx` holds at least `opt.histogram_cutoff` rows. When
-  /// `in_bag` is given it receives the distinct rows of `sample_idx` in
-  /// ascending order (the forest keeps them for OOB importance).
+  /// `sample_idx` holds at least `opt.histogram_cutoff` rows.
   void fit(const data::Matrix& x, std::span<const int> y,
            std::span<const std::size_t> sample_idx, const TreeOptions& opt, util::Rng& rng,
-           const QuantizedDataset* quantized = nullptr,
-           std::vector<std::size_t>* in_bag = nullptr);
+           const QuantizedDataset* quantized = nullptr);
 
   /// Convenience fit over all rows.
   void fit(const data::Matrix& x, std::span<const int> y, const TreeOptions& opt,

@@ -4,22 +4,19 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <numeric>
 #include <sstream>
 #include <vector>
 
 #include "core/pipeline.h"
 #include "data/matrix.h"
 #include "ml/forest_infer.h"
-#include "ml/gbdt.h"
 #include "ml/random_forest.h"
 #include "smartsim/generator.h"
 #include "util/rng.h"
 
 // Equivalence suite for the flattened forest-inference engine: the
-// recursive per-row walk is the oracle, and every batched path — AVX2
-// or baseline kernel, any batch size or thread count — must land on
-// bit-identical scores.
+// recursive per-row walk is the oracle, and every batched path — any
+// row range or thread count — must land on bit-identical scores.
 
 namespace wefr::ml {
 namespace {
@@ -61,16 +58,16 @@ void expect_bit_identical(const std::vector<double>& a, const std::vector<double
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << "row " << i;
 }
 
-/// Scores every row of `x` through the selected-rows entry, `batch`
+/// Scores every row of `x` through the Matrix entry, `batch`
 /// consecutive rows per call.
 std::vector<double> scores_in_batches(const RandomForest& forest, const Matrix& x,
                                       std::size_t batch) {
-  std::vector<double> got(x.rows());
+  std::vector<double> got;
+  got.reserve(x.rows());
   for (std::size_t begin = 0; begin < x.rows(); begin += batch) {
-    const std::size_t end = std::min(x.rows(), begin + batch);
-    std::vector<std::size_t> rows(end - begin);
-    std::iota(rows.begin(), rows.end(), begin);
-    forest.predict_proba(x, rows, std::span<double>(got.data() + begin, end - begin));
+    const std::size_t count = std::min(batch, x.rows() - begin);
+    const auto part = forest.predict_proba(x.slice_rows(begin, count));
+    got.insert(got.end(), part.begin(), part.end());
   }
   return got;
 }
@@ -168,25 +165,6 @@ TEST(ForestInfer, ThreadCountInvariance) {
   }
 }
 
-TEST(ForestInfer, ScatteredRowSelection) {
-  util::Rng rng(16);
-  Matrix x;
-  std::vector<int> y;
-  make_blobs(400, 4, x, y, rng);
-  RandomForest forest;
-  ForestOptions opt;
-  opt.num_trees = 9;
-  forest.fit(x, y, opt, rng);
-  const Matrix eval = make_eval(200, 4, rng);
-  // Arbitrary order with repeats: out[i] must score rows[i] exactly.
-  std::vector<std::size_t> rows = {199, 0, 7, 7, 123, 42, 199, 1};
-  std::vector<double> got(rows.size());
-  forest.predict_proba(eval, rows, got);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(got[i], forest.predict_proba(eval.row(rows[i]))) << "slot " << i;
-  }
-}
-
 TEST(ForestInfer, QuantizedPathMatchesDoublePath) {
   // Histogram-only splitting with a small bin budget keeps each
   // feature's threshold set small (every histogram threshold is a
@@ -211,13 +189,7 @@ TEST(ForestInfer, QuantizedPathMatchesDoublePath) {
 
   const Matrix eval = make_eval(333, 4, rng, /*nan_prob=*/0.15);
   const auto expected = oracle_scores(forest, eval);
-  std::vector<std::size_t> rows(eval.rows());
-  std::iota(rows.begin(), rows.end(), 0);
   std::vector<double> acc(eval.rows(), 0.0);
-  forest.flat()->accumulate(eval, rows, acc);
-  for (double& v : acc) v /= static_cast<double>(forest.num_trees());
-  expect_bit_identical(acc, expected);
-  acc.assign(eval.rows(), 0.0);
   forest.flat()->accumulate(eval, 0, eval.rows(), acc);
   for (double& v : acc) v /= static_cast<double>(forest.num_trees());
   expect_bit_identical(acc, expected);
@@ -245,10 +217,8 @@ TEST(ForestInfer, ExactSplitForestExceedsCodecAndFallsBack) {
 
   const Matrix eval = make_eval(250, 2, rng);
   const auto expected = oracle_scores(forest, eval);
-  std::vector<std::size_t> rows(eval.rows());
-  std::iota(rows.begin(), rows.end(), 0);
   std::vector<double> acc(eval.rows(), 0.0);
-  forest.flat()->accumulate(eval, rows, acc);
+  forest.flat()->accumulate(eval, 0, eval.rows(), acc);
   for (double& v : acc) v /= static_cast<double>(forest.num_trees());
   expect_bit_identical(acc, expected);
 }
@@ -280,104 +250,17 @@ TEST(ForestInfer, WideForestMatchesRecursiveWalk) {
   for (double v : forest.impurity_importance()) split_features += v > 0.0 ? 1 : 0;
   EXPECT_GE(split_features, 100u);
 
-  Matrix eval = make_eval(777, kFeatures, rng, /*nan_prob=*/0.1);
+  const Matrix eval = make_eval(777, kFeatures, rng, /*nan_prob=*/0.1);
   const auto expected = oracle_scores(forest, eval);
 
   // The matrix entry, serial and fanned out.
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     expect_bit_identical(forest.predict_proba(eval, threads), expected);
   }
-  // Selected rows in batches that split the 512-row stage differently.
+  // Row slices that split the 512-row stage differently.
   for (std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{256}, eval.rows()}) {
     expect_bit_identical(scores_in_batches(forest, eval, batch), expected);
   }
-  std::vector<std::size_t> all(eval.rows());
-  std::iota(all.begin(), all.end(), 0);
-  // Single trees, summed in tree order, reproduce the forest sum.
-  std::vector<double> acc(eval.rows(), 0.0);
-  for (std::size_t t = 0; t < forest.num_trees(); ++t) {
-    forest.flat()->accumulate_tree(t, eval, all, acc);
-  }
-  for (double& v : acc) v /= static_cast<double>(forest.num_trees());
-  expect_bit_identical(acc, expected);
-  // A column override scores like the materialized copy.
-  const std::size_t f = 0;
-  std::vector<double> replacement(eval.rows());
-  for (double& v : replacement) v = rng.normal(1.0, 3.0);
-  const ColumnOverride override_col{f, replacement};
-  acc.assign(eval.rows(), 0.0);
-  forest.flat()->accumulate(eval, all, acc, &override_col);
-  for (double& v : acc) v /= static_cast<double>(forest.num_trees());
-  for (std::size_t i = 0; i < eval.rows(); ++i) eval(i, f) = replacement[i];
-  expect_bit_identical(acc, oracle_scores(forest, eval));
-}
-
-TEST(ForestInfer, Avx2AndBaselineKernelsAgree) {
-  util::Rng rng(19);
-  Matrix x;
-  std::vector<int> y;
-  make_blobs(800, 5, x, y, rng);
-  RandomForest forest;
-  ForestOptions opt;
-  opt.num_trees = 12;
-  opt.tree.max_depth = 10;
-  forest.fit(x, y, opt, rng);
-  const Matrix eval = make_eval(413, 5, rng, /*nan_prob=*/0.1);
-
-  FlatForest::set_avx2_enabled(false);
-  EXPECT_FALSE(FlatForest::avx2_enabled());
-  const auto baseline = forest.predict_proba(eval);
-  FlatForest::set_avx2_enabled(true);
-  EXPECT_EQ(FlatForest::avx2_enabled(), FlatForest::avx2_available());
-  const auto vectorized = forest.predict_proba(eval);
-  expect_bit_identical(vectorized, baseline);
-  expect_bit_identical(baseline, oracle_scores(forest, eval));
-}
-
-TEST(ForestInfer, ColumnOverrideMatchesMaterializedCopy) {
-  util::Rng rng(20);
-  Matrix x;
-  std::vector<int> y;
-  make_blobs(300, 4, x, y, rng);
-  RandomForest forest;
-  ForestOptions opt;
-  opt.num_trees = 8;
-  forest.fit(x, y, opt, rng);
-
-  Matrix eval = make_eval(90, 4, rng);
-  const std::size_t f = 1;
-  std::vector<double> replacement(eval.rows());
-  for (double& v : replacement) v = rng.normal(0.0, 5.0);
-
-  std::vector<std::size_t> rows(eval.rows());
-  std::iota(rows.begin(), rows.end(), 0);
-  std::vector<double> acc(eval.rows(), 0.0);
-  const ColumnOverride override_col{f, replacement};
-  forest.flat()->accumulate(eval, rows, acc, &override_col);
-  for (double& v : acc) v /= static_cast<double>(forest.num_trees());
-
-  Matrix materialized = eval;
-  for (std::size_t i = 0; i < eval.rows(); ++i) materialized(i, f) = replacement[i];
-  expect_bit_identical(acc, oracle_scores(forest, materialized));
-}
-
-TEST(ForestInfer, SingleTreeAccumulateMatchesForestOfOne) {
-  util::Rng rng(21);
-  Matrix x;
-  std::vector<int> y;
-  make_blobs(300, 3, x, y, rng);
-  RandomForest forest;
-  ForestOptions opt;
-  opt.num_trees = 1;
-  opt.tree.max_depth = 7;
-  forest.fit(x, y, opt, rng);
-  const Matrix eval = make_eval(50, 3, rng);
-  std::vector<std::size_t> rows(eval.rows());
-  std::iota(rows.begin(), rows.end(), 0);
-  std::vector<double> acc(eval.rows(), 0.0);
-  forest.flat()->accumulate_tree(0, eval, rows, acc);
-  // One tree: the accumulated leaf value is the forest probability.
-  expect_bit_identical(acc, oracle_scores(forest, eval));
 }
 
 TEST(ForestInfer, LoadedForestRebuildsFlatEngine) {
@@ -396,49 +279,6 @@ TEST(ForestInfer, LoadedForestRebuildsFlatEngine) {
   ASSERT_NE(loaded.flat(), nullptr);
   const Matrix eval = make_eval(120, 4, rng, /*nan_prob=*/0.1);
   expect_bit_identical(loaded.predict_proba(eval), oracle_scores(forest, eval));
-}
-
-TEST(ForestInfer, GbdtBatchMatchesRecursiveAtAnyThreadCount) {
-  util::Rng rng(23);
-  Matrix x;
-  std::vector<int> y;
-  make_blobs(500, 5, x, y, rng, 2.0);
-  Gbdt model;
-  GbdtOptions opt;
-  opt.num_rounds = 20;
-  opt.max_depth = 5;
-  model.fit(x, y, opt, rng);
-  ASSERT_NE(model.flat(), nullptr);
-
-  const Matrix eval = make_eval(391, 5, rng, /*nan_prob=*/0.1);
-  std::vector<double> expected(eval.rows());
-  for (std::size_t r = 0; r < eval.rows(); ++r)
-    expected[r] = model.predict_proba(eval.row(r));
-  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    expect_bit_identical(model.predict_proba(eval, threads), expected);
-  }
-}
-
-TEST(ForestInfer, ImportancesUnchangedByThreadCount) {
-  // Permutation and OOB importance now run on the flattened engine;
-  // their pre-forked per-feature streams must keep results independent
-  // of the fan-out width.
-  util::Rng rng(24);
-  Matrix x;
-  std::vector<int> y;
-  make_blobs(400, 4, x, y, rng);
-  RandomForest forest;
-  ForestOptions opt;
-  opt.num_trees = 10;
-  forest.fit(x, y, opt, rng);
-
-  util::Rng r1(99), r2(99), r3(99), r4(99);
-  const auto perm_serial = forest.permutation_importance(x, y, r1, 2, 1);
-  const auto perm_par = forest.permutation_importance(x, y, r2, 2, 4);
-  expect_bit_identical(perm_serial, perm_par);
-  const auto oob_serial = forest.oob_permutation_importance(x, y, r3, 1);
-  const auto oob_par = forest.oob_permutation_importance(x, y, r4, 4);
-  expect_bit_identical(oob_serial, oob_par);
 }
 
 }  // namespace

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "data/matrix.h"
 #include "ml/metrics.h"
@@ -101,19 +106,6 @@ TEST(RandomForest, ImpurityImportanceFindsSignal) {
   for (std::size_t f = 1; f < 6; ++f) EXPECT_GT(imp[0], imp[f]);
 }
 
-TEST(RandomForest, PermutationImportanceFindsSignal) {
-  util::Rng rng(6);
-  Matrix x;
-  std::vector<int> y;
-  make_blobs(400, 4, x, y, rng, 5.0);
-  RandomForest forest;
-  forest.fit(x, y, small_forest(), rng);
-  const auto imp = forest.permutation_importance(x, y, rng);
-  ASSERT_EQ(imp.size(), 4u);
-  EXPECT_GT(imp[0], 0.2);
-  for (std::size_t f = 1; f < 4; ++f) EXPECT_LT(imp[f], imp[0] / 4.0);
-}
-
 TEST(RandomForest, FitRejectsBadInput) {
   RandomForest forest;
   util::Rng rng(7);
@@ -148,30 +140,6 @@ TEST(RandomForest, BootstrapFractionShrinksTrees) {
   EXPECT_EQ(forest.num_trees(), opt.num_trees);
 }
 
-TEST(RandomForest, OobPermutationImportanceFindsSignal) {
-  util::Rng rng(9);
-  Matrix x;
-  std::vector<int> y;
-  make_blobs(400, 4, x, y, rng, 5.0);
-  RandomForest forest;
-  forest.fit(x, y, small_forest(), rng);
-  const auto imp = forest.oob_permutation_importance(x, y, rng);
-  ASSERT_EQ(imp.size(), 4u);
-  EXPECT_GT(imp[0], 0.1);
-  for (std::size_t f = 1; f < 4; ++f) EXPECT_LT(imp[f], imp[0] / 3.0);
-}
-
-TEST(RandomForest, OobImportanceRejectsShapeMismatch) {
-  util::Rng rng(10);
-  Matrix x;
-  std::vector<int> y;
-  make_blobs(100, 3, x, y, rng);
-  RandomForest forest;
-  forest.fit(x, y, small_forest(), rng);
-  Matrix wrong(100, 2);
-  EXPECT_THROW(forest.oob_permutation_importance(wrong, y, rng), std::invalid_argument);
-}
-
 TEST(RandomForest, SaveLoadRoundTrip) {
   util::Rng rng(11);
   Matrix x;
@@ -191,8 +159,6 @@ TEST(RandomForest, SaveLoadRoundTrip) {
   }
   // Impurity importance is serialized with the trees.
   EXPECT_EQ(back.impurity_importance(), forest.impurity_importance());
-  // OOB masks are not serialized: the OOB variant must refuse.
-  EXPECT_THROW(back.oob_permutation_importance(x, y, rng), std::logic_error);
 }
 
 TEST(RandomForest, LoadRejectsGarbage) {
@@ -224,6 +190,114 @@ TEST(RandomForest, LoadRejectsGarbage) {
     EXPECT_THROW(forest.load(ss), std::runtime_error) << input;
     EXPECT_FALSE(forest.trained()) << input;
   }
+}
+
+/// Rows of `cols` features, a tenth of the cells NaN, from a fixed seed.
+Matrix mutation_eval(std::size_t cols) {
+  util::Rng rng(53);
+  Matrix x(32, cols);
+  for (std::size_t i = 0; i < x.rows(); ++i)
+    for (std::size_t f = 0; f < cols; ++f)
+      x(i, f) = rng.bernoulli(0.1) ? std::nan("") : rng.normal(1.0, 3.0);
+  return x;
+}
+
+std::vector<std::uint64_t> score_bits(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) out[i] = std::bit_cast<std::uint64_t>(v[i]);
+  return out;
+}
+
+// A seeded mutation loop over two small saves: truncations, byte flips,
+// digit edits, duplicated lines and splices of the two. Every mutant
+// must either throw std::runtime_error and leave the forest it was
+// loaded into scoring as before, or load into a forest whose flattened
+// scores equal its recursive walk.
+TEST(RandomForest, LoadSurvivesSeededMutations) {
+  util::Rng rng(51);
+  Matrix x;
+  std::vector<int> y;
+  make_blobs(300, 3, x, y, rng, 1.5);
+  ForestOptions opt;
+  opt.num_trees = 3;
+  opt.tree.max_depth = 4;
+  RandomForest a, b;
+  a.fit(x, y, opt, rng);
+  opt.num_trees = 2;
+  opt.tree.max_depth = 3;
+  b.fit(x, y, opt, rng);
+  std::stringstream sa, sb;
+  a.save(sa);
+  b.save(sb);
+  const std::string save_a = sa.str(), save_b = sb.str();
+
+  const Matrix eval = mutation_eval(3);
+  const auto target_bits = score_bits(b.predict_proba(eval));
+
+  std::vector<std::string> mutants;
+  // Truncations at every third byte.
+  for (std::size_t n = 0; n < save_a.size(); n += 3) mutants.push_back(save_a.substr(0, n));
+  // Byte flips: one bit of one byte.
+  for (int k = 0; k < 1000; ++k) {
+    std::string m = save_a;
+    m[rng.uniform_index(m.size())] ^= static_cast<char>(1u << rng.uniform_index(8));
+    mutants.push_back(std::move(m));
+  }
+  // Digit edits: replace, insert before, or delete one digit.
+  std::vector<std::size_t> digits;
+  for (std::size_t i = 0; i < save_a.size(); ++i)
+    if (save_a[i] >= '0' && save_a[i] <= '9') digits.push_back(i);
+  for (int k = 0; k < 1000; ++k) {
+    std::string m = save_a;
+    const std::size_t at = digits[rng.uniform_index(digits.size())];
+    const char d = static_cast<char>('0' + rng.uniform_index(10));
+    switch (rng.uniform_index(3)) {
+      case 0: m[at] = d; break;
+      case 1: m.insert(m.begin() + static_cast<std::ptrdiff_t>(at), d); break;
+      default: m.erase(at, 1); break;
+    }
+    mutants.push_back(std::move(m));
+  }
+  // Each line duplicated in place.
+  for (std::size_t begin = 0; begin < save_a.size();) {
+    const std::size_t end = save_a.find('\n', begin) + 1;
+    mutants.push_back(save_a.substr(0, end) + save_a.substr(begin));
+    begin = end;
+  }
+  // Splices: a prefix of one save, then a suffix of the other.
+  for (int k = 0; k < 500; ++k) {
+    const bool ab = k % 2 == 0;
+    const std::string& head = ab ? save_a : save_b;
+    const std::string& tail = ab ? save_b : save_a;
+    mutants.push_back(head.substr(0, rng.uniform_index(head.size() + 1)) +
+                      tail.substr(rng.uniform_index(tail.size() + 1)));
+  }
+
+  std::size_t rejected = 0, loaded = 0;
+  for (std::size_t k = 0; k < mutants.size(); ++k) {
+    RandomForest forest = b;
+    std::stringstream ss(mutants[k]);
+    try {
+      forest.load(ss);
+    } catch (const std::runtime_error&) {
+      ++rejected;
+      ASSERT_EQ(score_bits(forest.predict_proba(eval)), target_bits) << "mutant " << k;
+      continue;
+    } catch (const std::exception& e) {
+      FAIL() << "mutant " << k << " threw " << e.what() << ":\n" << mutants[k];
+    }
+    ++loaded;
+    const Matrix own = forest.num_features() == eval.cols()
+                           ? eval
+                           : mutation_eval(forest.num_features());
+    std::vector<double> walk(own.rows());
+    for (std::size_t r = 0; r < own.rows(); ++r) walk[r] = forest.predict_proba(own.row(r));
+    ASSERT_EQ(score_bits(forest.predict_proba(own)), score_bits(walk))
+        << "mutant " << k << ":\n" << mutants[k];
+  }
+  EXPECT_GE(mutants.size(), 3000u);
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(loaded, 0u);
 }
 
 TEST(RandomForest, SaveBeforeFitThrows) {
@@ -323,36 +397,6 @@ TEST(RandomForest, ParallelPredictMatchesSerial) {
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i)
     EXPECT_DOUBLE_EQ(serial[i], parallel[i]);
-}
-
-TEST(RandomForest, ParallelPermutationImportanceMatchesSerial) {
-  util::Rng rng(23);
-  Matrix x;
-  std::vector<int> y;
-  make_blobs(300, 5, x, y, rng, 4.0);
-  RandomForest forest;
-  forest.fit(x, y, small_forest(), rng);
-  util::Rng r1(31), r2(31);
-  const auto serial = forest.permutation_importance(x, y, r1, 2, 1);
-  const auto parallel = forest.permutation_importance(x, y, r2, 2, 4);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t f = 0; f < serial.size(); ++f)
-    EXPECT_DOUBLE_EQ(serial[f], parallel[f]);
-}
-
-TEST(RandomForest, ParallelOobImportanceMatchesSerial) {
-  util::Rng rng(24);
-  Matrix x;
-  std::vector<int> y;
-  make_blobs(300, 5, x, y, rng, 4.0);
-  RandomForest forest;
-  forest.fit(x, y, small_forest(), rng);
-  util::Rng r1(37), r2(37);
-  const auto serial = forest.oob_permutation_importance(x, y, r1, 1);
-  const auto parallel = forest.oob_permutation_importance(x, y, r2, 4);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t f = 0; f < serial.size(); ++f)
-    EXPECT_DOUBLE_EQ(serial[f], parallel[f]);
 }
 
 TEST(RandomForest, ThreadedHistogramFitMatchesSequential) {

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <sstream>
 
 #include "data/matrix.h"
@@ -112,24 +111,6 @@ TEST(DecisionTree, BootstrapIndicesWithRepeats) {
   tree.fit(x, y, idx, TreeOptions{}, rng);
   EXPECT_EQ(tree.node_count(), 1u);
   EXPECT_DOUBLE_EQ(tree.predict_proba(x.row(3)), static_cast<double>(y[3]));
-}
-
-TEST(DecisionTree, ReportsInBagRowsOfBootstrap) {
-  util::Rng rng(11);
-  Matrix x;
-  std::vector<int> y;
-  make_blobs(200, x, y, rng);
-  std::vector<std::size_t> idx(200);
-  for (auto& i : idx) i = rng.uniform_index(200);  // repeats, unsorted, gaps
-  std::vector<std::size_t> expected = idx;
-  std::sort(expected.begin(), expected.end());
-  expected.erase(std::unique(expected.begin(), expected.end()), expected.end());
-  ASSERT_LT(expected.size(), idx.size());
-
-  std::vector<std::size_t> in_bag = {42};  // stale contents are replaced
-  DecisionTree tree;
-  tree.fit(x, y, idx, TreeOptions{}, rng, nullptr, &in_bag);
-  EXPECT_EQ(in_bag, expected);
 }
 
 TEST(DecisionTree, ThrowsBeforeFitAndOnBadInput) {

@@ -88,17 +88,6 @@ TEST(Rankers, StandardSetNamesAndOrder) {
   EXPECT_EQ(rankers[4]->name(), "XGBoost");
 }
 
-TEST(Rankers, RandomForestPermutationVariant) {
-  util::Rng rng(104);
-  Matrix x;
-  std::vector<int> y;
-  planted(500, x, y, rng);
-  RandomForestRanker perm(RandomForestRanker::default_options(), /*use_permutation=*/true);
-  const auto scores = perm.score(x, y);
-  ASSERT_EQ(scores.size(), 4u);
-  for (std::size_t f = 1; f < 4; ++f) EXPECT_GE(scores[0], scores[f]);
-}
-
 TEST(Rankers, DeterministicScores) {
   util::Rng rng(105);
   Matrix x;
@@ -109,39 +98,6 @@ TEST(Rankers, DeterministicScores) {
   for (std::size_t k = 0; k < r1.size(); ++k) {
     EXPECT_EQ(r1[k]->score(x, y), r2[k]->score(x, y)) << r1[k]->name();
   }
-}
-
-TEST(Rankers, ExtendedSetAddsThree) {
-  const auto rankers = make_extended_rankers();
-  ASSERT_EQ(rankers.size(), 8u);
-  EXPECT_EQ(rankers[5]->name(), "MutualInfo");
-  EXPECT_EQ(rankers[6]->name(), "ChiSquare");
-  EXPECT_EQ(rankers[7]->name(), "Logistic");
-}
-
-TEST(Rankers, ExtendedRankersFindStrongSignal) {
-  util::Rng rng(107);
-  Matrix x;
-  std::vector<int> y;
-  planted(1200, x, y, rng);
-  const auto rankers = make_extended_rankers();
-  for (std::size_t k = 5; k < rankers.size(); ++k) {
-    const auto scores = rankers[k]->score(x, y);
-    ASSERT_EQ(scores.size(), 4u) << rankers[k]->name();
-    for (std::size_t f = 1; f < 4; ++f)
-      EXPECT_GT(scores[0], scores[f]) << rankers[k]->name() << " feature " << f;
-  }
-}
-
-TEST(Rankers, EnsembleWorksWithExtendedSet) {
-  util::Rng rng(108);
-  Matrix x;
-  std::vector<int> y;
-  planted(800, x, y, rng);
-  const auto rankers = make_extended_rankers();
-  const auto res = ensemble_rank(rankers, x, y);
-  ASSERT_EQ(res.rankings.size(), 8u);
-  EXPECT_EQ(res.order[0], 0u);  // strong signal first
 }
 
 TEST(Rankers, ConstantFeatureScoresZeroForCorrelations) {
