@@ -331,8 +331,13 @@ void FlatForest::accumulate(const data::Matrix& x, std::size_t row_begin,
   const std::size_t n = row_end - row_begin;
 
   // Column 0 of the stage is the reserved -inf column leaves park on
-  // (see WideNode); active feature `s` stages at column `s + 1`.
-  std::vector<double> stage((active_.size() + 1) * kSlotStride);
+  // (see WideNode); active feature `s` stages at column `s + 1`, and
+  // every block writes the rows it reads before walking them. So one
+  // stage per thread, grown to the widest forest it has served, is
+  // reused across calls, and only column 0 is refilled.
+  thread_local std::vector<double> stage;
+  const std::size_t stage_size = (active_.size() + 1) * kSlotStride;
+  if (stage.size() < stage_size) stage.resize(stage_size);
   std::fill(stage.begin(), stage.begin() + kBlockRows,
             -std::numeric_limits<double>::infinity());
 

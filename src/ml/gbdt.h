@@ -34,7 +34,8 @@ struct GbdtOptions {
   /// kAuto switches to histogram at this many training rows.
   std::size_t histogram_cutoff = 2048;
   /// In histogram mode, nodes with fewer rows than this fall back to the
-  /// exact sort-based search (see TreeOptions::exact_node_cutoff).
+  /// exact sort-based search on every feature, however it is coded (see
+  /// TreeOptions::exact_node_cutoff and SplitMethod).
   std::size_t exact_node_cutoff = 512;
 };
 

@@ -54,7 +54,8 @@ struct DecisionTree::BuildContext {
   util::Rng& rng;
   const QuantizedDataset& q;
   std::size_t n_total = 0;
-  /// Histogram split finding on nodes of at least exact_node_cutoff rows.
+  /// Histogram split finding on nodes of at least exact_node_cutoff rows
+  /// (for coarsely coded features; see build()).
   bool histogram = false;
 
   std::vector<std::size_t> features;
@@ -123,6 +124,12 @@ class BoundaryScan {
 /// value, and at 8 bits those 256 counters cost more than a few dozen
 /// keys do; most exact searches run on nodes that small.
 constexpr std::size_t kSmallNodeKeys = 128;
+
+/// A feature coded one bin per distinct value is searched by counting
+/// while its bins number at most this many times the node's distinct
+/// rows; past that, clearing and scanning the counters costs more than
+/// sorting the rows.
+constexpr std::size_t kCountBinsPerRow = 2;
 
 /// Exact split search over the node's distinct values of one feature.
 /// Rank order is value order, so radix-sorting the node's rows by rank —
@@ -331,16 +338,22 @@ std::int32_t DecisionTree::build(BuildContext& ctx, std::vector<WeightedRow>& ro
     ctx.rng.sample_without_replacement(nf, opt.max_features, features);
   }
 
-  // Histogram search on large nodes; small nodes fall back to the exact
-  // sort (cheap there, and global bin edges are too coarse for them).
+  // A feature coded one bin per distinct value (bin == rank) gets the
+  // same split from counting as from sorting, so it is counted whenever
+  // its bins are few next to the node's rows, at any node size and under
+  // every SplitMethod. A coarsely coded feature is counted on large
+  // histogram nodes only; small nodes sort (cheap there, and global bin
+  // edges are too coarse for them).
   const bool use_histogram =
       ctx.histogram && (opt.exact_node_cutoff == 0 || n >= opt.exact_node_cutoff);
+  const std::size_t count_bins = kCountBinsPerRow * node_rows.size();
   SplitCandidate best;
   std::size_t best_feature = 0;
   for (std::size_t f : features) {
-    const SplitCandidate cand =
-        use_histogram ? best_split_histogram(ctx, node_rows, f, n, node_pos)
-                      : best_split_exact(ctx, node_rows, f, n, node_pos);
+    const std::size_t bins = ctx.q.num_bins(f);
+    const bool count = bins == ctx.q.num_values(f) ? bins <= count_bins : use_histogram;
+    const SplitCandidate cand = count ? best_split_histogram(ctx, node_rows, f, n, node_pos)
+                                      : best_split_exact(ctx, node_rows, f, n, node_pos);
     if (cand.valid && (!best.valid || cand.impurity_decrease > best.impurity_decrease)) {
       best = cand;
       best_feature = f;

@@ -13,7 +13,14 @@ namespace wefr::ml {
 class FlatForest;
 class QuantizedDataset;
 
-/// How a tree searches for split thresholds.
+/// How a tree searches for split thresholds on coarsely coded features
+/// (more distinct values than `max_bins`). A feature coded one bin per
+/// distinct value gets the same split, bit for bit, from counting as
+/// from sorting, so DecisionTree counts it under every method whenever
+/// its bins are few next to the node's distinct rows, and sorts it
+/// otherwise. (Gbdt applies the method to every feature: its exact
+/// search adds gradients in value-then-row order, which per-bin sums
+/// would round differently.)
 enum class SplitMethod {
   /// Per fit, pick histogram when the sample count reaches
   /// `TreeOptions::histogram_cutoff`, exact below it.
@@ -42,9 +49,10 @@ struct TreeOptions {
   /// kAuto switches to histogram at this many fit samples.
   std::size_t histogram_cutoff = 2048;
   /// In histogram mode, nodes with fewer samples than this fall back to
-  /// the exact sort-based search: sorting is cheap on small nodes and
-  /// recovers the fine-grained thresholds global bins cannot offer deep
-  /// in the tree. 0 disables the fallback.
+  /// the exact sort-based search on coarsely coded features: sorting is
+  /// cheap on small nodes and recovers the fine-grained thresholds global
+  /// bins cannot offer deep in the tree. 0 disables the fallback. Features
+  /// coded one bin per value ignore it (see SplitMethod).
   std::size_t exact_node_cutoff = 512;
 };
 

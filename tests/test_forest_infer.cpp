@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -145,6 +146,30 @@ TEST(ForestInfer, BatchSizeInvariance) {
 
   for (std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{256}, eval.rows()}) {
     expect_bit_identical(scores_in_batches(forest, eval, batch), expected);
+  }
+
+  // A second forest staging many more active columns, scored on the same
+  // thread in turn with the first: each call reuses the thread's stage,
+  // grown by the wide forest and then read by the narrow one. Row counts
+  // straddle the 16-row walking group and the 512-row block.
+  Matrix x_wide;
+  std::vector<int> y_wide;
+  make_blobs(700, 40, x_wide, y_wide, rng, 1.0);
+  RandomForest wide;
+  ForestOptions wide_opt;
+  wide_opt.num_trees = 12;
+  wide_opt.tree.max_depth = 12;
+  wide.fit(x_wide, y_wide, wide_opt, rng);
+  ASSERT_GT(wide.flat()->num_features(), forest.flat()->num_features());
+  const Matrix eval_wide = make_eval(530, 40, rng, /*nan_prob=*/0.1);
+  const auto expected_wide = oracle_scores(wide, eval_wide);
+  for (std::size_t rows : std::initializer_list<std::size_t>{1, 15, 16, 17, 511, 512, 513}) {
+    for (const auto& [f, e, want] :
+         {std::tuple{&forest, &eval, &expected}, std::tuple{&wide, &eval_wide, &expected_wide},
+          std::tuple{&forest, &eval, &expected}}) {
+      const auto got = f->predict_proba(e->slice_rows(0, rows));
+      expect_bit_identical(got, std::vector<double>(want->begin(), want->begin() + rows));
+    }
   }
 }
 

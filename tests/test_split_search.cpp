@@ -22,6 +22,7 @@
 #include "data/matrix.h"
 #include "ml/gbdt.h"
 #include "ml/quantize.h"
+#include "ml/radix_sort.h"
 #include "ml/random_forest.h"
 #include "ml/tree.h"
 #include "util/rng.h"
@@ -460,6 +461,25 @@ std::vector<std::size_t> bootstrap(std::size_t n, util::Rng& rng) {
   return idx;
 }
 
+/// Integer columns taking exactly 2, 17, 256 and 257 distinct values
+/// (rows below each count hold every value once, later rows follow the
+/// label's signal), then a continuous column.
+void make_integer_data(std::size_t n, util::Rng& rng, Matrix& x, std::vector<int>& y) {
+  constexpr std::size_t kValues[] = {2, 17, 256, 257};
+  x = Matrix(n, std::size(kValues) + 1);
+  y.assign(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double signal = rng.normal();
+    y[i] = signal + rng.normal(0.0, 0.8) > 0.9 ? 1 : 0;
+    for (std::size_t c = 0; c < std::size(kValues); ++c) {
+      const auto k = static_cast<double>(kValues[c]);
+      const double v = std::floor(k / 2.0 + (signal + rng.normal()) * k / 6.0);
+      x(i, c) = i < kValues[c] ? static_cast<double>(i) : std::clamp(v, 0.0, k - 1.0);
+    }
+    x(i, std::size(kValues)) = signal + rng.normal(0.0, 0.5);
+  }
+}
+
 // --- tests -----------------------------------------------------------------
 
 struct TreeCase {
@@ -522,6 +542,32 @@ TEST(SplitSearch, TreeMatchesValueSortingReference) {
   const auto boot = bootstrap(x.rows(), wide_rng);
   expect_tree_matches_reference(x, y, all, {SplitMethod::kExact, 256, 0, 1, 512}, 31);
   expect_tree_matches_reference(x, y, boot, {SplitMethod::kExact, 256, 3, 2, 512}, 32);
+
+  // Integer columns coded one bin per value up to the bin budget, which
+  // count or sort each node by its bins against its distinct rows: the
+  // 256-value column counts from 128 distinct rows up and sorts below,
+  // the 17-value one from 9, under every method and cutoff. The
+  // 257-value column (and the 17-value one at 16 bins) is coded coarsely
+  // and keeps the node-size rule. The 250-row sample stays under kAuto's
+  // histogram cutoff.
+  util::Rng int_rng(5);
+  make_integer_data(2000, int_rng, x, y);
+  all.resize(x.rows());
+  std::iota(all.begin(), all.end(), 0);
+  const auto int_boot = bootstrap(x.rows(), int_rng);
+  std::vector<std::size_t> small_boot(250);
+  for (auto& i : small_boot) i = int_rng.uniform_index(x.rows());
+  const TreeCase int_cases[] = {
+      {SplitMethod::kExact, 256, 0, 1, 512},    {SplitMethod::kExact, 256, 3, 2, 512},
+      {SplitMethod::kHistogram, 256, 0, 1, 0},  {SplitMethod::kHistogram, 256, 2, 1, 512},
+      {SplitMethod::kHistogram, 16, 0, 1, 64},  {SplitMethod::kAuto, 256, 0, 1, 512},
+      {SplitMethod::kAuto, 256, 3, 5, 100},     {SplitMethod::kAuto, 16, 2, 1, 512},
+  };
+  for (const TreeCase& c : int_cases) {
+    expect_tree_matches_reference(x, y, all, c, 41);
+    expect_tree_matches_reference(x, y, int_boot, c, 42);
+    expect_tree_matches_reference(x, y, small_boot, c, 43);
+  }
 }
 
 TEST(SplitSearch, TreeMatchesReferenceWithInfiniteValues) {
@@ -635,6 +681,58 @@ TEST(SplitSearch, QuantizedDatasetIsPoolInvariant) {
   }
 }
 
+/// -1 for a NaN with its sign bit set, +1 for any other NaN, 0 for a
+/// number: the coding ranks a NaN below -inf or above +inf by its sign.
+int nan_side(double v) {
+  if (!std::isnan(v)) return 0;
+  return std::signbit(v) ? -1 : 1;
+}
+
+/// Value order with NaNs placed by nan_side; two NaNs are unordered.
+bool value_less(double a, double b) {
+  if (nan_side(a) != nan_side(b)) return nan_side(a) < nan_side(b);
+  return a < b;
+}
+
+/// Every row's rank is its value's place among the feature's distinct
+/// values: walking the rows in value order (ties in row order, as the
+/// coding breaks them), the rank steps by one at each larger value and
+/// at every NaN (NaN != NaN, so each NaN row holds a rank of its own),
+/// and stays put otherwise (-0.0 == 0.0 share one). Bins are contiguous
+/// rank ranges covering every rank.
+void expect_ranks_follow_value_order(const Matrix& x, const QuantizedDataset& q) {
+  for (std::size_t f = 0; f < x.cols(); ++f) {
+    const auto ranks = q.ranks(f);
+    std::vector<std::size_t> order(x.rows());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) { return value_less(x(a, f), x(b, f)); });
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const double v = x(order[i], f);
+      const std::uint32_t rank = ranks[order[i]];
+      const double coded = q.value(f, rank);
+      if (std::isnan(v)) {
+        EXPECT_TRUE(std::isnan(coded) && std::signbit(coded) == std::signbit(v))
+            << "feature " << f << " row " << order[i];
+      } else {
+        EXPECT_EQ(coded, v) << "feature " << f << " row " << order[i];
+      }
+      if (i == 0) {
+        EXPECT_EQ(rank, 0u) << "feature " << f;
+        continue;
+      }
+      const double prev = x(order[i - 1], f);
+      const bool steps = std::isnan(v) || value_less(prev, v);
+      EXPECT_EQ(rank, ranks[order[i - 1]] + (steps ? 1u : 0u))
+          << "feature " << f << " row " << order[i];
+    }
+    EXPECT_EQ(ranks[order.back()], q.num_values(f) - 1) << "feature " << f;
+    for (std::size_t b = 0; b < q.num_bins(f); ++b)
+      EXPECT_LE(q.bin_first_rank(f, b), q.bin_last_rank(f, b));
+    EXPECT_EQ(q.bin_last_rank(f, q.num_bins(f) - 1), q.num_values(f) - 1);
+  }
+}
+
 TEST(SplitSearch, RanksFollowValueOrder) {
   util::Rng data_rng(9);
   Matrix x;
@@ -642,19 +740,90 @@ TEST(SplitSearch, RanksFollowValueOrder) {
   make_data(800, data_rng, x, y, /*with_inf=*/true);
   QuantizedDataset q;
   q.build(x, 16);
-  for (std::size_t f = 0; f < x.cols(); ++f) {
-    const auto ranks = q.ranks(f);
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-      // The rank's value equals the row's value (-0.0 == 0.0 share one).
-      EXPECT_EQ(q.value(f, ranks[r]), x(r, f));
-      if (r > 0) {
-        EXPECT_EQ(ranks[r] < ranks[r - 1], x(r, f) < x(r - 1, f));
-      }
+  expect_ranks_follow_value_order(x, q);
+
+  // Keys whose 64-bit order images vary in only some bytes, so the
+  // coding's radix sort skips the uniform digits: small integers (low
+  // mantissa bytes all zero), signed zeros, infinities, subnormals (high
+  // bytes all zero) and NaNs of both signs, each column mixed with a few
+  // ordinary values.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  const double kNegNaN = std::copysign(kNaN, -1.0);
+  const std::vector<std::vector<double>> pools = {
+      {0.0, 1.0, 2.0, 3.0, 4.0, 5.0},
+      {0.0, -0.0, 1.0, -1.0},
+      {-0.0, 0.0},
+      {-kInf, kInf, 0.0, -2.5, 7.0},
+      {kTiny, 2 * kTiny, 255 * kTiny, -kTiny, 0.0, -0.0},
+      {kNaN, kNegNaN, 1.0, -1.0, kInf, -kInf},
+      {kNaN, kNegNaN},
+      {1.0, 1.0 + 0x1p-52, 1.0 + 0x1p-44, 1.0 + 0x1p-36},
+  };
+  util::Rng pick_rng(10);
+  Matrix odd(600, pools.size());
+  for (std::size_t r = 0; r < odd.rows(); ++r)
+    for (std::size_t c = 0; c < pools.size(); ++c)
+      odd(r, c) = pools[c][pick_rng.uniform_index(pools[c].size())];
+  for (std::size_t bins : {std::size_t{4}, std::size_t{256}}) {
+    QuantizedDataset coded;
+    coded.build(odd, bins);
+    expect_ranks_follow_value_order(odd, coded);
+  }
+}
+
+/// One radix_sort run against std::stable_sort on the same items, at 6-
+/// and 8-bit digits; items carry their input position, so a reordered
+/// tie shows.
+void expect_radix_sort_matches_stable_sort(const std::vector<std::uint64_t>& keys,
+                                           unsigned key_bits) {
+  struct Item {
+    std::uint64_t key;
+    std::uint32_t pos;
+  };
+  std::vector<Item> items(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) items[i] = {keys[i], static_cast<std::uint32_t>(i)};
+  std::vector<Item> expected = items;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const Item& a, const Item& b) { return a.key < b.key; });
+  const auto key_of = [](const Item& it) { return it.key; };
+  std::vector<Item> six = items, eight = items, scratch;
+  radix_sort<6>(six, scratch, key_of, key_bits);
+  radix_sort<8>(eight, scratch, key_of, key_bits);
+  for (const std::vector<Item>* got : {&six, &eight}) {
+    ASSERT_EQ(got->size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ((*got)[i].key, expected[i].key) << "key_bits " << key_bits << " at " << i;
+      ASSERT_EQ((*got)[i].pos, expected[i].pos) << "key_bits " << key_bits << " at " << i;
     }
-    // Bins are contiguous rank ranges.
-    for (std::size_t b = 0; b < q.num_bins(f); ++b)
-      EXPECT_LE(q.bin_first_rank(f, b), q.bin_last_rank(f, b));
-    EXPECT_EQ(q.bin_last_rank(f, q.num_bins(f) - 1), q.num_values(f) - 1);
+  }
+}
+
+TEST(SplitSearch, RadixSortMatchesStableSort) {
+  util::Rng rng(11);
+  // Key widths on and off both digit grids (6 and 8 bits).
+  for (unsigned key_bits : {1u, 5u, 6u, 8u, 13u, 20u, 24u, 37u, 63u, 64u}) {
+    const std::uint64_t mask = key_bits == 64 ? ~std::uint64_t{0}
+                                              : (std::uint64_t{1} << key_bits) - 1;
+    for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
+                          std::size_t{100}, std::size_t{1500}}) {
+      std::vector<std::uint64_t> uniform(n), ties(n), sparse(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        uniform[i] = rng.next_u64() & mask;
+        // A handful of distinct keys: heavy ties.
+        ties[i] = (rng.uniform_index(5) * 0x9e3779b97f4a7c15ULL) & mask;
+        // Only the two lowest and two highest bits vary; the digits
+        // between are equal for every key and their passes are skipped.
+        sparse[i] = key_bits < 4 ? uniform[i]
+                                 : ((rng.next_u64() & 0x3) | rng.next_u64() << (key_bits - 2) |
+                                    (std::uint64_t{0x5a5a5a5a5a5a5a5a} & ~std::uint64_t{3})) &
+                                       mask;
+      }
+      expect_radix_sort_matches_stable_sort(uniform, key_bits);
+      expect_radix_sort_matches_stable_sort(ties, key_bits);
+      expect_radix_sort_matches_stable_sort(sparse, key_bits);
+    }
   }
 }
 
